@@ -10,10 +10,11 @@ where the check_build.sh smoke runs drop them). Two failure classes:
   * wall regression: a measurement's wall_seconds grew more than 25% over
     baseline. Walls under the 0.05 s floor are skipped — at smoke scales
     scheduler jitter dominates and a relative gate would only flake.
-  * invocation drift: any change in any measurement's per-function
-    invocation counts. These are exact and deterministic (the paper's
-    measurement currency), so any delta is a real behavior change —
-    a placement flip, a caching bug, a transfer regression — never noise.
+  * exact drift: any change in a measurement's per-function invocation
+    counts, output_rows or charged_time. These are exact and
+    deterministic (the paper's measurement currency), so any delta is a
+    real behavior change — a placement flip, a caching bug, a transfer
+    regression, a lost row — never noise.
 
 A third check closes a hole the per-file comparison cannot see: every
 baselined bench name must appear in BENCH_summary.json (the aggregate the
@@ -32,6 +33,16 @@ import sys
 
 WALL_REGRESSION_LIMIT = 0.25
 WALL_FLOOR_SECONDS = 0.05
+# Measurement fields that must match the baseline exactly, beside the
+# per-function invocation map.
+EXACT_FIELDS = ("output_rows", "charged_time")
+# Exact fields that depend on wall-clock timing, per (baseline file,
+# measurement). introspect_join groups ppp_metrics_window by counter name
+# over the 1 s buckets the mix happened to finish in, so how many counter
+# series it returns varies from run to run.
+TIMING_DEPENDENT = {
+    ("BENCH_introspect.json", "introspect_join"): {"output_rows"},
+}
 
 
 def load(path):
@@ -72,6 +83,14 @@ def compare(name, baseline, fresh):
             failures.append(
                 f"{name}/{algo}: invocation counts changed "
                 f"(baseline, fresh): {drift}")
+        timing_dependent = TIMING_DEPENDENT.get((name, algo), set())
+        for field in EXACT_FIELDS:
+            if field in timing_dependent:
+                continue
+            if base.get(field) != new.get(field):
+                failures.append(
+                    f"{name}/{algo}: {field} changed "
+                    f"{base.get(field)} -> {new.get(field)}")
 
         base_wall = base.get("wall_seconds", 0.0)
         new_wall = new.get("wall_seconds", 0.0)

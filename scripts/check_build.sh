@@ -350,6 +350,18 @@ PPP_SCALE=40 PPP_BENCH_JSON=1 "$BUILD_DIR/bench/bench_server"
   echo "missing BENCH_server.json" >&2; exit 1;
 }
 
+# Paper-figure smoke: the Q1-Q5 figure benches at a small scale. Their
+# baselines pin every algorithm's result rows, invocation map and charged
+# time, so the regression gate below catches any executor change that
+# alters what the paper's measurements bill.
+for FIG in fig3_query1 fig4_query2 fig5_query3 fig8_query4 fig9_query5; do
+  rm -f "BENCH_$FIG.json"
+  PPP_SCALE=40 PPP_BENCH_JSON=1 "$BUILD_DIR/bench/bench_$FIG" >/dev/null
+  [[ -s "BENCH_$FIG.json" ]] || {
+    echo "missing BENCH_$FIG.json" >&2; exit 1;
+  }
+done
+
 # Aggregate every BENCH_*.json the smoke runs produced into one
 # BENCH_summary.json keyed by bench name. Runs before the regression gate
 # so the gate can check every baselined bench name appears in it.
@@ -377,7 +389,8 @@ fi
 
 # Regression gate: fresh smoke BENCH_*.json vs the checked-in baselines.
 # Fails on >25% wall regressions (above the 0.05 s jitter floor), any
-# invocation-count drift, or a baselined bench missing from the summary.
+# drift in invocation counts, output rows or charged time, or a baselined
+# bench missing from the summary.
 # Re-baseline deliberate changes with --update.
 if command -v python3 >/dev/null 2>&1; then
   python3 scripts/bench_regress.py

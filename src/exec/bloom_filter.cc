@@ -24,18 +24,6 @@ BloomFilter::BloomFilter(size_t expected_keys) {
   block_mask_ = blocks - 1;
 }
 
-size_t BloomFilter::ProbeBatch(const uint64_t* hashes, size_t count,
-                               std::vector<char>* keep) const {
-  keep->resize(count);
-  size_t kept = 0;
-  for (size_t i = 0; i < count; ++i) {
-    const char hit = MightContainHash(hashes[i]) ? 1 : 0;
-    (*keep)[i] = hit;
-    kept += static_cast<size_t>(hit);
-  }
-  return kept;
-}
-
 uint64_t BloomFilter::BitsSet() const {
   uint64_t total = 0;
   for (const Block& block : blocks_) {

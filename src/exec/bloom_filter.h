@@ -48,12 +48,6 @@ class BloomFilter {
     return true;
   }
 
-  /// Batch probe over a NextBatch-shaped hash vector: keep->at(i) is set to
-  /// 1 when hashes[i] might be in the filter. Returns the number kept.
-  /// Bit-identical to calling MightContainHash per element.
-  size_t ProbeBatch(const uint64_t* hashes, size_t count,
-                    std::vector<char>* keep) const;
-
   size_t num_blocks() const { return blocks_.size(); }
   size_t num_bits() const { return blocks_.size() * kBitsPerBlock; }
 
@@ -144,9 +138,10 @@ class BloomTransfer {
     return state_.load(std::memory_order_acquire) != State::kEmpty;
   }
 
-  /// Records one probed batch. Once at least `min_probes` rows were probed,
-  /// a pass rate above `kill_pass_rate` kills the filter: it is pruning
-  /// almost nothing, so the per-row probe is pure overhead.
+  /// Records `probed` probes, `passed` of them passing. Once at least
+  /// `min_probes` rows were probed, a pass rate above `kill_pass_rate`
+  /// kills the filter: it is pruning almost nothing, so the per-row probe
+  /// is pure overhead.
   void RecordProbes(uint64_t probed, uint64_t passed);
 
   /// Join-side feedback: a row that passed the filter but found no match in

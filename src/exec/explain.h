@@ -14,8 +14,8 @@ namespace ppp::exec {
 std::string RenderExplain(const plan::PlanNode& plan);
 
 /// EXPLAIN ANALYZE: the plan tree with each node's estimates followed by
-/// the executed operator's actuals — rows, Open()/Next() wall time, the
-/// node's *self* I/O (its subtree-inclusive pool delta minus its
+/// the executed operator's actuals — rows, Open()/NextBatch() wall time,
+/// the node's *self* I/O (its subtree-inclusive pool delta minus its
 /// children's), and predicate-cache counters where one exists.
 ///
 /// `root` must be the operator tree ExecutePlan built for `plan`. The two

@@ -71,14 +71,6 @@ common::Result<std::unique_ptr<FilterOp>> FilterOp::Make(
 
 common::Status FilterOp::OpenImpl() { return child_->Open(); }
 
-common::Status FilterOp::NextImpl(types::Tuple* tuple, bool* eof) {
-  while (true) {
-    PPP_RETURN_IF_ERROR(child_->Next(tuple, eof));
-    if (*eof) return common::Status::OK();
-    if (predicate_.Eval(*tuple, &ctx_->eval)) return common::Status::OK();
-  }
-}
-
 void FilterOp::EvalScalarOnSelection(
     CachedPredicate* pred, types::ColumnBatch* batch,
     const std::vector<uint8_t>* maybe_null) {

@@ -31,8 +31,8 @@ namespace ppp::exec {
 /// whose referenced columns fell back to boxed storage evaluates scalar.
 ///
 /// Everything else — non-vectorizable predicates, vectorized off, row-only
-/// children — keeps the row-oriented batch path, bit-identical to the
-/// tuple-at-a-time engine.
+/// children — keeps the row-oriented batch path, which evaluates the
+/// predicate row by row in stream order.
 class FilterOp : public Operator {
  public:
   /// Binds `pred` against the child's schema and compiles the vectorized
@@ -60,7 +60,6 @@ class FilterOp : public Operator {
 
  protected:
   common::Status OpenImpl() override;
-  common::Status NextImpl(types::Tuple* tuple, bool* eof) override;
   common::Status NextBatchImpl(size_t max_rows, TupleBatch* batch,
                                bool* eof) override;
   common::Status NextColumnBatchImpl(size_t max_rows,

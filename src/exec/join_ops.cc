@@ -7,26 +7,6 @@
 
 namespace ppp::exec {
 
-namespace {
-
-/// Drains `op` into `out` (after Open), pulling batch-at-a-time.
-common::Status Drain(Operator* op, size_t batch_size,
-                     std::vector<types::Tuple>* out) {
-  PPP_RETURN_IF_ERROR(op->Open());
-  TupleBatch batch;
-  bool eof = false;
-  while (!eof) {
-    batch.clear();
-    PPP_RETURN_IF_ERROR(op->NextBatch(batch_size, &batch, &eof));
-    for (types::Tuple& tuple : batch.tuples) {
-      out->push_back(std::move(tuple));
-    }
-  }
-  return common::Status::OK();
-}
-
-}  // namespace
-
 // ---- NestedLoopJoinOp ------------------------------------------------------
 
 NestedLoopJoinOp::NestedLoopJoinOp(std::unique_ptr<Operator> outer,
@@ -35,43 +15,44 @@ NestedLoopJoinOp::NestedLoopJoinOp(std::unique_ptr<Operator> outer,
                                    ExecContext* ctx)
     : outer_(std::move(outer)),
       inner_(std::move(inner)),
+      outer_rows_(outer_.get()),
+      inner_rows_(inner_.get()),
       primary_(std::move(primary)),
       ctx_(ctx) {
   schema_ = types::RowSchema::Concat(outer_->schema(), inner_->schema());
 }
 
 common::Status NestedLoopJoinOp::OpenImpl() {
-  have_outer_ = false;
-  return outer_->Open();
+  outer_row_ = nullptr;
+  return outer_rows_.Open();
 }
 
-common::Status NestedLoopJoinOp::NextImpl(types::Tuple* tuple, bool* eof) {
-  while (true) {
-    if (!have_outer_) {
-      bool outer_eof = false;
-      PPP_RETURN_IF_ERROR(outer_->Next(&outer_tuple_, &outer_eof));
-      if (outer_eof) {
+common::Status NestedLoopJoinOp::NextBatchImpl(size_t max_rows,
+                                               TupleBatch* batch,
+                                               bool* eof) {
+  *eof = false;
+  while (batch->size() < max_rows) {
+    if (outer_row_ == nullptr) {
+      PPP_RETURN_IF_ERROR(outer_rows_.Advance(batch_size_, &outer_row_));
+      if (outer_row_ == nullptr) {
         *eof = true;
-        return common::Status::OK();
+        break;
       }
       // Rescan: the inner pipeline restarts and re-reads its pages.
-      PPP_RETURN_IF_ERROR(inner_->Open());
-      have_outer_ = true;
+      PPP_RETURN_IF_ERROR(inner_rows_.Open());
     }
-    types::Tuple inner_tuple;
-    bool inner_eof = false;
-    PPP_RETURN_IF_ERROR(inner_->Next(&inner_tuple, &inner_eof));
-    if (inner_eof) {
-      have_outer_ = false;
+    types::Tuple* inner_row = nullptr;
+    PPP_RETURN_IF_ERROR(inner_rows_.Advance(batch_size_, &inner_row));
+    if (inner_row == nullptr) {
+      outer_row_ = nullptr;
       continue;
     }
-    types::Tuple joined = types::Tuple::Concat(outer_tuple_, inner_tuple);
+    types::Tuple joined = types::Tuple::Concat(*outer_row_, *inner_row);
     if (!primary_.has_value() || primary_->Eval(joined, &ctx_->eval)) {
-      *tuple = std::move(joined);
-      *eof = false;
-      return common::Status::OK();
+      batch->tuples.push_back(std::move(joined));
     }
   }
+  return common::Status::OK();
 }
 
 std::string NestedLoopJoinOp::Describe() const {
@@ -94,6 +75,7 @@ IndexNestedLoopJoinOp::IndexNestedLoopJoinOp(
     const std::string& inner_alias, std::string inner_column,
     size_t outer_key_index)
     : outer_(std::move(outer)),
+      outer_rows_(outer_.get()),
       inner_table_(inner_table),
       inner_column_(std::move(inner_column)),
       outer_key_index_(outer_key_index) {
@@ -102,41 +84,42 @@ IndexNestedLoopJoinOp::IndexNestedLoopJoinOp(
 }
 
 common::Status IndexNestedLoopJoinOp::OpenImpl() {
-  have_outer_ = false;
-  matches_.clear();
-  match_pos_ = 0;
-  return outer_->Open();
-}
-
-common::Status IndexNestedLoopJoinOp::NextImpl(types::Tuple* tuple, bool* eof) {
-  const storage::BTree* index = inner_table_->GetIndex(inner_column_);
-  if (index == nullptr) {
+  index_ = inner_table_->GetIndex(inner_column_);
+  if (index_ == nullptr) {
     return common::Status::NotFound("no index on " + inner_table_->name() +
                                     "." + inner_column_);
   }
-  while (true) {
-    if (have_outer_ && match_pos_ < matches_.size()) {
+  outer_row_ = nullptr;
+  matches_.clear();
+  match_pos_ = 0;
+  return outer_rows_.Open();
+}
+
+common::Status IndexNestedLoopJoinOp::NextBatchImpl(size_t max_rows,
+                                                    TupleBatch* batch,
+                                                    bool* eof) {
+  *eof = false;
+  while (batch->size() < max_rows) {
+    if (match_pos_ < matches_.size()) {
       PPP_ASSIGN_OR_RETURN(types::Tuple inner_tuple,
                            inner_table_->Read(matches_[match_pos_]));
       ++match_pos_;
-      *tuple = types::Tuple::Concat(outer_tuple_, inner_tuple);
-      *eof = false;
-      return common::Status::OK();
+      batch->tuples.push_back(types::Tuple::Concat(*outer_row_, inner_tuple));
+      continue;
     }
-    bool outer_eof = false;
-    PPP_RETURN_IF_ERROR(outer_->Next(&outer_tuple_, &outer_eof));
-    if (outer_eof) {
+    PPP_RETURN_IF_ERROR(outer_rows_.Advance(batch_size_, &outer_row_));
+    if (outer_row_ == nullptr) {
       *eof = true;
-      return common::Status::OK();
+      break;
     }
-    const types::Value& key = outer_tuple_.Get(outer_key_index_);
+    const types::Value& key = outer_row_->Get(outer_key_index_);
     matches_.clear();
     match_pos_ = 0;
-    have_outer_ = true;
     if (!key.is_null() && key.type() == types::TypeId::kInt64) {
-      matches_ = index->Lookup(key.AsInt64());
+      matches_ = index_->Lookup(key.AsInt64());
     }
   }
+  return common::Status::OK();
 }
 
 std::string IndexNestedLoopJoinOp::Describe() const {
@@ -188,15 +171,16 @@ common::Status MergeJoinOp::OpenImpl() {
   return common::Status::OK();
 }
 
-common::Status MergeJoinOp::NextImpl(types::Tuple* tuple, bool* eof) {
-  while (true) {
+common::Status MergeJoinOp::NextBatchImpl(size_t max_rows,
+                                          TupleBatch* batch, bool* eof) {
+  *eof = false;
+  while (batch->size() < max_rows) {
     if (group_active_) {
       if (group_pos_ < inner_end_) {
-        *tuple = types::Tuple::Concat(outer_rows_[oi_],
-                                      inner_rows_[group_pos_]);
+        batch->tuples.push_back(types::Tuple::Concat(
+            outer_rows_[oi_], inner_rows_[group_pos_]));
         ++group_pos_;
-        *eof = false;
-        return common::Status::OK();
+        continue;
       }
       // Outer row exhausted its group; the next outer row may share the
       // key and reuse the same group.
@@ -214,7 +198,7 @@ common::Status MergeJoinOp::NextImpl(types::Tuple* tuple, bool* eof) {
     }
     if (oi_ >= outer_rows_.size() || inner_base_ >= inner_rows_.size()) {
       *eof = true;
-      return common::Status::OK();
+      break;
     }
     const int cmp = outer_rows_[oi_].Get(outer_key_).Compare(
         inner_rows_[inner_base_].Get(inner_key_));
@@ -234,6 +218,7 @@ common::Status MergeJoinOp::NextImpl(types::Tuple* tuple, bool* eof) {
       group_active_ = true;
     }
   }
+  return common::Status::OK();
 }
 
 std::string MergeJoinOp::Describe() const { return "MergeJoin"; }
@@ -248,7 +233,8 @@ HashJoinOp::HashJoinOp(std::unique_ptr<Operator> outer,
       inner_(std::move(inner)),
       outer_key_(outer_key_index),
       inner_key_(inner_key_index),
-      transfer_(std::move(transfer)) {
+      transfer_(std::move(transfer)),
+      outer_rows_(outer_.get()) {
   schema_ = types::RowSchema::Concat(outer_->schema(), inner_->schema());
 }
 
@@ -286,41 +272,40 @@ common::Status HashJoinOp::OpenImpl() {
     }
     transfer_->Publish(std::move(filter));
   }
-  have_outer_ = false;
+  outer_row_ = nullptr;
   current_matches_ = nullptr;
   match_pos_ = 0;
-  return outer_->Open();
+  return outer_rows_.Open();
 }
 
-common::Status HashJoinOp::NextImpl(types::Tuple* tuple, bool* eof) {
-  while (true) {
-    if (have_outer_ && current_matches_ != nullptr &&
+common::Status HashJoinOp::NextBatchImpl(size_t max_rows,
+                                         TupleBatch* batch, bool* eof) {
+  *eof = false;
+  while (batch->size() < max_rows) {
+    if (current_matches_ != nullptr &&
         match_pos_ < current_matches_->size()) {
       const types::Tuple& inner = (*current_matches_)[match_pos_];
       ++match_pos_;
       if (match_pos_ == current_matches_->size()) {
         // Last (typically only) match for this outer row: steal the outer
-        // tuple instead of copying every value. The next iteration
-        // overwrites outer_tuple_ before reading it.
-        *tuple = types::Tuple::Concat(std::move(outer_tuple_), inner);
-        have_outer_ = false;
+        // tuple instead of copying every value. The cursor advances before
+        // the row is read again.
+        batch->tuples.push_back(
+            types::Tuple::Concat(std::move(*outer_row_), inner));
         current_matches_ = nullptr;
       } else {
-        *tuple = types::Tuple::Concat(outer_tuple_, inner);
+        batch->tuples.push_back(types::Tuple::Concat(*outer_row_, inner));
       }
-      *eof = false;
-      return common::Status::OK();
+      continue;
     }
-    bool outer_eof = false;
-    PPP_RETURN_IF_ERROR(outer_->Next(&outer_tuple_, &outer_eof));
-    if (outer_eof) {
+    PPP_RETURN_IF_ERROR(outer_rows_.Advance(batch_size_, &outer_row_));
+    if (outer_row_ == nullptr) {
       *eof = true;
-      return common::Status::OK();
+      break;
     }
-    have_outer_ = true;
     match_pos_ = 0;
     current_matches_ = nullptr;
-    const types::Value& key = outer_tuple_.Get(outer_key_);
+    const types::Value& key = outer_row_->Get(outer_key_);
     if (key.is_null()) continue;
     auto it = table_.find(
         HashedKey{key, static_cast<uint64_t>(key.Hash())});
@@ -333,6 +318,7 @@ common::Status HashJoinOp::NextImpl(types::Tuple* tuple, bool* eof) {
       transfer_->RecordJoinMiss();
     }
   }
+  return common::Status::OK();
 }
 
 std::string HashJoinOp::Describe() const {

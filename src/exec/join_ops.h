@@ -16,7 +16,8 @@ namespace ppp::exec {
 /// outer tuple, re-reading its pages through the buffer pool — the
 /// behaviour the paper's `j{R}|S|` cost term describes. The primary
 /// predicate (possibly expensive, possibly absent for a cross product) is
-/// evaluated on each candidate pair through a CachedPredicate.
+/// evaluated on each candidate pair through a CachedPredicate, in
+/// outer-major, inner-minor order at any batch size.
 class NestedLoopJoinOp : public Operator {
  public:
   NestedLoopJoinOp(std::unique_ptr<Operator> outer,
@@ -30,16 +31,18 @@ class NestedLoopJoinOp : public Operator {
 
  protected:
   common::Status OpenImpl() override;
-  common::Status NextImpl(types::Tuple* tuple, bool* eof) override;
+  common::Status NextBatchImpl(size_t max_rows, TupleBatch* batch,
+                               bool* eof) override;
   void RefreshLocalStats() const override;
 
  private:
   std::unique_ptr<Operator> outer_;
   std::unique_ptr<Operator> inner_;
+  RowCursor outer_rows_;
+  RowCursor inner_rows_;
   std::optional<CachedPredicate> primary_;
   ExecContext* ctx_;
-  types::Tuple outer_tuple_;
-  bool have_outer_ = false;
+  types::Tuple* outer_row_ = nullptr;  // Current outer row, in outer_rows_.
 };
 
 /// Index nested-loop join: for each outer tuple, probes the inner table's
@@ -58,17 +61,19 @@ class IndexNestedLoopJoinOp : public Operator {
 
  protected:
   common::Status OpenImpl() override;
-  common::Status NextImpl(types::Tuple* tuple, bool* eof) override;
+  common::Status NextBatchImpl(size_t max_rows, TupleBatch* batch,
+                               bool* eof) override;
 
  private:
   std::unique_ptr<Operator> outer_;
+  RowCursor outer_rows_;
   const catalog::Table* inner_table_;
   std::string inner_column_;
   size_t outer_key_index_;
-  types::Tuple outer_tuple_;
+  const storage::BTree* index_ = nullptr;  // Resolved on Open.
+  types::Tuple* outer_row_ = nullptr;
   std::vector<storage::RecordId> matches_;
   size_t match_pos_ = 0;
-  bool have_outer_ = false;
 };
 
 /// Sort-merge join on a simple equi-join key. Inputs are drained and
@@ -87,7 +92,8 @@ class MergeJoinOp : public Operator {
 
  protected:
   common::Status OpenImpl() override;
-  common::Status NextImpl(types::Tuple* tuple, bool* eof) override;
+  common::Status NextBatchImpl(size_t max_rows, TupleBatch* batch,
+                               bool* eof) override;
 
  private:
   std::unique_ptr<Operator> outer_;
@@ -125,7 +131,8 @@ class HashJoinOp : public Operator {
 
  protected:
   common::Status OpenImpl() override;
-  common::Status NextImpl(types::Tuple* tuple, bool* eof) override;
+  common::Status NextBatchImpl(size_t max_rows, TupleBatch* batch,
+                               bool* eof) override;
 
  private:
   /// Join key plus its precomputed hash, so the unordered_map never
@@ -150,10 +157,10 @@ class HashJoinOp : public Operator {
   std::unordered_map<HashedKey, std::vector<types::Tuple>, HashedKeyHasher>
       table_;
   std::shared_ptr<BloomTransfer> transfer_;
-  types::Tuple outer_tuple_;
+  RowCursor outer_rows_;
+  types::Tuple* outer_row_ = nullptr;
   const std::vector<types::Tuple>* current_matches_ = nullptr;
   size_t match_pos_ = 0;
-  bool have_outer_ = false;
 };
 
 }  // namespace ppp::exec

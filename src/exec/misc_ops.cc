@@ -5,6 +5,21 @@
 
 namespace ppp::exec {
 
+namespace {
+
+/// Replays rows an operator buffered on Open, from *pos onwards.
+common::Status EmitBuffered(const std::vector<types::Tuple>& rows,
+                            size_t max_rows, size_t* pos, TupleBatch* batch,
+                            bool* eof) {
+  while (batch->size() < max_rows && *pos < rows.size()) {
+    batch->tuples.push_back(rows[(*pos)++]);
+  }
+  *eof = *pos >= rows.size();
+  return common::Status::OK();
+}
+
+}  // namespace
+
 SortOp::SortOp(std::unique_ptr<Operator> child, size_t key_index)
     : child_(std::move(child)), key_(key_index) {
   schema_ = child_->schema();
@@ -13,16 +28,7 @@ SortOp::SortOp(std::unique_ptr<Operator> child, size_t key_index)
 common::Status SortOp::OpenImpl() {
   rows_.clear();
   pos_ = 0;
-  PPP_RETURN_IF_ERROR(child_->Open());
-  TupleBatch batch;
-  bool eof = false;
-  while (!eof) {
-    batch.clear();
-    PPP_RETURN_IF_ERROR(child_->NextBatch(batch_size_, &batch, &eof));
-    for (types::Tuple& tuple : batch.tuples) {
-      rows_.push_back(std::move(tuple));
-    }
-  }
+  PPP_RETURN_IF_ERROR(Drain(child_.get(), batch_size_, &rows_));
   std::stable_sort(rows_.begin(), rows_.end(),
                    [this](const types::Tuple& a, const types::Tuple& b) {
                      return a.Get(key_).Compare(b.Get(key_)) < 0;
@@ -30,14 +36,9 @@ common::Status SortOp::OpenImpl() {
   return common::Status::OK();
 }
 
-common::Status SortOp::NextImpl(types::Tuple* tuple, bool* eof) {
-  if (pos_ >= rows_.size()) {
-    *eof = true;
-    return common::Status::OK();
-  }
-  *tuple = rows_[pos_++];
-  *eof = false;
-  return common::Status::OK();
+common::Status SortOp::NextBatchImpl(size_t max_rows, TupleBatch* batch,
+                                     bool* eof) {
+  return EmitBuffered(rows_, max_rows, &pos_, batch, eof);
 }
 
 MaterializeOp::MaterializeOp(std::unique_ptr<Operator> child)
@@ -48,37 +49,14 @@ MaterializeOp::MaterializeOp(std::unique_ptr<Operator> child)
 common::Status MaterializeOp::OpenImpl() {
   pos_ = 0;
   if (filled_) return common::Status::OK();
-  PPP_RETURN_IF_ERROR(child_->Open());
-  TupleBatch batch;
-  bool eof = false;
-  while (!eof) {
-    batch.clear();
-    PPP_RETURN_IF_ERROR(child_->NextBatch(batch_size_, &batch, &eof));
-    for (types::Tuple& tuple : batch.tuples) {
-      rows_.push_back(std::move(tuple));
-    }
-  }
+  PPP_RETURN_IF_ERROR(Drain(child_.get(), batch_size_, &rows_));
   filled_ = true;
-  return common::Status::OK();
-}
-
-common::Status MaterializeOp::NextImpl(types::Tuple* tuple, bool* eof) {
-  if (pos_ >= rows_.size()) {
-    *eof = true;
-    return common::Status::OK();
-  }
-  *tuple = rows_[pos_++];
-  *eof = false;
   return common::Status::OK();
 }
 
 common::Status MaterializeOp::NextBatchImpl(size_t max_rows,
                                             TupleBatch* batch, bool* eof) {
-  while (batch->size() < max_rows && pos_ < rows_.size()) {
-    batch->tuples.push_back(rows_[pos_++]);
-  }
-  *eof = pos_ >= rows_.size();
-  return common::Status::OK();
+  return EmitBuffered(rows_, max_rows, &pos_, batch, eof);
 }
 
 HashAggregateOp::HashAggregateOp(std::unique_ptr<Operator> child,
@@ -182,14 +160,9 @@ common::Status HashAggregateOp::OpenImpl() {
   return common::Status::OK();
 }
 
-common::Status HashAggregateOp::NextImpl(types::Tuple* tuple, bool* eof) {
-  if (pos_ >= results_.size()) {
-    *eof = true;
-    return common::Status::OK();
-  }
-  *tuple = results_[pos_++];
-  *eof = false;
-  return common::Status::OK();
+common::Status HashAggregateOp::NextBatchImpl(size_t max_rows,
+                                              TupleBatch* batch, bool* eof) {
+  return EmitBuffered(results_, max_rows, &pos_, batch, eof);
 }
 
 ProjectOp::ProjectOp(std::unique_ptr<Operator> child,
@@ -201,31 +174,19 @@ ProjectOp::ProjectOp(std::unique_ptr<Operator> child,
 
 common::Status ProjectOp::OpenImpl() { return child_->Open(); }
 
-common::Status ProjectOp::NextImpl(types::Tuple* tuple, bool* eof) {
-  types::Tuple input;
-  PPP_RETURN_IF_ERROR(child_->Next(&input, eof));
-  if (*eof) return common::Status::OK();
-  *tuple = Apply(input);
-  return common::Status::OK();
-}
-
 common::Status ProjectOp::NextBatchImpl(size_t max_rows, TupleBatch* batch,
                                         bool* eof) {
   TupleBatch input;
   PPP_RETURN_IF_ERROR(child_->NextBatch(max_rows, &input, eof));
   for (const types::Tuple& tuple : input.tuples) {
-    batch->tuples.push_back(Apply(tuple));
+    std::vector<types::Value> values;
+    values.reserve(exprs_.size());
+    for (const std::shared_ptr<expr::BoundExpr>& e : exprs_) {
+      values.push_back(e->Eval(tuple, &ctx_->eval));
+    }
+    batch->tuples.emplace_back(std::move(values));
   }
   return common::Status::OK();
-}
-
-types::Tuple ProjectOp::Apply(const types::Tuple& input) {
-  std::vector<types::Value> values;
-  values.reserve(exprs_.size());
-  for (const std::shared_ptr<expr::BoundExpr>& e : exprs_) {
-    values.push_back(e->Eval(input, &ctx_->eval));
-  }
-  return types::Tuple(std::move(values));
 }
 
 std::string SortOp::Describe() const { return "Sort"; }

@@ -19,7 +19,8 @@ class SortOp : public Operator {
 
  protected:
   common::Status OpenImpl() override;
-  common::Status NextImpl(types::Tuple* tuple, bool* eof) override;
+  common::Status NextBatchImpl(size_t max_rows, TupleBatch* batch,
+                               bool* eof) override;
 
  private:
   std::unique_ptr<Operator> child_;
@@ -39,7 +40,6 @@ class MaterializeOp : public Operator {
 
  protected:
   common::Status OpenImpl() override;
-  common::Status NextImpl(types::Tuple* tuple, bool* eof) override;
   common::Status NextBatchImpl(size_t max_rows, TupleBatch* batch,
                                bool* eof) override;
 
@@ -70,7 +70,8 @@ class HashAggregateOp : public Operator {
 
  protected:
   common::Status OpenImpl() override;
-  common::Status NextImpl(types::Tuple* tuple, bool* eof) override;
+  common::Status NextBatchImpl(size_t max_rows, TupleBatch* batch,
+                               bool* eof) override;
 
  private:
   struct Accumulator {
@@ -101,13 +102,10 @@ class ProjectOp : public Operator {
 
  protected:
   common::Status OpenImpl() override;
-  common::Status NextImpl(types::Tuple* tuple, bool* eof) override;
   common::Status NextBatchImpl(size_t max_rows, TupleBatch* batch,
                                bool* eof) override;
 
  private:
-  types::Tuple Apply(const types::Tuple& input);
-
   std::unique_ptr<Operator> child_;
   std::vector<std::shared_ptr<expr::BoundExpr>> exprs_;
   ExecContext* ctx_;

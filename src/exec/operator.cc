@@ -36,35 +36,28 @@ uint64_t UdfInvocations() {
 
 }  // namespace
 
-common::Status Operator::Open() {
-  ++stats_.opens;
+template <typename Body>
+common::Status Operator::Instrumented(const char* phase, double* seconds,
+                                      const Body& body) {
   std::optional<obs::Span> span;
   if (obs::SpanTracer::Global().enabled()) {
-    span.emplace("exec", "open:" + Describe());
+    span.emplace("exec", phase + Describe());
   }
   const storage::IoStats before =
       pool_ != nullptr ? pool_->stats() : storage::IoStats();
   const uint64_t udf_before = UdfInvocations();
   const auto start = std::chrono::steady_clock::now();
-  common::Status status = OpenImpl();
-  stats_.open_seconds += SecondsSince(start);
+  common::Status status = body(span.has_value() ? &*span : nullptr);
+  *seconds += SecondsSince(start);
   stats_.udf_invocations += UdfInvocations() - udf_before;
   if (pool_ != nullptr) AccumulateDelta(&stats_.io, before, pool_->stats());
   return status;
 }
 
-common::Status Operator::Next(types::Tuple* tuple, bool* eof) {
-  ++stats_.next_calls;
-  const storage::IoStats before =
-      pool_ != nullptr ? pool_->stats() : storage::IoStats();
-  const uint64_t udf_before = UdfInvocations();
-  const auto start = std::chrono::steady_clock::now();
-  common::Status status = NextImpl(tuple, eof);
-  stats_.next_seconds += SecondsSince(start);
-  stats_.udf_invocations += UdfInvocations() - udf_before;
-  if (pool_ != nullptr) AccumulateDelta(&stats_.io, before, pool_->stats());
-  if (status.ok() && !*eof) ++stats_.rows_out;
-  return status;
+common::Status Operator::Open() {
+  ++stats_.opens;
+  return Instrumented("open:", &stats_.open_seconds,
+                      [this](obs::Span*) { return OpenImpl(); });
 }
 
 common::Status Operator::NextBatch(size_t max_rows, TupleBatch* batch,
@@ -75,30 +68,18 @@ common::Status Operator::NextBatch(size_t max_rows, TupleBatch* batch,
       obs::MetricsRegistry::Global().GetHistogram("exec.batch.fill");
   if (max_rows == 0) max_rows = 1;
   ++stats_.batches;
-  // Per-batch (not per-tuple) drain spans keep trace volume proportional to
-  // batches; the Next() shim path stays unspanned.
-  std::optional<obs::Span> span;
-  if (obs::SpanTracer::Global().enabled()) {
-    span.emplace("exec", "batch:" + Describe());
-  }
   const size_t rows_before = batch->size();
-  const storage::IoStats before =
-      pool_ != nullptr ? pool_->stats() : storage::IoStats();
-  const uint64_t udf_before = UdfInvocations();
-  const auto start = std::chrono::steady_clock::now();
-  common::Status status = NextBatchImpl(max_rows, batch, eof);
-  stats_.next_seconds += SecondsSince(start);
-  stats_.udf_invocations += UdfInvocations() - udf_before;
-  if (pool_ != nullptr) AccumulateDelta(&stats_.io, before, pool_->stats());
-  if (status.ok()) {
-    const size_t produced = batch->size() - rows_before;
-    stats_.rows_out += produced;
-    if (span.has_value()) span->AddArg("rows", std::to_string(produced));
-    batch_counter->Increment();
-    fill_histogram->Observe(static_cast<double>(produced) /
-                            static_cast<double>(max_rows));
-  }
-  return status;
+  return Instrumented(
+      "batch:", &stats_.next_seconds, [&](obs::Span* span) {
+        PPP_RETURN_IF_ERROR(NextBatchImpl(max_rows, batch, eof));
+        const size_t produced = batch->size() - rows_before;
+        stats_.rows_out += produced;
+        if (span != nullptr) span->AddArg("rows", std::to_string(produced));
+        batch_counter->Increment();
+        fill_histogram->Observe(static_cast<double>(produced) /
+                                static_cast<double>(max_rows));
+        return common::Status::OK();
+      });
 }
 
 common::Status Operator::NextColumnBatch(size_t max_rows,
@@ -113,33 +94,23 @@ common::Status Operator::NextColumnBatch(size_t max_rows,
           "exec.vector.selection_density");
   if (max_rows == 0) max_rows = 1;
   ++stats_.batches;
-  std::optional<obs::Span> span;
-  if (obs::SpanTracer::Global().enabled()) {
-    span.emplace("exec", "vbatch:" + Describe());
-  }
-  const storage::IoStats before =
-      pool_ != nullptr ? pool_->stats() : storage::IoStats();
-  const uint64_t udf_before = UdfInvocations();
-  const auto start = std::chrono::steady_clock::now();
-  common::Status status = NextColumnBatchImpl(max_rows, batch, eof);
-  stats_.next_seconds += SecondsSince(start);
-  stats_.udf_invocations += UdfInvocations() - udf_before;
-  if (pool_ != nullptr) AccumulateDelta(&stats_.io, before, pool_->stats());
-  if (status.ok()) {
-    const size_t produced = batch->selected();
-    stats_.rows_out += produced;
-    vbatch_counter->Increment();
-    vrows_counter->Increment(produced);
-    if (batch->num_rows() > 0) {
-      density_histogram->Observe(static_cast<double>(produced) /
-                                 static_cast<double>(batch->num_rows()));
-    }
-    if (span.has_value()) {
-      span->AddArg("rows", std::to_string(batch->num_rows()));
-      span->AddArg("selected", std::to_string(produced));
-    }
-  }
-  return status;
+  return Instrumented(
+      "vbatch:", &stats_.next_seconds, [&](obs::Span* span) {
+        PPP_RETURN_IF_ERROR(NextColumnBatchImpl(max_rows, batch, eof));
+        const size_t produced = batch->selected();
+        stats_.rows_out += produced;
+        vbatch_counter->Increment();
+        vrows_counter->Increment(produced);
+        if (batch->num_rows() > 0) {
+          density_histogram->Observe(static_cast<double>(produced) /
+                                     static_cast<double>(batch->num_rows()));
+        }
+        if (span != nullptr) {
+          span->AddArg("rows", std::to_string(batch->num_rows()));
+          span->AddArg("selected", std::to_string(produced));
+        }
+        return common::Status::OK();
+      });
 }
 
 common::Status Operator::NextColumnBatchImpl(size_t max_rows,
@@ -149,22 +120,6 @@ common::Status Operator::NextColumnBatchImpl(size_t max_rows,
   TupleBatch rows;
   PPP_RETURN_IF_ERROR(NextBatchImpl(max_rows, &rows, eof));
   for (const types::Tuple& tuple : rows.tuples) batch->AppendTuple(tuple);
-  return common::Status::OK();
-}
-
-common::Status Operator::NextBatchImpl(size_t max_rows, TupleBatch* batch,
-                                       bool* eof) {
-  *eof = false;
-  types::Tuple tuple;
-  while (batch->size() < max_rows) {
-    bool row_eof = false;
-    PPP_RETURN_IF_ERROR(NextImpl(&tuple, &row_eof));
-    if (row_eof) {
-      *eof = true;
-      break;
-    }
-    batch->tuples.push_back(std::move(tuple));
-  }
   return common::Status::OK();
 }
 
@@ -192,6 +147,42 @@ void Operator::SetBatchSize(size_t batch_size) {
 void Operator::CollectStats(std::vector<const OperatorStats*>* out) const {
   out->push_back(&stats());
   for (const Operator* child : Children()) child->CollectStats(out);
+}
+
+common::Status Drain(Operator* op, size_t batch_size,
+                     std::vector<types::Tuple>* out) {
+  PPP_RETURN_IF_ERROR(op->Open());
+  TupleBatch batch;
+  bool eof = false;
+  while (!eof) {
+    batch.clear();
+    PPP_RETURN_IF_ERROR(op->NextBatch(batch_size, &batch, &eof));
+    for (types::Tuple& tuple : batch.tuples) {
+      out->push_back(std::move(tuple));
+    }
+  }
+  return common::Status::OK();
+}
+
+common::Status RowCursor::Open() {
+  batch_.clear();
+  pos_ = 0;
+  eof_ = false;
+  return child_->Open();
+}
+
+common::Status RowCursor::Advance(size_t batch_size, types::Tuple** row) {
+  while (pos_ >= batch_.size()) {
+    if (eof_) {
+      *row = nullptr;
+      return common::Status::OK();
+    }
+    batch_.clear();
+    pos_ = 0;
+    PPP_RETURN_IF_ERROR(child_->NextBatch(batch_size, &batch_, &eof_));
+  }
+  *row = &batch_.tuples[pos_++];
+  return common::Status::OK();
 }
 
 common::Result<CachedPredicate> CachedPredicate::Bind(

@@ -85,9 +85,9 @@ struct ExecParams {
   bool vectorized = true;
 
   /// Total threads (including the coordinator) that evaluate an expensive
-  /// filter predicate's batch concurrently. 1 = serial execution,
-  /// bit-identical to the tuple-at-a-time engine. Counters stay exact at
-  /// any setting; see ParallelPredicateEvaluator.
+  /// filter predicate's batch concurrently. 1 = serial execution. Results
+  /// and counters are identical at any setting; see
+  /// ParallelPredicateEvaluator.
   size_t parallel_workers = 1;
 
   /// Predicate transfer: hash-join builds emit a Bloom filter over the
@@ -111,8 +111,8 @@ struct ExecParams {
   bool transfer_cross_query_kill = false;
 };
 
-/// A batch of tuples flowing between operators (batch-at-a-time execution;
-/// the tuple-at-a-time Next() remains as a compatibility shim).
+/// A batch of tuples flowing between operators: the row protocol is
+/// batch-at-a-time only (batch_size=1 reproduces tuple-at-a-time pulls).
 struct TupleBatch {
   std::vector<types::Tuple> tuples;
 
@@ -163,9 +163,9 @@ struct ExecContext {
   QueryLogHints log_hints;
 };
 
-/// Per-operator runtime telemetry, accumulated by the Open()/Next()/
-/// NextBatch() wrappers across the operator's whole lifetime (rescans
-/// included).
+/// Per-operator runtime telemetry, accumulated by the Open()/NextBatch()/
+/// NextColumnBatch() wrappers across the operator's whole lifetime
+/// (rescans included).
 ///
 /// `io` is *inclusive*: the pool delta across this operator's calls covers
 /// its entire subtree, because child calls nest inside the parent's.
@@ -174,7 +174,6 @@ struct ExecContext {
 /// charged time is computed from counters, never from these timers.
 struct OperatorStats {
   uint64_t opens = 0;
-  uint64_t next_calls = 0;
   uint64_t batches = 0;
   uint64_t rows_out = 0;
   double open_seconds = 0.0;
@@ -206,24 +205,23 @@ struct OperatorStats {
   double transfer_fpr = -1.0;
 };
 
-/// Volcano-style iterator, extended with batch-at-a-time pulls. Open() may
-/// be called repeatedly: nested-loop join restarts its inner subtree by
-/// re-opening it, and any per-operator caches must survive the restart.
+/// Volcano-style iterator over batches. Open() may be called repeatedly:
+/// nested-loop join restarts its inner subtree by re-opening it, and any
+/// per-operator caches must survive the restart.
 ///
-/// Open()/Next()/NextBatch() are non-virtual instrumentation wrappers
-/// (call counts, wall time, inclusive I/O deltas against the attached
-/// buffer pool); subclasses implement OpenImpl()/NextImpl() and may
-/// override NextBatchImpl() — the default adapter loops NextImpl(), so
-/// every operator speaks both protocols.
+/// There is one row protocol: subclasses implement OpenImpl() and
+/// NextBatchImpl(); operators that fill ColumnBatches natively also
+/// override NextColumnBatchImpl() (the columnar fast path). Operators that
+/// consume their input row by row read it through a RowCursor, so
+/// batch_size=1 reproduces tuple-at-a-time pulls. The public Open(),
+/// NextBatch() and NextColumnBatch() are non-virtual wrappers sharing one
+/// instrumentation helper (span, wall time, inclusive I/O and UDF deltas
+/// against the attached buffer pool).
 class Operator {
  public:
   virtual ~Operator() = default;
 
   common::Status Open();
-
-  /// Produces the next tuple, or sets *eof. After *eof, further calls keep
-  /// returning eof.
-  common::Status Next(types::Tuple* tuple, bool* eof);
 
   /// Appends up to `max_rows` tuples to `batch` (callers pass it empty).
   /// *eof set means the stream is exhausted — the final batch may still
@@ -264,8 +262,8 @@ class Operator {
   /// subtree, recursively. Without a pool the I/O fields stay zero.
   void AttachPool(const storage::BufferPool* pool);
 
-  /// Sets the preferred batch size this subtree uses when pulling from its
-  /// children (pipeline breakers draining on Open), recursively.
+  /// Sets the batch size this subtree uses when pulling from its children
+  /// (pipeline breakers draining on Open, row cursors), recursively.
   void SetBatchSize(size_t batch_size);
 
   /// Appends this subtree's stats in depth-first plan order.
@@ -273,13 +271,10 @@ class Operator {
 
  protected:
   virtual common::Status OpenImpl() = 0;
-  virtual common::Status NextImpl(types::Tuple* tuple, bool* eof) = 0;
 
-  /// Default batch adapter: fills `batch` by looping NextImpl(). Operators
-  /// with a native batch path (scans, filter, project, materialize)
-  /// override this.
+  /// Native row batch fill; same contract as NextBatch().
   virtual common::Status NextBatchImpl(size_t max_rows, TupleBatch* batch,
-                                       bool* eof);
+                                       bool* eof) = 0;
 
   /// Default columnar adapter: pulls one row batch via NextBatchImpl() and
   /// transposes it. Operators that report provides_columns() override this
@@ -296,6 +291,44 @@ class Operator {
   mutable OperatorStats stats_;
   const storage::BufferPool* pool_ = nullptr;
   size_t batch_size_ = 1024;
+
+ private:
+  /// The instrumentation shared by every public entry point: runs
+  /// `body(span)` inside an optional "<phase><Describe()>" span, adds its
+  /// wall time to *seconds and its inclusive pool and UDF deltas to
+  /// stats_. `span` is null when tracing is off. Defined (and only
+  /// instantiated) in operator.cc.
+  template <typename Body>
+  common::Status Instrumented(const char* phase, double* seconds,
+                              const Body& body);
+};
+
+/// Drains `op` into `out` (after Open), pulling batch-at-a-time.
+common::Status Drain(Operator* op, size_t batch_size,
+                     std::vector<types::Tuple>* out);
+
+/// Row-at-a-time view of a child's NextBatch stream, for operators that
+/// consume their input one row at a time (the streaming joins). The next
+/// batch is pulled only once the current one is used up, so rows arrive in
+/// stream order and every predicate downstream sees them in the same order
+/// at any batch size.
+class RowCursor {
+ public:
+  explicit RowCursor(Operator* child) : child_(child) {}
+
+  /// (Re-)opens the child and drops any buffered rows.
+  common::Status Open();
+
+  /// Points *row at the next row, or sets it to nullptr once the stream is
+  /// exhausted. The row stays valid (and may be moved from) until the next
+  /// Advance() or Open().
+  common::Status Advance(size_t batch_size, types::Tuple** row);
+
+ private:
+  Operator* child_;
+  TupleBatch batch_;
+  size_t pos_ = 0;
+  bool eof_ = false;
 };
 
 /// A predicate bound to an input schema, with an optional memo table keyed

@@ -9,39 +9,6 @@
 
 namespace ppp::exec {
 
-void TransferProbe::FilterBatch(TupleBatch* batch) const {
-  for (const Slot& slot : slots_) {
-    const BloomFilter* filter = slot.transfer->ActiveFilter();
-    if (filter == nullptr || batch->empty()) continue;
-    std::optional<obs::Span> span;
-    if (obs::SpanTracer::Global().enabled()) {
-      span.emplace("exec", "bloom.probe");
-      span->AddArg("site", slot.transfer->Site());
-    }
-    const size_t probed = batch->size();
-    std::vector<uint64_t> hashes;
-    hashes.reserve(probed);
-    for (const types::Tuple& tuple : batch->tuples) {
-      hashes.push_back(
-          static_cast<uint64_t>(tuple.Get(slot.key_index).Hash()));
-    }
-    std::vector<char> keep;
-    const size_t kept = filter->ProbeBatch(hashes.data(), probed, &keep);
-    if (kept < probed) {
-      size_t out = 0;
-      for (size_t i = 0; i < probed; ++i) {
-        if (keep[i]) batch->tuples[out++] = std::move(batch->tuples[i]);
-      }
-      batch->tuples.resize(out);
-    }
-    slot.transfer->RecordProbes(probed, kept);
-    if (span.has_value()) {
-      span->AddArg("probed", std::to_string(probed));
-      span->AddArg("passed", std::to_string(kept));
-    }
-  }
-}
-
 namespace {
 
 /// Hash of one column cell, computed from native column storage. Must stay
@@ -79,49 +46,66 @@ uint64_t HashColumnCell(const types::ColumnBatch& batch, size_t col_index,
 
 }  // namespace
 
-void TransferProbe::FilterColumns(types::ColumnBatch* batch) const {
-  for (const Slot& slot : slots_) {
-    const BloomFilter* filter = slot.transfer->ActiveFilter();
-    if (filter == nullptr || batch->selected() == 0) continue;
-    std::optional<obs::Span> span;
-    if (obs::SpanTracer::Global().enabled()) {
-      span.emplace("exec", "bloom.probe");
-      span->AddArg("site", slot.transfer->Site());
-    }
-    std::vector<uint32_t>& sel = *batch->mutable_selection();
-    const size_t probed = sel.size();
-    std::vector<uint64_t> hashes;
-    hashes.reserve(probed);
-    for (const uint32_t row : sel) {
-      hashes.push_back(HashColumnCell(*batch, slot.key_index, row));
-    }
-    std::vector<char> keep;
-    const size_t kept = filter->ProbeBatch(hashes.data(), probed, &keep);
-    if (kept < probed) {
-      size_t out = 0;
-      for (size_t i = 0; i < probed; ++i) {
-        if (keep[i]) sel[out++] = sel[i];
-      }
-      sel.resize(out);
-    }
-    slot.transfer->RecordProbes(probed, kept);
-    if (span.has_value()) {
-      span->AddArg("probed", std::to_string(probed));
-      span->AddArg("passed", std::to_string(kept));
-    }
-  }
-}
-
-bool TransferProbe::Passes(const types::Tuple& tuple) const {
+template <typename HashFn>
+bool TransferProbe::ProbeRow(const HashFn& hash) const {
   for (const Slot& slot : slots_) {
     const BloomFilter* filter = slot.transfer->ActiveFilter();
     if (filter == nullptr) continue;
-    const bool pass = filter->MightContainHash(
-        static_cast<uint64_t>(tuple.Get(slot.key_index).Hash()));
+    const bool pass = filter->MightContainHash(hash(slot.key_index));
     slot.transfer->RecordProbes(1, pass ? 1 : 0);
     if (!pass) return false;
   }
   return true;
+}
+
+std::optional<obs::Span> TransferProbe::ProbeSpan(size_t rows) const {
+  std::optional<obs::Span> span;
+  if (rows == 0 || !obs::SpanTracer::Global().enabled()) return span;
+  std::string sites;
+  for (const Slot& slot : slots_) {
+    if (slot.transfer->ActiveFilter() == nullptr) continue;
+    if (!sites.empty()) sites += "; ";
+    sites += slot.transfer->Site();
+  }
+  if (sites.empty()) return span;
+  span.emplace("exec", "bloom.probe");
+  span->AddArg("site", sites);
+  span->AddArg("probed", std::to_string(rows));
+  return span;
+}
+
+void TransferProbe::FilterBatch(TupleBatch* batch) const {
+  std::optional<obs::Span> span = ProbeSpan(batch->size());
+  std::vector<types::Tuple>& rows = batch->tuples;
+  size_t out = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const types::Tuple& row = rows[i];
+    if (!ProbeRow([&row](size_t key) {
+          return static_cast<uint64_t>(row.Get(key).Hash());
+        })) {
+      continue;
+    }
+    // Never self-move: that would empty a row kept in place.
+    if (out != i) rows[out] = std::move(rows[i]);
+    ++out;
+  }
+  rows.resize(out);
+  if (span.has_value()) span->AddArg("passed", std::to_string(out));
+}
+
+void TransferProbe::FilterColumns(types::ColumnBatch* batch) const {
+  std::vector<uint32_t>& sel = *batch->mutable_selection();
+  std::optional<obs::Span> span = ProbeSpan(sel.size());
+  size_t out = 0;
+  for (const uint32_t row : sel) {
+    if (ProbeRow([batch, row](size_t key) {
+          return HashColumnCell(*batch, key, row);
+        })) {
+      sel[out++] = row;
+    }
+  }
+  sel.resize(out);
+  if (span.has_value()) span->AddArg("passed", std::to_string(out));
 }
 
 void TransferProbe::FoldStats(OperatorStats* stats) const {
@@ -149,21 +133,6 @@ SeqScanOp::SeqScanOp(const catalog::Table* table, const std::string& alias)
 
 common::Status SeqScanOp::OpenImpl() {
   it_ = table_->heap().Scan();
-  return common::Status::OK();
-}
-
-common::Status SeqScanOp::NextImpl(types::Tuple* tuple, bool* eof) {
-  storage::RecordId rid;
-  std::string bytes;
-  while (true) {
-    if (!it_.Next(&rid, &bytes)) {
-      *eof = true;
-      return common::Status::OK();
-    }
-    PPP_ASSIGN_OR_RETURN(*tuple, types::Tuple::Deserialize(bytes));
-    if (transfers_.empty() || transfers_.Passes(*tuple)) break;
-  }
-  *eof = false;
   return common::Status::OK();
 }
 
@@ -230,20 +199,6 @@ common::Status IndexScanOp::OpenImpl() {
   }
   rids_ = index->LookupRange(lo_, hi_);
   pos_ = 0;
-  return common::Status::OK();
-}
-
-common::Status IndexScanOp::NextImpl(types::Tuple* tuple, bool* eof) {
-  while (true) {
-    if (pos_ >= rids_.size()) {
-      *eof = true;
-      return common::Status::OK();
-    }
-    PPP_ASSIGN_OR_RETURN(*tuple, table_->Read(rids_[pos_]));
-    ++pos_;
-    if (transfers_.empty() || transfers_.Passes(*tuple)) break;
-  }
-  *eof = false;
   return common::Status::OK();
 }
 

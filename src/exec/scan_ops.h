@@ -2,22 +2,24 @@
 #define PPP_EXEC_SCAN_OPS_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "catalog/table.h"
 #include "exec/operator.h"
+#include "obs/span.h"
 #include "storage/record_id.h"
 
 namespace ppp::exec {
 
 /// Probe-side half of predicate transfer, shared by the scan operators: a
-/// set of transferred Bloom filters, each probed batch-at-a-time against
-/// one of the scan's columns *before* any predicate above the scan runs.
-/// Filters that are unpublished (the join build has not run yet) or killed
-/// pass everything through — pruning is strictly best-effort, correctness
-/// comes from the joins above.
+/// set of transferred Bloom filters, each probed against one of the scan's
+/// columns *before* any predicate above the scan runs. Filters that are
+/// unpublished (the join build has not run yet) or killed pass everything
+/// through — pruning is strictly best-effort, correctness comes from the
+/// joins above.
 class TransferProbe {
  public:
   void Attach(std::shared_ptr<BloomTransfer> transfer, size_t key_index) {
@@ -26,18 +28,14 @@ class TransferProbe {
 
   bool empty() const { return slots_.empty(); }
 
-  /// Filters `batch` in place against every active transferred filter,
-  /// recording probe/pass counts (which may trip a kill switch).
+  /// Drops the rows of `batch` that fail an active transferred filter,
+  /// keeping the survivors in order.
   void FilterBatch(TupleBatch* batch) const;
 
-  /// Columnar equivalent: probes each filter's key column directly (hashes
-  /// computed from native column storage, consistent with Value::Hash) and
-  /// narrows the selection vector — no tuples, no Value boxing.
+  /// Columnar equivalent: hashes each filter's key column from native
+  /// column storage (consistent with Value::Hash) and narrows the
+  /// selection vector — no tuples, no Value boxing.
   void FilterColumns(types::ColumnBatch* batch) const;
-
-  /// Tuple-at-a-time equivalent: true when `tuple` survives every active
-  /// filter.
-  bool Passes(const types::Tuple& tuple) const;
 
   /// Folds the attached transfers' counters into `stats` (EXPLAIN ANALYZE).
   void FoldStats(OperatorStats* stats) const;
@@ -47,6 +45,18 @@ class TransferProbe {
     std::shared_ptr<BloomTransfer> transfer;
     size_t key_index;
   };
+
+  /// The one probe routine: tests one row against every active filter in
+  /// attach order and records each probe as it happens, so a kill switch
+  /// takes effect from the very next row. `hash(key_index)` hashes the
+  /// row's cell in that column. True when the row survives.
+  template <typename HashFn>
+  bool ProbeRow(const HashFn& hash) const;
+
+  /// A "bloom.probe" span over one batch, when tracing is on and a filter
+  /// is active.
+  std::optional<obs::Span> ProbeSpan(size_t rows) const;
+
   std::vector<Slot> slots_;
 };
 
@@ -64,7 +74,6 @@ class SeqScanOp : public Operator {
 
  protected:
   common::Status OpenImpl() override;
-  common::Status NextImpl(types::Tuple* tuple, bool* eof) override;
   common::Status NextBatchImpl(size_t max_rows, TupleBatch* batch,
                                bool* eof) override;
   /// Native columnar fill: deserializes heap records straight into column
@@ -104,7 +113,6 @@ class IndexScanOp : public Operator {
 
  protected:
   common::Status OpenImpl() override;
-  common::Status NextImpl(types::Tuple* tuple, bool* eof) override;
   common::Status NextBatchImpl(size_t max_rows, TupleBatch* batch,
                                bool* eof) override;
   common::Status NextColumnBatchImpl(size_t max_rows,

@@ -17,19 +17,6 @@ common::Status SystemTableScanOp::OpenImpl() {
   return common::Status::OK();
 }
 
-common::Status SystemTableScanOp::NextImpl(types::Tuple* tuple, bool* eof) {
-  while (pos_ < rows_.size()) {
-    const types::Tuple& candidate = rows_[pos_++];
-    if (transfers_.empty() || transfers_.Passes(candidate)) {
-      *tuple = candidate;
-      *eof = false;
-      return common::Status::OK();
-    }
-  }
-  *eof = true;
-  return common::Status::OK();
-}
-
 common::Status SystemTableScanOp::NextBatchImpl(size_t max_rows,
                                                 TupleBatch* batch,
                                                 bool* eof) {

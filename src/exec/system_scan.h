@@ -32,7 +32,6 @@ class SystemTableScanOp : public Operator {
 
  protected:
   common::Status OpenImpl() override;
-  common::Status NextImpl(types::Tuple* tuple, bool* eof) override;
   common::Status NextBatchImpl(size_t max_rows, TupleBatch* batch,
                                bool* eof) override;
   void RefreshLocalStats() const override { transfers_.FoldStats(&stats_); }

@@ -1,7 +1,7 @@
 // Unit tests for the register-blocked Bloom filter and the BloomTransfer
 // handoff: block layout, no false negatives, measured FPR within 2x the
-// saturation-based estimate, batch/scalar probe equivalence, single
-// publication, and the runtime kill switch.
+// saturation-based estimate, single publication, and the runtime kill
+// switch.
 
 #include <gtest/gtest.h>
 
@@ -84,27 +84,6 @@ TEST(BloomFilterTest, MeasuredFprWithinTwiceTheoretical) {
       << "measured=" << measured << " theoretical=" << theoretical;
   // The saturation-based estimate must be in the same ballpark.
   EXPECT_LE(measured, 2.0 * filter.EstimatedFpr() + 1e-4);
-}
-
-TEST(BloomFilterTest, BatchProbeMatchesScalar) {
-  const std::vector<uint64_t> keys = RandomHashes(5000, /*seed=*/4);
-  BloomFilter filter(keys.size());
-  for (size_t i = 0; i < keys.size(); i += 2) filter.InsertHash(keys[i]);
-
-  const std::vector<uint64_t> probes = RandomHashes(10000, /*seed=*/5);
-  std::vector<uint64_t> mixed = probes;
-  mixed.insert(mixed.end(), keys.begin(), keys.end());
-
-  std::vector<char> keep;
-  const size_t kept = filter.ProbeBatch(mixed.data(), mixed.size(), &keep);
-  ASSERT_EQ(keep.size(), mixed.size());
-  size_t scalar_kept = 0;
-  for (size_t i = 0; i < mixed.size(); ++i) {
-    const bool scalar = filter.MightContainHash(mixed[i]);
-    EXPECT_EQ(static_cast<bool>(keep[i]), scalar) << i;
-    if (scalar) ++scalar_kept;
-  }
-  EXPECT_EQ(kept, scalar_kept);
 }
 
 TEST(BloomTransferTest, UnpublishedPassesEverything) {

@@ -347,7 +347,7 @@ TEST_F(StatsAuditTest, SelfTimesNestUnderBatchDrain) {
 }
 
 TEST_F(StatsAuditTest, SelfTimesNestUnderTupleShim) {
-  // batch_size=1 forces the Next()-shim drain shape everywhere.
+  // batch_size=1 pulls tuple-at-a-time everywhere.
   for (const char* id : {"Q1", "Q4"}) {
     RunAndAudit(id, 1);
   }

@@ -70,6 +70,9 @@ TEST(ThreadPoolTest, CallerParticipates) {
 struct RunOutcome {
   std::vector<std::string> rows;
   std::map<std::string, uint64_t> invocations;
+  /// Sequential plus random page reads; only comparable between runs that
+  /// start from a cold pool, so operator== leaves it out.
+  uint64_t page_reads = 0;
 
   bool operator==(const RunOutcome& other) const {
     return rows == other.rows && invocations == other.invocations;
@@ -87,13 +90,20 @@ class ParallelExecTest : public ::testing::Test {
 
   /// Optimizes `id` once (fixed plan), then executes it under `params`.
   /// Keeping the plan fixed isolates the executor: any difference between
-  /// configurations is an executor bug, not a placement change.
-  RunOutcome Execute(const std::string& id, const exec::ExecParams& params) {
+  /// configurations is an executor bug, not a placement change. `cold`
+  /// empties the buffer pool first, so page reads are comparable.
+  RunOutcome Execute(const std::string& id, const exec::ExecParams& params,
+                     Algorithm algorithm = Algorithm::kMigration,
+                     bool cold = false) {
     auto spec = workload::GetBenchmarkQuery(db_, config_, id);
     EXPECT_TRUE(spec.ok()) << spec.status();
     optimizer::Optimizer opt(&db_.catalog(), {});
-    auto result = opt.Optimize(*spec, Algorithm::kMigration);
+    auto result = opt.Optimize(*spec, algorithm);
     EXPECT_TRUE(result.ok()) << result.status();
+    if (cold) {
+      db_.pool().FlushAll();
+      db_.pool().EvictAll();
+    }
 
     exec::ExecContext ctx;
     ctx.catalog = &db_.catalog();
@@ -108,6 +118,7 @@ class ParallelExecTest : public ::testing::Test {
     RunOutcome out;
     out.rows = workload::CanonicalResults(*rows, schema);
     out.invocations = {stats.invocations.begin(), stats.invocations.end()};
+    out.page_reads = stats.io.sequential_reads + stats.io.random_reads;
     return out;
   }
 
@@ -123,14 +134,22 @@ class ParallelExecTest : public ::testing::Test {
 };
 
 TEST_F(ParallelExecTest, SerialBatchSizeNeverChangesAnything) {
-  // Single-threaded, the batch pipeline must be bit-identical to the old
-  // tuple-at-a-time executor regardless of batch size.
-  for (const char* id : {"Q1", "Q3"}) {
-    const RunOutcome reference = Execute(id, Params(1, 1024));
-    EXPECT_FALSE(reference.rows.empty()) << id;
-    for (const size_t batch : {size_t{1}, size_t{7}}) {
-      EXPECT_EQ(Execute(id, Params(1, batch)), reference)
-          << id << " batch=" << batch;
+  // Single-threaded, batch size is a pure pull-granularity knob
+  // (batch_size=1 pulls tuple-at-a-time): from a cold pool every size must
+  // give the same rows, invocation counters and total page reads.
+  for (const Algorithm algorithm :
+       {Algorithm::kMigration, Algorithm::kPushDown}) {
+    for (const char* id : {"Q1", "Q2", "Q3", "Q4", "Q5"}) {
+      const RunOutcome reference =
+          Execute(id, Params(1, 1024), algorithm, /*cold=*/true);
+      EXPECT_FALSE(reference.rows.empty()) << id;
+      for (const size_t batch : {size_t{1}, size_t{7}}) {
+        const RunOutcome run =
+            Execute(id, Params(1, batch), algorithm, /*cold=*/true);
+        EXPECT_EQ(run, reference) << id << " batch=" << batch;
+        EXPECT_EQ(run.page_reads, reference.page_reads)
+            << id << " batch=" << batch;
+      }
     }
   }
 }

@@ -14,6 +14,7 @@
 
 #include "cost/cost_model.h"
 #include "exec/executor.h"
+#include "exec/scan_ops.h"
 #include "expr/predicate.h"
 #include "obs/profiler.h"
 #include "optimizer/optimizer.h"
@@ -192,6 +193,43 @@ TEST_F(TransferExecTest, KillSwitchDisablesUselessFilter) {
   EXPECT_TRUE(scan->stats().transfer_killed);
   // Probing stopped at (or shortly after) the kill.
   EXPECT_LT(scan->stats().transfer_probed, 200u);
+}
+
+TEST_F(TransferExecTest, BatchProbeKeepsSurvivingTuplesIntact) {
+  // A published filter over keys 0..24 of r: the first 25 rows survive in
+  // place, the rest are (mostly) pruned and the survivors compacted. Every
+  // row handed out must still carry both columns.
+  for (const size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+    auto transfer = std::make_shared<exec::BloomTransfer>("r", "key", "s",
+                                                          "key");
+    auto filter = std::make_unique<exec::BloomFilter>(25);
+    for (int64_t key = 0; key < 25; ++key) {
+      filter->InsertHash(static_cast<uint64_t>(Value(key).Hash()));
+    }
+    transfer->Publish(std::move(filter));
+
+    exec::SeqScanOp scan(*catalog_.GetTable("r"), "r");
+    scan.AttachTransfer(transfer, /*key_index=*/0);
+    ASSERT_TRUE(scan.Open().ok());
+    std::vector<int64_t> keys;
+    exec::TupleBatch batch;
+    bool eof = false;
+    while (!eof) {
+      batch.clear();
+      ASSERT_TRUE(scan.NextBatch(batch_size, &batch, &eof).ok());
+      for (const Tuple& tuple : batch.tuples) {
+        ASSERT_EQ(tuple.NumValues(), 2u) << "batch=" << batch_size;
+        EXPECT_EQ(tuple.Get(1).AsInt64(), tuple.Get(0).AsInt64() % 10);
+        keys.push_back(tuple.Get(0).AsInt64());
+      }
+    }
+    ASSERT_GE(keys.size(), 25u) << "batch=" << batch_size;
+    for (int64_t key = 0; key < 25; ++key) {
+      EXPECT_EQ(keys[static_cast<size_t>(key)], key) << "batch=" << batch_size;
+    }
+    EXPECT_EQ(transfer->probed(), 200u);
+    EXPECT_EQ(transfer->passed(), keys.size());
+  }
 }
 
 TEST_F(TransferExecTest, TransferStatsReachProfiler) {
