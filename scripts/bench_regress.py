@@ -11,10 +11,15 @@ where the check_build.sh smoke runs drop them). Two failure classes:
     baseline. Walls under the 0.05 s floor are skipped — at smoke scales
     scheduler jitter dominates and a relative gate would only flake.
   * exact drift: any change in a measurement's per-function invocation
-    counts, output_rows or charged_time. These are exact and
+    counts, output_rows, charged_time or total page reads
+    (io.sequential_reads + io.random_reads). These are exact and
     deterministic (the paper's measurement currency), so any delta is a
     real behavior change — a placement flip, a caching bug, a transfer
-    regression, a lost row — never noise.
+    regression, a lost row, a scan reading different pages — never noise.
+    Page reads are gated on their own so a change in which pages a scan
+    reads fails even where the I/O cost weights hide it in charged_time.
+    io.buffer_hits stays ungated: it counts pins, which depend on how many
+    records a scan reads per pin, not on what the query does.
 
 A third check closes a hole the per-file comparison cannot see: every
 baselined bench name must appear in BENCH_summary.json (the aggregate the
@@ -35,7 +40,7 @@ WALL_REGRESSION_LIMIT = 0.25
 WALL_FLOOR_SECONDS = 0.05
 # Measurement fields that must match the baseline exactly, beside the
 # per-function invocation map.
-EXACT_FIELDS = ("output_rows", "charged_time")
+EXACT_FIELDS = ("output_rows", "charged_time", "page_reads")
 # Exact fields that depend on wall-clock timing, per (baseline file,
 # measurement). introspect_join groups ppp_metrics_window by counter name
 # over the 1 s buckets the mix happened to finish in, so how many counter
@@ -50,10 +55,18 @@ def load(path):
         return json.load(f)
 
 
+def page_reads(measurement):
+    """Total physical page reads of one measurement, or None without io."""
+    io = measurement.get("io")
+    if io is None:
+        return None
+    return io.get("sequential_reads", 0) + io.get("random_reads", 0)
+
+
 def by_algorithm(bench):
     out = {}
     for m in bench.get("measurements", []):
-        out[m["algorithm"]] = m
+        out[m["algorithm"]] = dict(m, page_reads=page_reads(m))
     return out
 
 

@@ -389,8 +389,8 @@ fi
 
 # Regression gate: fresh smoke BENCH_*.json vs the checked-in baselines.
 # Fails on >25% wall regressions (above the 0.05 s jitter floor), any
-# drift in invocation counts, output rows or charged time, or a baselined
-# bench missing from the summary.
+# drift in invocation counts, output rows, charged time or total page
+# reads, or a baselined bench missing from the summary.
 # Re-baseline deliberate changes with --update.
 if command -v python3 >/dev/null 2>&1; then
   python3 scripts/bench_regress.py

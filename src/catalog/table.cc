@@ -122,6 +122,8 @@ common::Status Table::CreateIndex(const std::string& column) {
                                          " already exists");
   }
   auto index = std::make_unique<storage::BTree>(pool_);
+  // Next, not NextView: the B-tree inserts below fetch pages between
+  // records, and a pin held across them would change what the pool evicts.
   storage::HeapFile::Iterator it = heap_.Scan();
   storage::RecordId rid;
   std::string bytes;
@@ -157,8 +159,8 @@ common::Status Table::Analyze() {
 
   storage::HeapFile::Iterator it = heap_.Scan();
   storage::RecordId rid;
-  std::string bytes;
-  while (it.Next(&rid, &bytes)) {
+  std::string_view bytes;
+  while (it.NextView(&rid, &bytes)) {
     PPP_ASSIGN_OR_RETURN(types::Tuple tuple, types::Tuple::Deserialize(bytes));
     for (size_t i = 0; i < columns_.size(); ++i) {
       const types::Value& v = tuple.Get(i);

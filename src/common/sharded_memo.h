@@ -39,6 +39,17 @@ namespace ppp::common {
 /// entries. All follow the serial semantics exactly when single-threaded;
 /// under concurrency, bounded caches may evict in a run-dependent order
 /// (the unbounded default stays exact).
+///
+/// Shard count: bounds and eviction order are per shard, so a bounded memo
+/// reproduces the single-table FIFO/LRU order only with one shard. An
+/// unbounded memo never evicts, so its shard count cannot change any
+/// verdict or count and callers may shard it freely (see
+/// exec::ShardedPredicateCache::ShardsFor).
+///
+/// Probe and hit counts live in the shards, bumped under the lock the
+/// probe already holds, so concurrent probers share no counter cache line;
+/// probes()/hits() sum over the shards. Only an adaptive memo also keeps
+/// the memo-wide atomics its self-disable check reads.
 template <typename V>
 class ShardedMemo {
  public:
@@ -72,6 +83,14 @@ class ShardedMemo {
     std::function<void()> on_contention;
   };
 
+  /// What one GetOrCompute did, for callers keeping their own per-use
+  /// counts (a shared memo's totals include every other user's probes).
+  struct Outcome {
+    bool hit = false;
+    /// Entries this probe evicted to make room for its own.
+    uint64_t evictions = 0;
+  };
+
   explicit ShardedMemo(const Options& options = {}) { Reset(options); }
 
   ShardedMemo(const ShardedMemo&) = delete;
@@ -92,7 +111,6 @@ class ShardedMemo {
             : (options_.max_bytes + options_.shards - 1) / options_.shards;
     probes_.store(0, std::memory_order_relaxed);
     hits_.store(0, std::memory_order_relaxed);
-    evictions_.store(0, std::memory_order_relaxed);
     contended_probes_.store(0, std::memory_order_relaxed);
     disabled_.store(false, std::memory_order_relaxed);
   }
@@ -106,27 +124,38 @@ class ShardedMemo {
   /// exactly that), so `probes()` freezes at the disabling probe.
   bool disabled() const { return disabled_.load(std::memory_order_acquire); }
 
-  /// Returns the memoized value for `key`, running `compute` at most once
-  /// per distinct key. `compute` executes without any shard lock held.
-  V GetOrCompute(const std::string& key, const std::function<V()>& compute) {
+  /// Returns the memoized value for `key`, running `compute` (any
+  /// callable returning V) at most once per distinct key. `compute`
+  /// executes without any shard lock held. `outcome`, when non-null,
+  /// receives whether this probe hit and how many entries it evicted.
+  template <typename Compute>
+  V GetOrCompute(const std::string& key, const Compute& compute,
+                 Outcome* outcome = nullptr) {
     const uint64_t probe =
-        probes_.fetch_add(1, std::memory_order_relaxed) + 1;
+        options_.adaptive ? probes_.fetch_add(1, std::memory_order_relaxed) + 1
+                          : 0;
     Shard& shard = shards_[ShardOf(key)];
     std::unique_lock<std::mutex> lock = LockShard(&shard);
+    ++shard.probes;
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
-      std::shared_ptr<Entry> entry = it->second;
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      ++shard.hits;
+      if (options_.adaptive) hits_.fetch_add(1, std::memory_order_relaxed);
       if (listener_.on_hit) listener_.on_hit();
-      if (options_.lru && entry->in_order) {
+      if (outcome != nullptr) outcome->hit = true;
+      Entry& entry = *it->second;
+      if (options_.lru && entry.in_order) {
         // Recency-order: a hit moves the entry to the back of the queue.
-        shard.order.splice(shard.order.end(), shard.order, entry->order_it);
+        shard.order.splice(shard.order.end(), shard.order, entry.order_it);
       }
+      if (entry.ready) return entry.value;
       // Pending entry: another worker is computing this key right now.
       // Waiting (instead of recomputing) is what keeps invocation counts
-      // exact under parallelism.
-      while (!entry->ready) shard.cv.wait(lock);
-      return entry->value;
+      // exact under parallelism. Hold the entry itself: it may be evicted
+      // or cleared from the map while we wait.
+      std::shared_ptr<Entry> pending = it->second;
+      shard.cv.wait(lock, [&] { return pending->ready; });
+      return pending->value;
     }
 
     if (listener_.on_miss) listener_.on_miss();
@@ -158,7 +187,8 @@ class ShardedMemo {
       shard.bytes -= victim.size() + kEntryOverhead;
       shard.map.erase(victim);
       shard.order.pop_front();
-      evictions_.fetch_add(1, std::memory_order_relaxed);
+      ++shard.evictions;
+      if (outcome != nullptr) ++outcome->evictions;
       if (listener_.on_eviction) listener_.on_eviction();
     }
     auto entry = std::make_shared<Entry>();
@@ -208,11 +238,9 @@ class ShardedMemo {
     return total;
   }
 
-  uint64_t probes() const { return probes_.load(std::memory_order_relaxed); }
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
+  uint64_t probes() const { return SumOverShards(&Shard::probes); }
+  uint64_t hits() const { return SumOverShards(&Shard::hits); }
+  uint64_t evictions() const { return SumOverShards(&Shard::evictions); }
   /// Probes that found their shard mutex already held — the contention
   /// signal the sharding exists to keep near zero.
   uint64_t contended_probes() const {
@@ -230,7 +258,9 @@ class ShardedMemo {
     bool in_order = false;
   };
 
-  struct Shard {
+  /// Cache-line aligned so neighbouring shards' mutexes and counters
+  /// don't share a line.
+  struct alignas(64) Shard {
     mutable std::mutex mu;
     std::condition_variable cv;
     std::unordered_map<std::string, std::shared_ptr<Entry>> map;
@@ -239,7 +269,20 @@ class ShardedMemo {
     std::list<std::string> order;
     /// Approximate bytes charged for the current entries.
     size_t bytes = 0;
+    /// Lifetime counts (survive Clear()), guarded by mu.
+    uint64_t probes = 0;
+    uint64_t hits = 0;
+    uint64_t evictions = 0;
   };
+
+  uint64_t SumOverShards(uint64_t Shard::*field) const {
+    uint64_t total = 0;
+    for (const Shard& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      total += shard.*field;
+    }
+    return total;
+  }
 
   size_t ShardOf(const std::string& key) const {
     return shards_.size() == 1
@@ -262,9 +305,10 @@ class ShardedMemo {
   size_t shard_max_bytes_ = 0;
   std::vector<Shard> shards_;
   Listener listener_;
+  /// Memo-wide probe/hit counts for the adaptive self-disable only (left
+  /// at zero when options_.adaptive is off).
   std::atomic<uint64_t> probes_{0};
   std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> contended_probes_{0};
   std::atomic<bool> disabled_{false};
 };

@@ -513,7 +513,8 @@ common::Result<std::vector<types::Tuple>> ExecutePlan(
       ctx->params.cache_mode == CacheMode::kFunction) {
     expr::FunctionCache::Options options;
     options.max_entries = ctx->params.cache_max_entries;
-    options.shards = ShardedPredicateCache::ShardsFor(workers);
+    options.shards = ShardedPredicateCache::ShardsFor(
+        workers, ctx->params.cache_max_entries > 0);
     options.adaptive = ctx->params.adaptive_caching;
     options.probe_window = ctx->params.adaptive_probe_window;
     ctx->function_cache_storage.Configure(options);

@@ -47,10 +47,16 @@ common::Status NestedLoopJoinOp::NextBatchImpl(size_t max_rows,
       outer_row_ = nullptr;
       continue;
     }
-    types::Tuple joined = types::Tuple::Concat(*outer_row_, *inner_row);
-    if (!primary_.has_value() || primary_->Eval(joined, &ctx_->eval)) {
-      batch->tuples.push_back(std::move(joined));
+    // The pair is concatenated only for a predicate miss or an emitted row.
+    std::optional<types::Tuple> joined;
+    if (primary_.has_value() &&
+        !primary_->Eval(*outer_row_, *inner_row, &ctx_->eval, &joined)) {
+      continue;
     }
+    batch->tuples.push_back(joined.has_value()
+                                ? std::move(*joined)
+                                : types::Tuple::Concat(*outer_row_,
+                                                       *inner_row));
   }
   return common::Status::OK();
 }

@@ -216,8 +216,9 @@ common::Result<CachedPredicate> CachedPredicate::Bind(
     options.max_entries = params.cache_max_entries;
     options.max_bytes = params.cache_max_bytes;
     options.lru = params.cache_lru;
-    options.shards =
-        ShardedPredicateCache::ShardsFor(params.parallel_workers);
+    options.shards = ShardedPredicateCache::ShardsFor(
+        params.parallel_workers,
+        params.cache_max_entries > 0 || params.cache_max_bytes > 0);
     options.adaptive = params.adaptive_caching;
     options.probe_window = params.adaptive_probe_window;
   }
@@ -243,8 +244,6 @@ common::Result<CachedPredicate> CachedPredicate::Bind(
       out.cache_ = shared->GetOrCreate(
           BuildSharedCacheKey(pred.expr->ToString(), resolved, options),
           options);
-      out.hits_baseline_ = out.cache_->hits();
-      out.evictions_baseline_ = out.cache_->evictions();
       return out;
     }
   }
@@ -252,21 +251,44 @@ common::Result<CachedPredicate> CachedPredicate::Bind(
   return out;
 }
 
-bool CachedPredicate::Eval(const types::Tuple& tuple,
-                           expr::EvalContext* ctx) {
-  if (!cache_enabled_ || cache_->disabled()) {
-    return bound_->EvalBool(tuple, ctx);
-  }
+template <typename Compute>
+bool CachedPredicate::Lookup(const types::Tuple& left,
+                             const types::Tuple& right,
+                             const Compute& compute) {
   // Key = the values of the predicate's input columns, serialized. This is
   // the paper's "hash table keyed on the bindings of the input variables".
-  std::vector<types::Value> key_values;
-  key_values.reserve(bound_->column_indexes().size());
-  for (size_t index : bound_->column_indexes()) {
-    key_values.push_back(tuple.Get(index));
+  // One reused buffer per thread: the memo copies the key into a new
+  // entry before `compute` runs and never reads it afterwards, so a
+  // nested Eval on this thread may overwrite it.
+  thread_local std::string key;
+  types::Tuple::SerializeProjection(left, right, bound_->column_indexes(),
+                                    &key);
+  ShardedPredicateCache::Outcome outcome;
+  const bool pass = cache_->GetOrCompute(key, compute, &outcome);
+  if (outcome.hit) counts_->hits.fetch_add(1, std::memory_order_relaxed);
+  if (outcome.evictions > 0) {
+    counts_->evictions.fetch_add(outcome.evictions,
+                                 std::memory_order_relaxed);
   }
-  const std::string key = types::Tuple(std::move(key_values)).Serialize();
-  return cache_->GetOrCompute(
-      key, [&] { return bound_->EvalBool(tuple, ctx); });
+  return pass;
+}
+
+bool CachedPredicate::Eval(const types::Tuple& tuple,
+                           expr::EvalContext* ctx) {
+  const auto evaluate = [&] { return bound_->EvalBool(tuple, ctx); };
+  if (!cache_enabled_ || cache_->disabled()) return evaluate();
+  return Lookup(tuple, types::Tuple(), evaluate);
+}
+
+bool CachedPredicate::Eval(const types::Tuple& left,
+                           const types::Tuple& right, expr::EvalContext* ctx,
+                           std::optional<types::Tuple>* joined) {
+  const auto evaluate = [&] {
+    joined->emplace(types::Tuple::Concat(left, right));
+    return bound_->EvalBool(**joined, ctx);
+  };
+  if (!cache_enabled_ || cache_->disabled()) return evaluate();
+  return Lookup(left, right, evaluate);
 }
 
 }  // namespace ppp::exec

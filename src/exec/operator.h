@@ -1,7 +1,9 @@
 #ifndef PPP_EXEC_OPERATOR_H_
 #define PPP_EXEC_OPERATOR_H_
 
+#include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -346,7 +348,7 @@ class CachedPredicate {
   /// With `shared` set (and `binding` available to resolve aliases), the
   /// memo is acquired from the engine-wide registry under the predicate's
   /// canonical identity instead of built fresh — hit/eviction accessors
-  /// stay per-bind exact via baselines captured at acquisition.
+  /// stay per-bind exact because each probe reports its own outcome.
   static common::Result<CachedPredicate> Bind(
       const expr::PredicateInfo& pred, const types::RowSchema& schema,
       const catalog::Catalog& catalog, const ExecParams& params,
@@ -357,16 +359,26 @@ class CachedPredicate {
   /// not invoke any function.
   bool Eval(const types::Tuple& tuple, expr::EvalContext* ctx);
 
+  /// Evaluates on the join candidate `left ++ right` (the predicate was
+  /// bound to the concatenated schema). The cache key is written straight
+  /// from the two halves — the same bytes the single-tuple form keys on —
+  /// and the pair is concatenated only when the predicate must run (a
+  /// cache miss, or no cache); *joined then holds it, so a join emitting
+  /// the pair need not concatenate again.
+  bool Eval(const types::Tuple& left, const types::Tuple& right,
+            expr::EvalContext* ctx, std::optional<types::Tuple>* joined);
+
   bool cache_enabled() const {
     return cache_enabled_ && !cache_->disabled();
   }
   size_t cache_entries() const { return cache_->entries(); }
-  /// Hits/evictions since this Bind — on a shared cache the registry-wide
-  /// totals minus the baseline captured at acquisition, so per-operator
-  /// stats stay exact even when other sessions use the same memo.
-  uint64_t cache_hits() const { return cache_->hits() - hits_baseline_; }
+  /// Hits/evictions of this bind's own probes, so per-operator stats stay
+  /// exact even when other sessions use the same shared memo.
+  uint64_t cache_hits() const {
+    return counts_->hits.load(std::memory_order_relaxed);
+  }
   uint64_t cache_evictions() const {
-    return cache_->evictions() - evictions_baseline_;
+    return counts_->evictions.load(std::memory_order_relaxed);
   }
 
   /// True when the predicate references at least one expensive function —
@@ -380,6 +392,20 @@ class CachedPredicate {
  private:
   CachedPredicate() = default;
 
+  /// Probes the memo with the key of `left ++ right`'s input columns,
+  /// running `compute` on a miss, and counts the outcome for this bind.
+  /// Defined (and only instantiated) in operator.cc.
+  template <typename Compute>
+  bool Lookup(const types::Tuple& left, const types::Tuple& right,
+              const Compute& compute);
+
+  /// Per-bind probe outcomes; atomic because the parallel evaluator's
+  /// workers call Eval concurrently.
+  struct BindCounts {
+    std::atomic<uint64_t> hits{0};
+    std::atomic<uint64_t> evictions{0};
+  };
+
   std::shared_ptr<expr::BoundExpr> bound_;
   bool cache_enabled_ = false;
   bool is_expensive_ = false;
@@ -388,9 +414,7 @@ class CachedPredicate {
   /// configuration purely for the accessors); shared so CachedPredicate
   /// stays copyable.
   std::shared_ptr<ShardedPredicateCache> cache_;
-  /// Cache counters at acquisition time (nonzero only for shared caches).
-  uint64_t hits_baseline_ = 0;
-  uint64_t evictions_baseline_ = 0;
+  std::shared_ptr<BindCounts> counts_ = std::make_shared<BindCounts>();
 };
 
 }  // namespace ppp::exec

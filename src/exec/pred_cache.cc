@@ -52,7 +52,9 @@ ShardedPredicateCache::ShardedPredicateCache(const Options& options)
   memo_.set_listener(std::move(listener));
 }
 
-size_t ShardedPredicateCache::ShardsFor(size_t parallel_workers) {
+size_t ShardedPredicateCache::ShardsFor(size_t parallel_workers,
+                                        bool bounded) {
+  if (!bounded) return kUnboundedShards;
   if (parallel_workers <= 1) return 1;
   // A few shards per worker keeps the collision probability of concurrent
   // probes low without ballooning per-shard bookkeeping.

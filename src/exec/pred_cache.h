@@ -2,7 +2,6 @@
 #define PPP_EXEC_PRED_CACHE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/sharded_memo.h"
@@ -36,16 +35,26 @@ class ShardedPredicateCache {
 
   explicit ShardedPredicateCache(const Options& options);
 
-  /// Picks a shard count for a given worker count: 1 when serial (which
-  /// preserves the single-table FIFO eviction order, and therefore
-  /// bit-identical serial behaviour), several shards per worker otherwise.
-  static size_t ShardsFor(size_t parallel_workers);
+  using Outcome = common::ShardedMemo<bool>::Outcome;
+
+  /// Shard count for a cache probed by `parallel_workers` threads per
+  /// query. An unbounded cache never evicts, so sharding cannot change a
+  /// verdict or a count: it always gets kUnboundedShards, which keeps
+  /// concurrent sessions probing one engine-wide cache (each running
+  /// serially) off a single mutex. A bounded cache evicts per shard, so it
+  /// gets 1 shard when serial (the exact single-table FIFO/LRU order, and
+  /// therefore bit-identical serial behaviour) and several per worker
+  /// otherwise.
+  static size_t ShardsFor(size_t parallel_workers, bool bounded);
+  static constexpr size_t kUnboundedShards = 16;
 
   /// Returns the cached verdict for `key`, evaluating `compute` at most
   /// once per distinct key (concurrent probers of an in-flight key wait).
-  bool GetOrCompute(const std::string& key,
-                    const std::function<bool()>& compute) {
-    return memo_.GetOrCompute(key, compute);
+  /// `outcome`, when non-null, receives this probe's hit and evictions.
+  template <typename Compute>
+  bool GetOrCompute(const std::string& key, const Compute& compute,
+                    Outcome* outcome = nullptr) {
+    return memo_.GetOrCompute(key, compute, outcome);
   }
 
   bool disabled() const { return memo_.disabled(); }

@@ -140,9 +140,9 @@ common::Status SeqScanOp::NextBatchImpl(size_t max_rows, TupleBatch* batch,
                                         bool* eof) {
   *eof = false;
   storage::RecordId rid;
-  std::string bytes;
+  std::string_view bytes;
   while (batch->size() < max_rows) {
-    if (!it_.Next(&rid, &bytes)) {
+    if (!it_.NextView(&rid, &bytes)) {
       *eof = true;
       break;
     }
@@ -150,6 +150,11 @@ common::Status SeqScanOp::NextBatchImpl(size_t max_rows, TupleBatch* batch,
                          types::Tuple::Deserialize(bytes));
     batch->tuples.push_back(std::move(tuple));
   }
+  // One pin per page per call: nothing else fetches inside this loop, but
+  // the consumer may fetch other pages before the next call (a nested-loop
+  // join rescanning its inner), and a pin held across that would change
+  // what the pool evicts.
+  it_.Unpin();
   if (!transfers_.empty()) transfers_.FilterBatch(batch);
   return common::Status::OK();
 }

@@ -1,6 +1,7 @@
 #ifndef PPP_OBS_METRICS_H_
 #define PPP_OBS_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -12,20 +13,48 @@
 namespace ppp::obs {
 
 /// Monotonically increasing event count (cache hits, page reads, UDF
-/// invocations). Relaxed atomic: the batch executor's worker threads bump
-/// counters concurrently, and the paper's measurement methodology is exact
-/// event counting, so increments must not be lost. Reads are only taken at
-/// snapshot points (no ordering needed with other memory).
+/// invocations). Relaxed atomics: the batch executor's worker threads and
+/// concurrent sessions bump counters at once, and the paper's measurement
+/// methodology is exact event counting, so increments must not be lost.
+/// Reads are only taken at snapshot points (no ordering needed with other
+/// memory).
+///
+/// Striped: each thread increments one of kStripes cache-line-padded cells,
+/// so threads bumping the same counter on every cache probe don't bounce
+/// one cache line between cores. value() and Reset() cover every cell, so
+/// the count stays exact.
 class Counter {
  public:
+  static constexpr size_t kStripes = 8;
+
   void Increment(uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
+    cells_[ThreadStripe()].value.fetch_add(n, std::memory_order_relaxed);
   }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  uint64_t value() const {
+    uint64_t total = 0;
+    for (const Cell& cell : cells_) {
+      total += cell.value.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+  void Reset() {
+    for (Cell& cell : cells_) cell.value.store(0, std::memory_order_relaxed);
+  }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  struct alignas(64) Cell {
+    std::atomic<uint64_t> value{0};
+  };
+
+  /// The calling thread's cell, assigned round-robin on first use.
+  static size_t ThreadStripe() {
+    static std::atomic<size_t> next{0};
+    thread_local const size_t stripe =
+        next.fetch_add(1, std::memory_order_relaxed) % kStripes;
+    return stripe;
+  }
+
+  std::array<Cell, kStripes> cells_;
 };
 
 /// Last-write-wins instantaneous value (queue depths, plan-space sizes).

@@ -141,8 +141,8 @@ common::Result<std::shared_ptr<const TableStatistics>> BuildTableStatistics(
   uint64_t rows = 0;
   storage::HeapFile::Iterator it = table.heap().Scan();
   storage::RecordId rid;
-  std::string bytes;
-  while (it.Next(&rid, &bytes)) {
+  std::string_view bytes;
+  while (it.NextView(&rid, &bytes)) {
     PPP_ASSIGN_OR_RETURN(types::Tuple tuple, types::Tuple::Deserialize(bytes));
     ++rows;
     for (size_t i = 0; i < columns.size(); ++i) {

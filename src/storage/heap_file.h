@@ -64,12 +64,17 @@ class HeapFile {
     /// Advances to the next record; returns false at end of file.
     bool Next(RecordId* rid, std::string* record);
 
-    /// Zero-copy advance for tight decode loops (the columnar scan path):
-    /// `record` views bytes inside the current page, which stays pinned
-    /// until the next NextView() call or the iterator's destruction —
-    /// one buffer-pool fetch per page instead of one per record. The view
-    /// is invalidated by the next NextView().
+    /// Zero-copy advance for tight decode loops (scans, ANALYZE): `record`
+    /// views bytes inside the current page, which stays pinned until the
+    /// scan leaves the page, Unpin(), or the iterator's destruction — one
+    /// buffer-pool fetch per page instead of one per record. The view is
+    /// invalidated by the next NextView() or Unpin().
     bool NextView(RecordId* rid, std::string_view* record);
+
+    /// Drops the pin NextView() holds; the next NextView() re-pins the
+    /// current page. Callers that fetch other pages between records call
+    /// this first, so the held pin never changes what the pool evicts.
+    void Unpin() { view_guard_.reset(); }
 
    private:
     const HeapFile* file_;

@@ -33,11 +33,34 @@ void AppendPod(std::string* out, T v) {
 }
 
 template <typename T>
-bool ReadPod(const std::string& bytes, size_t* pos, T* out) {
+bool ReadPod(std::string_view bytes, size_t* pos, T* out) {
   if (*pos + sizeof(T) > bytes.size()) return false;
   std::memcpy(out, bytes.data() + *pos, sizeof(T));
   *pos += sizeof(T);
   return true;
+}
+
+void AppendValue(std::string* out, const Value& v) {
+  AppendPod<uint8_t>(out, static_cast<uint8_t>(v.type()));
+  switch (v.type()) {
+    case TypeId::kNull:
+      break;
+    case TypeId::kInt64:
+      AppendPod<int64_t>(out, v.AsInt64());
+      break;
+    case TypeId::kDouble:
+      AppendPod<double>(out, v.AsDouble());
+      break;
+    case TypeId::kBool:
+      AppendPod<uint8_t>(out, v.AsBool() ? 1 : 0);
+      break;
+    case TypeId::kString: {
+      const std::string& s = v.AsString();
+      AppendPod<uint32_t>(out, static_cast<uint32_t>(s.size()));
+      AppendRaw(out, s.data(), s.size());
+      break;
+    }
+  }
 }
 
 }  // namespace
@@ -45,32 +68,23 @@ bool ReadPod(const std::string& bytes, size_t* pos, T* out) {
 std::string Tuple::Serialize() const {
   std::string out;
   AppendPod<uint32_t>(&out, static_cast<uint32_t>(values_.size()));
-  for (const Value& v : values_) {
-    AppendPod<uint8_t>(&out, static_cast<uint8_t>(v.type()));
-    switch (v.type()) {
-      case TypeId::kNull:
-        break;
-      case TypeId::kInt64:
-        AppendPod<int64_t>(&out, v.AsInt64());
-        break;
-      case TypeId::kDouble:
-        AppendPod<double>(&out, v.AsDouble());
-        break;
-      case TypeId::kBool:
-        AppendPod<uint8_t>(&out, v.AsBool() ? 1 : 0);
-        break;
-      case TypeId::kString: {
-        const std::string& s = v.AsString();
-        AppendPod<uint32_t>(&out, static_cast<uint32_t>(s.size()));
-        AppendRaw(&out, s.data(), s.size());
-        break;
-      }
-    }
-  }
+  for (const Value& v : values_) AppendValue(&out, v);
   return out;
 }
 
-common::Result<Tuple> Tuple::Deserialize(const std::string& bytes) {
+void Tuple::SerializeProjection(const Tuple& left, const Tuple& right,
+                                const std::vector<size_t>& indexes,
+                                std::string* out) {
+  out->clear();
+  AppendPod<uint32_t>(out, static_cast<uint32_t>(indexes.size()));
+  const size_t split = left.values_.size();
+  for (const size_t index : indexes) {
+    AppendValue(out, index < split ? left.values_[index]
+                                   : right.values_[index - split]);
+  }
+}
+
+common::Result<Tuple> Tuple::Deserialize(std::string_view bytes) {
   size_t pos = 0;
   uint32_t count = 0;
   if (!ReadPod(bytes, &pos, &count)) {
@@ -119,7 +133,7 @@ common::Result<Tuple> Tuple::Deserialize(const std::string& bytes) {
         if (pos + len > bytes.size()) {
           return common::Status::InvalidArgument("tuple string truncated");
         }
-        values.emplace_back(bytes.substr(pos, len));
+        values.emplace_back(std::string(bytes.substr(pos, len)));
         pos += len;
         break;
       }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -35,8 +36,16 @@ class Tuple {
   /// independent of any schema. Used by the storage layer.
   std::string Serialize() const;
 
+  /// Overwrites *out with the bytes Serialize() gives for the tuple of the
+  /// values at `indexes` of the concatenation `left ++ right`, without
+  /// building either tuple: the §5.1 cache key of a predicate's input
+  /// columns, for a single row (empty `right`) or a join candidate pair.
+  static void SerializeProjection(const Tuple& left, const Tuple& right,
+                                  const std::vector<size_t>& indexes,
+                                  std::string* out);
+
   /// Parses a byte string produced by Serialize().
-  static common::Result<Tuple> Deserialize(const std::string& bytes);
+  static common::Result<Tuple> Deserialize(std::string_view bytes);
 
   /// "(1, 'x', NULL)".
   std::string ToString() const;

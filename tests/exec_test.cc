@@ -4,6 +4,7 @@
 
 #include "common/random.h"
 #include "exec/executor.h"
+#include "exec/scan_ops.h"
 #include "expr/predicate.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -186,10 +187,46 @@ TEST_F(ExecTest, NestLoopRescansChargeIo) {
   plan::PlanPtr plan = TwoTableJoin(plan::JoinMethod::kNestLoop, pred);
   ExecStats stats;
   Run(*plan, &stats);
-  // 200 outer tuples x ~8 pages of s per rescan >> single-scan I/O. The
-  // pool (64 pages) holds s (~8 pages), so rescans mostly hit; at minimum
-  // buffer hits must reflect the rescan traffic.
-  EXPECT_GT(stats.io.buffer_hits + stats.io.TotalReads(), 200u * 5u);
+  // Every fetch is a read or a hit. The outer scan pins each page of r
+  // once; each of the 200 rescans pins each page of s once (one batch
+  // covers a whole table, and a scan pins a page once per batch).
+  const uint64_t r_pages = (*catalog_.GetTable("r"))->heap().NumPages();
+  const uint64_t s_pages = (*catalog_.GetTable("s"))->heap().NumPages();
+  EXPECT_EQ(stats.io.buffer_hits + stats.io.TotalReads(),
+            r_pages + 200u * s_pages);
+}
+
+TEST_F(ExecTest, RowSeqScanPinsEachPageOncePerBatch) {
+  const catalog::Table* s = *catalog_.GetTable("s");
+  const uint64_t pages = s->heap().NumPages();
+  ASSERT_GT(pages, 1u);
+  std::vector<storage::IoStats> cold_reads;
+  for (const size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+    pool_.FlushAll();
+    pool_.EvictAll();
+    SeqScanOp scan(s, "s");
+    scan.AttachPool(&pool_);
+    const storage::IoStats before = pool_.stats();
+    std::vector<Tuple> rows;
+    ASSERT_TRUE(Drain(&scan, batch_size, &rows).ok());
+    EXPECT_EQ(rows.size(), 500u) << batch_size;
+    const storage::IoStats after = pool_.stats();
+    storage::IoStats io;
+    io.sequential_reads = after.sequential_reads - before.sequential_reads;
+    io.random_reads = after.random_reads - before.random_reads;
+    io.buffer_hits = after.buffer_hits - before.buffer_hits;
+    if (batch_size == 1024) {
+      EXPECT_EQ(io.TotalReads() + io.buffer_hits, pages);
+    }
+    cold_reads.push_back(io);
+  }
+  // The batch size changes how often a page is re-pinned, never which
+  // pages are read.
+  for (const storage::IoStats& io : cold_reads) {
+    EXPECT_EQ(io.sequential_reads, cold_reads[0].sequential_reads);
+    EXPECT_EQ(io.random_reads, cold_reads[0].random_reads);
+    EXPECT_EQ(io.TotalReads(), pages);
+  }
 }
 
 TEST_F(ExecTest, IndexNestLoopProbesPerOuterTuple) {

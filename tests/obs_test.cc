@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -14,6 +17,24 @@ TEST(CounterTest, IncrementAndReset) {
   EXPECT_EQ(c.value(), 42u);
   c.Reset();
   EXPECT_EQ(c.value(), 0u);
+}
+
+TEST(CounterTest, StripedIncrementsFromManyThreadsSumExactly) {
+  Counter c;
+  constexpr int kThreads = 8;
+  constexpr uint64_t kPerThread = 100000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&c] {
+      for (uint64_t i = 0; i < kPerThread; ++i) c.Increment();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(c.value(), kThreads * kPerThread);
+  c.Reset();
+  EXPECT_EQ(c.value(), 0u);
+  c.Increment(3);
+  EXPECT_EQ(c.value(), 3u);
 }
 
 TEST(GaugeTest, SetAddReset) {

@@ -8,15 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "exec/executor.h"
 #include "exec/shared_caches.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
+#include "optimizer/optimizer.h"
 #include "parser/normalize.h"
 #include "serve/plan_cache.h"
 #include "serve/session.h"
@@ -48,9 +51,53 @@ class ServeTest : public ::testing::Test {
     return sql;
   }
 
+  /// Optimizes benchmark query `id` under `algorithm`.
+  plan::PlanPtr PlanFor(const std::string& id,
+                        optimizer::Algorithm algorithm) {
+    auto spec = workload::GetBenchmarkQuery(db_, config_, id);
+    EXPECT_TRUE(spec.ok()) << spec.status();
+    optimizer::Optimizer opt(&db_.catalog(), {});
+    auto result = opt.Optimize(*spec, algorithm);
+    EXPECT_TRUE(result.ok()) << result.status();
+    return std::move(result->plan);
+  }
+
+  /// Executes `plan` (of benchmark query `id`) with its §5.1 caches taken
+  /// from `registry`; returns the executed operator tree.
+  std::unique_ptr<exec::Operator> ExecuteShared(
+      const std::string& id, const plan::PlanNode& plan,
+      exec::SharedPredicateCacheRegistry* registry, exec::ExecStats* stats,
+      std::vector<std::string>* canonical = nullptr) {
+    auto spec = workload::GetBenchmarkQuery(db_, config_, id);
+    EXPECT_TRUE(spec.ok()) << spec.status();
+    exec::ExecContext ctx;
+    ctx.catalog = &db_.catalog();
+    ctx.shared_caches = registry;
+    for (const plan::TableRef& ref : spec->tables) {
+      ctx.binding[ref.alias] = *db_.catalog().GetTable(ref.table_name);
+    }
+    types::RowSchema schema;
+    std::unique_ptr<exec::Operator> root;
+    auto rows = exec::ExecutePlan(plan, &ctx, stats, &schema, &root);
+    EXPECT_TRUE(rows.ok()) << rows.status();
+    if (canonical != nullptr && rows.ok()) {
+      *canonical = workload::CanonicalResults(*rows, schema);
+    }
+    return root;
+  }
+
   workload::Database db_;
   workload::BenchmarkConfig config_;
 };
+
+/// Calls `fn` on every operator of the tree under `op`.
+void ForEachOperator(const exec::Operator& op,
+                     const std::function<void(const exec::Operator&)>& fn) {
+  fn(op);
+  for (const exec::Operator* child : op.Children()) {
+    ForEachOperator(*child, fn);
+  }
+}
 
 // --------------------------------------------------------------------------
 // Normalization
@@ -124,6 +171,111 @@ TEST(SharedCachesTest, SameIdentitySharesOneCache) {
   auto c = registry.GetOrCreate(other, options);
   EXPECT_NE(a.get(), c.get());
   EXPECT_EQ(registry.size(), 2u);
+}
+
+TEST_F(ServeTest, JoinAndFilterFormsOfOnePredicateShareEntries) {
+  // PushDown evaluates match100 as the nested-loop join's primary, LDL as a
+  // filter over a cross product. Both key the shared memo on the same
+  // input-column bytes, so whichever runs second invokes match100 zero
+  // times.
+  const plan::PlanPtr join_form =
+      PlanFor("Q5", optimizer::Algorithm::kPushDown);
+  const plan::PlanPtr filter_form = PlanFor("Q5", optimizer::Algorithm::kLdl);
+  ASSERT_NE(join_form->ToString().find("NestLoopJoin[match100("),
+            std::string::npos)
+      << join_form->ToString();
+  ASSERT_NE(filter_form->ToString().find("Filter[match100("),
+            std::string::npos)
+      << filter_form->ToString();
+  ASSERT_NE(filter_form->ToString().find("NestLoopJoin[true]"),
+            std::string::npos)
+      << filter_form->ToString();
+
+  for (const bool join_first : {true, false}) {
+    exec::SharedPredicateCacheRegistry registry;
+    const plan::PlanNode& first = join_first ? *join_form : *filter_form;
+    const plan::PlanNode& second = join_first ? *filter_form : *join_form;
+    exec::ExecStats first_stats, second_stats;
+    std::vector<std::string> first_rows, second_rows;
+    ExecuteShared("Q5", first, &registry, &first_stats, &first_rows);
+    ExecuteShared("Q5", second, &registry, &second_stats, &second_rows);
+    EXPECT_GT(first_stats.invocations["match100"], 0u);
+    EXPECT_EQ(second_stats.invocations["match100"], 0u) << join_first;
+    EXPECT_EQ(first_rows, second_rows);
+  }
+}
+
+TEST_F(ServeTest, PerBindCacheHitsStayExactUnderConcurrentSessions) {
+  const plan::PlanPtr plan = PlanFor("Q5", optimizer::Algorithm::kPushDown);
+  obs::Counter* memo_hits =
+      obs::MetricsRegistry::Global().GetCounter("exec.predicate_cache.hits");
+
+  // Per query: the cache hits of every caching operator, summed, and
+  // whether the join's own hits stayed within its probes (one per
+  // candidate pair, i.e. per row its inner input produced).
+  struct QueryHits {
+    uint64_t total = 0;
+    uint64_t join = 0;
+    bool join_within_probes = false;
+  };
+  const auto hits_of = [](const exec::Operator& root) {
+    QueryHits out;
+    ForEachOperator(root, [&out](const exec::Operator& op) {
+      if (!op.stats().has_cache) return;
+      out.total += op.stats().cache_hits;
+      if (op.Describe() == "NestedLoopJoin") {
+        out.join = op.stats().cache_hits;
+        out.join_within_probes =
+            out.join <= op.Children()[1]->stats().rows_out;
+      }
+    });
+    return out;
+  };
+
+  // Serial: per-bind hits equal the memo's hit delta, query by query.
+  {
+    exec::SharedPredicateCacheRegistry registry;
+    for (int run = 0; run < 2; ++run) {
+      const uint64_t before = memo_hits->value();
+      exec::ExecStats stats;
+      const QueryHits hits =
+          hits_of(*ExecuteShared("Q5", *plan, &registry, &stats));
+      EXPECT_EQ(hits.total, memo_hits->value() - before) << run;
+      // The first run computes every distinct pair; the second hits them.
+      if (run == 1) EXPECT_GT(hits.join, 0u);
+      EXPECT_TRUE(hits.join_within_probes);
+    }
+  }
+
+  // Concurrent: 4 sessions x 3 queries on one registry. A registry-wide
+  // baseline would fold other sessions' hits into each query; per-bind
+  // counts must still add up to the memo's hit delta exactly.
+  constexpr size_t kSessions = 4;
+  constexpr size_t kQueries = 3;
+  exec::SharedPredicateCacheRegistry registry;
+  std::vector<std::unique_ptr<exec::Operator>> roots(kSessions * kQueries);
+  const uint64_t before = memo_hits->value();
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < kSessions; ++i) {
+    threads.emplace_back([&, i] {
+      for (size_t q = 0; q < kQueries; ++q) {
+        exec::ExecStats stats;
+        roots[i * kQueries + q] =
+            ExecuteShared("Q5", *plan, &registry, &stats);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const uint64_t delta = memo_hits->value() - before;
+  uint64_t sum = 0;
+  for (const std::unique_ptr<exec::Operator>& root : roots) {
+    ASSERT_NE(root, nullptr);
+    const QueryHits query = hits_of(*root);
+    EXPECT_TRUE(query.join_within_probes);
+    sum += query.total;
+  }
+  EXPECT_EQ(sum, delta);
+  EXPECT_GT(sum, 0u);
 }
 
 // --------------------------------------------------------------------------

@@ -101,6 +101,26 @@ TEST(TupleTest, Concat) {
   EXPECT_EQ(c.Get(2).AsString(), "x");
 }
 
+TEST(TupleTest, SerializeProjectionMatchesSerializeOfProjectedTuple) {
+  const Tuple left({Value(int64_t{-5}), Value(), Value(3.25)});
+  const Tuple right({Value(true), Value("hello"), Value(int64_t{7})});
+  const Tuple joined = Tuple::Concat(left, right);
+  const std::vector<std::vector<size_t>> projections = {
+      {}, {1}, {4, 0}, {2, 3}, {0, 1, 2, 3, 4, 5}, {5, 5, 1}};
+  std::string key = "stale bytes";  // Overwritten, not appended to.
+  for (const std::vector<size_t>& indexes : projections) {
+    std::vector<Value> projected;
+    for (const size_t i : indexes) projected.push_back(joined.Get(i));
+    const std::string expected = Tuple(projected).Serialize();
+    // Pair form, straight from the two halves.
+    Tuple::SerializeProjection(left, right, indexes, &key);
+    EXPECT_EQ(key, expected);
+    // Single-row form: the whole row on the left.
+    Tuple::SerializeProjection(joined, Tuple(), indexes, &key);
+    EXPECT_EQ(key, expected);
+  }
+}
+
 TEST(TupleTest, ToString) {
   Tuple t({Value(int64_t{1}), Value()});
   EXPECT_EQ(t.ToString(), "(1, NULL)");
