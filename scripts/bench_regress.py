@@ -42,9 +42,9 @@ WALL_FLOOR_SECONDS = 0.05
 # per-function invocation map.
 EXACT_FIELDS = ("output_rows", "charged_time", "page_reads")
 # Exact fields that depend on wall-clock timing, per (baseline file,
-# measurement). introspect_join groups ppp_metrics_window by counter name
-# over the 1 s buckets the mix happened to finish in, so how many counter
-# series it returns varies from run to run.
+# measurement). introspect_join groups the query log by the 1 s bucket
+# each query finished in, so how many buckets it returns varies from run
+# to run.
 TIMING_DEPENDENT = {
     ("BENCH_introspect.json", "introspect_join"): {"output_rows"},
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, and run the full test suite.
 # src/obs/ is compiled with -Wall -Wextra -Werror (set in its
-# CMakeLists.txt), so warnings in the observability layer fail this check.
+# CMakeLists.txt), so warnings in the observability layer fail this check,
+# in the default build and in a second, Release (-O3) build.
 #
 # After the tests, a traced query is piped through the SQL shell and the
 # dumped Chrome trace-event JSON is validated (with python3's json module
@@ -52,10 +53,17 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build}"
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-build-tsan}"
+RELEASE_BUILD_DIR="${RELEASE_BUILD_DIR:-build-release}"
 
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+
+# Release build: -O3 must compile too, with src/obs's -Werror intact. GCC
+# 12 at -O3 reports -Werror=restrict false positives on operator+ string
+# chains that the default RelWithDebInfo (-O2) build never sees.
+cmake -B "$RELEASE_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
+cmake --build "$RELEASE_BUILD_DIR" -j "$(nproc)"
 
 # Traced-query smoke test: run a parallel expensive-predicate query with
 # spans on, dump the trace, and check the JSON parses.
@@ -159,8 +167,10 @@ grep -q " logged," "$INTRO_OUT" || {
 }
 echo "introspection smoke ok: ppp_query_log SELECTable, \\log reports"
 
-# Introspection bench: asserts <2% query-log overhead on the Q1-Q5 mix and
-# runs the analytical join over ppp_query_log x ppp_metrics_window.
+# Introspection bench: asserts <2% query-log overhead on the Q1-Q5 mix,
+# runs the analytical ppp_query_log x ppp_plan_history join grouped by
+# bucket, and reports the three stores' per-statement cost on point
+# EXECUTEs.
 rm -f BENCH_introspect.json
 PPP_SCALE=40 PPP_BENCH_JSON=1 "$BUILD_DIR/bench/bench_introspect"
 [[ -s BENCH_introspect.json ]] || {

@@ -36,7 +36,8 @@ class Catalog {
   static constexpr const char* kSystemPrefix = "ppp_";
 
   /// Construction registers the built-in system tables (ppp_query_log,
-  /// ppp_metrics, ppp_metrics_window, ppp_spans, ppp_table_stats), so
+  /// ppp_metrics, ppp_spans, ppp_table_stats, ppp_operator_audit,
+  /// ppp_plan_history), so
   /// every Database is introspectable from its first query.
   explicit Catalog(storage::BufferPool* pool);
 

@@ -13,7 +13,6 @@
 #include "obs/plan_history.h"
 #include "obs/query_log.h"
 #include "obs/span.h"
-#include "obs/timeseries.h"
 #include "stats/table_stats.h"
 #include "types/tuple.h"
 #include "types/value.h"
@@ -112,19 +111,6 @@ common::Result<std::vector<Tuple>> MetricsRows() {
         Value(std::string("histogram")), Value(name), Value::Null(),
         IntValue(h.count), Value(h.sum), Value(h.min), Value(h.max),
         Value(h.p50), Value(h.p99)});
-  }
-  return rows;
-}
-
-common::Result<std::vector<Tuple>> MetricsWindowRows() {
-  std::vector<Tuple> rows;
-  const std::vector<obs::TimeSeriesPoint> points =
-      obs::TimeSeries::Global().Snapshot();
-  rows.reserve(points.size());
-  for (const obs::TimeSeriesPoint& p : points) {
-    rows.emplace_back(std::vector<Value>{
-        Value(p.name), Value(p.bucket), Value(p.delta), Value(p.window_total),
-        Value(p.rate_p50), Value(p.rate_p99)});
   }
   return rows;
 }
@@ -230,20 +216,6 @@ void RegisterBuiltinSystemTables(Catalog* catalog) {
             return static_cast<int64_t>(
                 obs::MetricsRegistry::Global().SnapshotCounters().size());
           }));
-
-  MustRegister(catalog,
-               std::make_unique<Table>(
-                   "ppp_metrics_window",
-                   std::vector<ColumnDef>{{"name", TypeId::kString},
-                                          {"bucket", TypeId::kInt64},
-                                          {"delta", TypeId::kDouble},
-                                          {"window_total", TypeId::kDouble},
-                                          {"rate_p50", TypeId::kDouble},
-                                          {"rate_p99", TypeId::kDouble}},
-                   MetricsWindowRows, [] {
-                     return static_cast<int64_t>(
-                         obs::TimeSeries::Global().Snapshot().size());
-                   }));
 
   MustRegister(catalog,
                std::make_unique<Table>(

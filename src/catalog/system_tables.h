@@ -10,14 +10,13 @@ class Catalog;
 ///
 ///   ppp_query_log      one row per executed query (obs::QueryLog ring)
 ///   ppp_metrics        the registry's counters/gauges/histograms, flat
-///   ppp_metrics_window 1 s counter deltas with window rollups
 ///   ppp_spans          the span tracer's buffer (trace↔log via query_id)
 ///   ppp_table_stats    per-column TableStatistics of analyzed base tables
 ///   ppp_operator_audit per-operator est-vs-actual records (obs::PlanAudit)
 ///   ppp_plan_history   per (text_hash, fingerprint) execution aggregates
 ///                      with plan-change/regression flags (obs::PlanHistory)
 ///
-/// All seven are read-only virtual tables: rows are materialized from live
+/// All six are read-only virtual tables: rows are materialized from live
 /// engine state at scan open, so a query sees one consistent snapshot.
 /// ppp_table_stats is the only one needing the catalog itself; it holds a
 /// back-pointer, which is safe because the catalog owns the table.

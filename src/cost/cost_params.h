@@ -91,6 +91,10 @@ struct CostParams {
   /// Throughput multiplier of the vectorized cheap-predicate kernels over
   /// scalar evaluation (bench_vector measures ≥5×; 8 is the model default).
   double vector_speedup = 8.0;
+
+  /// Field-wise equality: the serving layer re-keys its plan-cache params
+  /// hash only when a session's knobs actually move.
+  bool operator==(const CostParams&) const = default;
 };
 
 }  // namespace ppp::cost

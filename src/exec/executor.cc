@@ -14,7 +14,6 @@
 #include "obs/profiler.h"
 #include "obs/query_log.h"
 #include "obs/span.h"
-#include "obs/timeseries.h"
 #include "exec/explain.h"
 #include "exec/filter_op.h"
 #include "exec/join_ops.h"
@@ -141,29 +140,6 @@ void AuditPlan(const plan::PlanNode& plan, const Operator* op,
   }
 }
 
-/// The weakest provenance any predicate estimate in the tree rests on
-/// (selectivity or cost): one declared-only guess taints the whole plan.
-/// Predicate-free plans report declared — nothing was estimated at all.
-obs::StatsTier WeakestStatsTier(const plan::PlanNode& plan) {
-  bool any = false;
-  auto tier = obs::StatsTier::kFeedback;
-  const std::function<void(const plan::PlanNode&)> walk =
-      [&](const plan::PlanNode& node) {
-        if (node.predicate.expr != nullptr) {
-          any = true;
-          const auto weakest = static_cast<obs::StatsTier>(
-              std::min(static_cast<int>(node.predicate.selectivity_source),
-                       static_cast<int>(node.predicate.cost_source)));
-          if (static_cast<int>(weakest) < static_cast<int>(tier)) {
-            tier = weakest;
-          }
-        }
-        for (const auto& child : node.children) walk(*child);
-      };
-  walk(plan);
-  return any ? tier : obs::StatsTier::kDeclared;
-}
-
 types::TypeId InferType(const expr::Expr& e,
                         const types::RowSchema& schema,
                         const catalog::Catalog& catalog) {
@@ -191,6 +167,26 @@ types::TypeId InferType(const expr::Expr& e,
 }
 
 }  // namespace
+
+obs::StatsTier WeakestStatsTier(const plan::PlanNode& plan) {
+  bool any = false;
+  auto tier = obs::StatsTier::kFeedback;
+  const std::function<void(const plan::PlanNode&)> walk =
+      [&](const plan::PlanNode& node) {
+        if (node.predicate.expr != nullptr) {
+          any = true;
+          const auto weakest = static_cast<obs::StatsTier>(
+              std::min(static_cast<int>(node.predicate.selectivity_source),
+                       static_cast<int>(node.predicate.cost_source)));
+          if (static_cast<int>(weakest) < static_cast<int>(tier)) {
+            tier = weakest;
+          }
+        }
+        for (const auto& child : node.children) walk(*child);
+      };
+  walk(plan);
+  return any ? tier : obs::StatsTier::kDeclared;
+}
 
 common::Result<std::unique_ptr<Operator>> BuildExecutor(
     const plan::PlanNode& plan, ExecContext* ctx) {
@@ -605,8 +601,13 @@ common::Result<std::vector<types::Tuple>> ExecutePlan(
   for (const auto& [name, count] : ctx->eval.invocation_counts) {
     ctx_udf_invocations += count;
   }
+  // Plan-invariant facts come with the hints when the caller holds them
+  // (a cached plan); otherwise they are derived from the plan once here.
+  const bool hinted_plan = ctx->log_hints.plan_fingerprint != 0;
+  const uint64_t plan_fingerprint =
+      hinted_plan ? ctx->log_hints.plan_fingerprint : plan.Fingerprint();
   const obs::PlanOutcome plan_outcome = obs::PlanHistory::Global().Record(
-      ctx->log_hints.text_hash, plan.Fingerprint(),
+      ctx->log_hints.text_hash, plan_fingerprint,
       ctx->log_hints.optimize_seconds + execute_seconds,
       ctx_udf_invocations, max_qerror, query_id);
   if (plan_outcome.plan_changed) {
@@ -622,14 +623,13 @@ common::Result<std::vector<types::Tuple>> ExecutePlan(
 
   // Close-time introspection: append this query's log record (after the
   // transfer accounting above, so the counter deltas include it; after the
-  // scans closed, so the query never sees its own row) and roll the
-  // time-series forward one sample.
+  // scans closed, so the query never sees its own row).
   if (log_on) {
     obs::QueryLogRecord record;
     record.query_id = query_id;
     record.session_id = ctx->log_hints.session_id;
     record.text_hash = ctx->log_hints.text_hash;
-    record.plan_fingerprint = plan.Fingerprint();
+    record.plan_fingerprint = plan_fingerprint;
     record.algorithm = ctx->log_hints.algorithm;
     record.optimize_seconds = ctx->log_hints.optimize_seconds;
     record.execute_seconds = execute_seconds;
@@ -656,13 +656,13 @@ common::Result<std::vector<types::Tuple>> ExecutePlan(
     record.transfer_pruned = pruned_total;
     record.drift_flags =
         CountDriftingPredicates(plan, ctx->catalog->functions());
-    record.stats_tier = WeakestStatsTier(plan);
-    record.bucket = obs::TimeSeries::Global().CurrentBucket();
+    record.stats_tier =
+        hinted_plan ? ctx->log_hints.stats_tier : WeakestStatsTier(plan);
+    record.bucket = query_log.CurrentBucket();
     record.plan_changed = plan_outcome.plan_changed;
     record.plan_regressed = plan_outcome.plan_regressed;
     query_log.Append(std::move(record));
   }
-  obs::TimeSeries::Global().Sample();
 
   if (root_out != nullptr) *root_out = std::move(root);
   return out;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "exec/operator.h"
+#include "obs/query_log.h"
 #include "plan/plan_node.h"
 #include "storage/io_stats.h"
 
@@ -18,6 +19,12 @@ namespace ppp::exec {
 /// inner with an index on the join column).
 common::Result<std::unique_ptr<Operator>> BuildExecutor(
     const plan::PlanNode& plan, ExecContext* ctx);
+
+/// The weakest provenance any predicate estimate in the tree rests on
+/// (selectivity or cost): one declared-only guess taints the whole plan.
+/// Predicate-free plans report declared — nothing was estimated at all.
+/// Plan-invariant, so callers that reuse a plan compute it once.
+obs::StatsTier WeakestStatsTier(const plan::PlanNode& plan);
 
 /// What one execution cost, in the paper's measurement currency: physical
 /// page I/O (from the buffer pool) plus per-function invocation counts.

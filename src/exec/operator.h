@@ -14,6 +14,7 @@
 #include "exec/pred_cache.h"
 #include "expr/evaluator.h"
 #include "expr/predicate.h"
+#include "obs/query_log.h"
 #include "storage/buffer_pool.h"
 #include "storage/io_stats.h"
 #include "types/column_batch.h"
@@ -154,13 +155,20 @@ struct ExecContext {
   SharedPredicateCacheRegistry* shared_caches = nullptr;
 
   /// Optimizer-side facts for the ppp_query_log record ExecutePlan appends
-  /// at close. workload::RunWithAlgorithm fills these; direct ExecutePlan
-  /// callers leave the zeroes and the record simply lacks them.
+  /// at close. workload::RunWithAlgorithm and serve::Session fill these;
+  /// direct ExecutePlan callers leave the zeroes and the record simply
+  /// lacks them.
   struct QueryLogHints {
     uint64_t text_hash = 0;       ///< Fnv1aHash of the bound spec's text.
     std::string algorithm;        ///< Placement algorithm that planned it.
     double optimize_seconds = 0.0;
     uint64_t session_id = 0;      ///< Serving-layer session (0 = none).
+    /// Plan-invariant facts a caller already holds (the serving layer
+    /// keeps them on its plan-cache entry): plan.Fingerprint() and
+    /// WeakestStatsTier(plan). 0 means unknown, and ExecutePlan derives
+    /// both from the plan itself.
+    uint64_t plan_fingerprint = 0;
+    obs::StatsTier stats_tier = obs::StatsTier::kDeclared;
   };
   QueryLogHints log_hints;
 };

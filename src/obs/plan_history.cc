@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <limits>
 
 namespace ppp::obs {
 
@@ -58,7 +57,10 @@ PlanOutcome PlanHistory::Record(uint64_t text_hash, uint64_t plan_fingerprint,
     entry.row.text_hash = text_hash;
     entry.row.plan_fingerprint = plan_fingerprint;
     entry.row.first_query_id = query_id;
+  } else {
+    by_last_use_.erase({entry.row.last_query_id, key});
   }
+  by_last_use_.emplace(query_id, key);
   if (changed) {
     outcome.plan_changed = true;
     changed_total_.fetch_add(1, std::memory_order_relaxed);
@@ -105,14 +107,10 @@ PlanOutcome PlanHistory::Record(uint64_t text_hash, uint64_t plan_fingerprint,
 }
 
 void PlanHistory::EvictOldestLocked() {
-  auto oldest = entries_.end();
-  uint64_t oldest_id = std::numeric_limits<uint64_t>::max();
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->second.row.last_query_id < oldest_id) {
-      oldest_id = it->second.row.last_query_id;
-      oldest = it;
-    }
-  }
+  if (by_last_use_.empty()) return;
+  const auto victim = by_last_use_.begin();
+  const auto oldest = entries_.find(victim->second);
+  by_last_use_.erase(victim);
   if (oldest == entries_.end()) return;
   auto current = current_plan_.find(oldest->second.row.text_hash);
   if (current != current_plan_.end() &&
@@ -181,6 +179,7 @@ void PlanHistory::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
   current_plan_.clear();
+  by_last_use_.clear();
   changed_total_.store(0, std::memory_order_relaxed);
   regressed_total_.store(0, std::memory_order_relaxed);
 }

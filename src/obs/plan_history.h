@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace ppp::obs {
@@ -58,8 +60,10 @@ struct PlanOutcome {
 ///    Flagged once per (plan, displacement); a faster new plan never flags.
 ///
 /// Bounded: beyond max_entries the entry with the oldest last_query_id is
-/// evicted. Thread-safe under one mutex; Record() runs once per query at
-/// executor close, never on per-tuple paths.
+/// evicted (ties: the smaller internal key), found through an ordered
+/// (last_query_id, key) index so eviction is O(log n). Thread-safe under
+/// one mutex; Record() runs once per query at executor close, never on
+/// per-tuple paths.
 class PlanHistory {
  public:
   static constexpr size_t kDefaultMaxEntries = 1024;
@@ -151,6 +155,8 @@ class PlanHistory {
   std::unordered_map<uint64_t, Entry> entries_;
   /// text_hash -> fingerprint of its most recently executed plan.
   std::unordered_map<uint64_t, uint64_t> current_plan_;
+  /// (last_query_id, key) of every entry; begin() is the eviction victim.
+  std::set<std::pair<uint64_t, uint64_t>> by_last_use_;
 };
 
 }  // namespace ppp::obs

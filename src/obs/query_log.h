@@ -2,6 +2,7 @@
 #define PPP_OBS_QUERY_LOG_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -50,8 +51,9 @@ struct QueryLogRecord {
   /// Predicates whose observed rank drifted past the profiler threshold.
   uint64_t drift_flags = 0;
   StatsTier stats_tier = StatsTier::kDeclared;
-  /// 1 s time-series bucket (TimeSeries clock) the query finished in;
-  /// equi-joins ppp_query_log against ppp_metrics_window.
+  /// Whole seconds since the log's epoch when the query finished
+  /// (QueryLog::CurrentBucket): `GROUP BY bucket` over ppp_query_log gives
+  /// per-second rates of every counter column above.
   int64_t bucket = 0;
   /// PlanHistory verdicts for this execution: the plan's fingerprint
   /// differed from this text_hash's previous plan (plan_changed), and the
@@ -86,6 +88,14 @@ class QueryLog {
     return next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
+  /// The 1 s bucket a record finishing now belongs to: whole seconds since
+  /// this log was constructed.
+  int64_t CurrentBucket() const {
+    return std::chrono::duration_cast<std::chrono::seconds>(
+               std::chrono::steady_clock::now() - epoch_)
+        .count();
+  }
+
   /// Appends one record; past capacity the oldest record is overwritten
   /// (counted in evicted()). No-op while disabled.
   void Append(QueryLogRecord record);
@@ -113,6 +123,8 @@ class QueryLog {
   void Clear();
 
  private:
+  const std::chrono::steady_clock::time_point epoch_ =
+      std::chrono::steady_clock::now();
   std::atomic<bool> enabled_{true};
   std::atomic<uint64_t> next_id_{0};
   std::atomic<uint64_t> total_{0};

@@ -257,29 +257,40 @@ common::Result<std::string> StringField(const JsonValue& event,
 std::string ToChromeTraceJson(const std::vector<SpanEvent>& events,
                               uint64_t dropped_events) {
   // `otherData` is Chrome's free-form metadata object; the dropped count
-  // rides there so a capped trace still records how much it lost.
+  // rides there so a capped trace still records how much it lost. Built
+  // with append() rather than operator+ chains, which trip GCC 12's
+  // -Werror=restrict false positives at -O3.
   std::string out = "{\"displayTimeUnit\": \"ms\", \"otherData\": "
-                    "{\"droppedEvents\": \"" +
-                    std::to_string(dropped_events) +
-                    "\"}, \"traceEvents\": [\n";
+                    "{\"droppedEvents\": \"";
+  out.append(std::to_string(dropped_events))
+      .append("\"}, \"traceEvents\": [\n");
   for (size_t i = 0; i < events.size(); ++i) {
     const SpanEvent& e = events[i];
-    out += "  {\"name\": \"" + JsonEscape(e.name) + "\", \"cat\": \"" +
-           JsonEscape(e.cat) + "\", \"ph\": \"X\", \"ts\": " +
-           NumberToJson(e.ts_us) + ", \"dur\": " + NumberToJson(e.dur_us) +
-           ", \"pid\": 1, \"tid\": " + std::to_string(e.tid);
+    out.append("  {\"name\": \"")
+        .append(JsonEscape(e.name))
+        .append("\", \"cat\": \"")
+        .append(JsonEscape(e.cat))
+        .append("\", \"ph\": \"X\", \"ts\": ")
+        .append(NumberToJson(e.ts_us))
+        .append(", \"dur\": ")
+        .append(NumberToJson(e.dur_us))
+        .append(", \"pid\": 1, \"tid\": ")
+        .append(std::to_string(e.tid));
     if (!e.args.empty()) {
-      out += ", \"args\": {";
+      out.append(", \"args\": {");
       for (size_t a = 0; a < e.args.size(); ++a) {
-        if (a > 0) out += ", ";
-        out += "\"" + JsonEscape(e.args[a].first) + "\": \"" +
-               JsonEscape(e.args[a].second) + "\"";
+        if (a > 0) out.append(", ");
+        out.append("\"")
+            .append(JsonEscape(e.args[a].first))
+            .append("\": \"")
+            .append(JsonEscape(e.args[a].second))
+            .append("\"");
       }
-      out += "}";
+      out.append("}");
     }
-    out += "}";
-    if (i + 1 < events.size()) out += ",";
-    out += "\n";
+    out.append("}");
+    if (i + 1 < events.size()) out.append(",");
+    out.append("\n");
   }
   out += "]}\n";
   return out;

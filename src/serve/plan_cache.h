@@ -13,6 +13,7 @@
 
 #include "catalog/catalog.h"
 #include "cost/cost_params.h"
+#include "obs/query_log.h"
 #include "plan/plan_node.h"
 
 namespace ppp::serve {
@@ -52,6 +53,8 @@ struct CachedPlan {
   uint64_t text_hash = 0;
   uint64_t family_hash = 0;   ///< Literal-sloted family (observability).
   uint64_t plan_fingerprint = 0;
+  /// exec::WeakestStatsTier(*plan), computed once when the plan is made.
+  obs::StatsTier stats_tier = obs::StatsTier::kDeclared;
   std::string algorithm;
   double est_cost = 0.0;
   double optimize_seconds = 0.0;  ///< What the miss paid (the hit saves it).

@@ -1,10 +1,12 @@
 #include "serve/session.h"
 
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "catalog/system_tables.h"
@@ -138,43 +140,81 @@ void RegisterServeSystemTables(catalog::Catalog* catalog) {
   (void)r2;
 }
 
-/// Renders a bound parameter the way NormalizeSql spells the same literal,
-/// so an EXECUTE and a plain QUERY with identical constants share one
-/// exact plan-cache slot (doubles use %.17g — exotic spellings simply get
-/// their own slot, which is correct, just not shared).
-std::string RenderValueLiteral(const types::Value& v) {
+/// Appends a bound parameter spelled the way NormalizeSql spells the same
+/// literal in a QUERY, so an EXECUTE and a plain QUERY with identical
+/// constants share one exact plan-cache slot. A minus sign is its own
+/// token ("- 2"); doubles take their shortest round-trip spelling and keep
+/// a decimal point so they never alias an integer literal. Spellings a
+/// QUERY cannot produce (exponents, quotes inside strings) simply get
+/// their own slot, which is correct, just not shared.
+void AppendValueLiteral(const types::Value& v, std::string* out) {
+  std::string_view digits;
+  char buf[32];
   switch (v.type()) {
-    case types::TypeId::kInt64:
-      return std::to_string(v.AsInt64());
-    case types::TypeId::kDouble:
-      return common::StringPrintf("%.17g", v.AsDouble());
+    case types::TypeId::kInt64: {
+      const auto r = std::to_chars(buf, buf + sizeof(buf), v.AsInt64());
+      digits = std::string_view(buf, r.ptr - buf);
+      break;
+    }
+    case types::TypeId::kDouble: {
+      const auto r = std::to_chars(buf, buf + sizeof(buf), v.AsDouble());
+      digits = std::string_view(buf, r.ptr - buf);
+      break;
+    }
     case types::TypeId::kString:
-      return "'" + v.AsString() + "'";
+      out->push_back('\'');
+      out->append(v.AsString());
+      out->push_back('\'');
+      return;
     default:
-      return v.ToString();
+      out->append(v.ToString());
+      return;
+  }
+  if (!digits.empty() && digits[0] == '-') {
+    out->append("- ");
+    digits.remove_prefix(1);
+  }
+  out->append(digits);
+  if (v.type() == types::TypeId::kDouble &&
+      digits.find_first_of(".ein") == std::string_view::npos) {
+    out->append(".0");
   }
 }
 
-/// Splices `values` into the family text's $n slots, producing the
-/// normalized concrete statement text.
-std::string RenderConcreteText(const std::string& family_text,
-                               const std::vector<types::Value>& values) {
-  std::string out;
-  for (const std::string& token : common::Split(family_text, ' ')) {
+/// Cuts the family text at its $n slots (the PREPARE-time half of
+/// RenderConcreteText). Tokens are single-space separated; a token that is
+/// `$` plus digits naming a slot in [1, num_params] is a slot.
+void SplitFamilyText(PreparedFamily* family) {
+  std::string piece;
+  bool first = true;
+  for (const std::string& token : common::Split(family->family_text, ' ')) {
+    if (!first) piece.push_back(' ');
+    first = false;
     bool is_slot = token.size() >= 2 && token[0] == '$';
     for (size_t i = 1; is_slot && i < token.size(); ++i) {
       is_slot = std::isdigit(static_cast<unsigned char>(token[i])) != 0;
     }
-    if (!out.empty()) out.push_back(' ');
-    if (is_slot) {
-      const size_t slot =
-          std::strtoull(token.c_str() + 1, nullptr, 10);
-      if (slot >= 1 && slot <= values.size()) {
-        out.append(RenderValueLiteral(values[slot - 1]));
-        continue;
-      }
+    const size_t slot =
+        is_slot ? std::strtoull(token.c_str() + 1, nullptr, 10) : 0;
+    if (slot >= 1 && slot <= family->num_params) {
+      family->text_pieces.push_back(std::move(piece));
+      family->piece_slots.push_back(slot - 1);
+      piece.clear();
+      continue;
     }
-    out.append(token);
+    piece.append(token);
+  }
+  family->text_pieces.push_back(std::move(piece));
+}
+
+/// Splices `values` between the family's text pieces, producing the
+/// normalized concrete statement text.
+std::string RenderConcreteText(const PreparedFamily& family,
+                               const std::vector<types::Value>& values) {
+  std::string out = family.text_pieces[0];
+  for (size_t i = 0; i < family.piece_slots.size(); ++i) {
+    AppendValueLiteral(values[family.piece_slots[i]], &out);
+    out.append(family.text_pieces[i + 1]);
   }
   return out;
 }
@@ -409,13 +449,13 @@ common::Result<QueryResult> Session::ExecuteSelect(const std::string& sql) {
       state_->plan_cache_enabled && options_.use_plan_cache;
   PlanCacheKey key;
   key.text_hash = norm.text_hash;
-  key.params_hash =
-      PlacementParamsHash(options_.cost_params, algorithm_name);
+  key.params_hash = ParamsHash();
 
   QueryResult result;
   result.text_hash = norm.text_hash;
 
   std::shared_ptr<const plan::PlanNode> plan;
+  obs::StatsTier stats_tier = obs::StatsTier::kDeclared;
   std::shared_ptr<const CachedPlan> cached;
   if (use_cache) cached = state_->plan_cache.Probe(key, catalog);
 
@@ -430,6 +470,7 @@ common::Result<QueryResult> Session::ExecuteSelect(const std::string& sql) {
     plan = cached->plan;
     result.plan_cache_hit = true;
     result.plan_fingerprint = cached->plan_fingerprint;
+    stats_tier = cached->stats_tier;
   } else {
     PPP_ASSIGN_OR_RETURN(plan::QuerySpec spec,
                          subquery::ParseBindRewrite(rest, &catalog));
@@ -450,24 +491,38 @@ common::Result<QueryResult> Session::ExecuteSelect(const std::string& sql) {
                          opt.Optimize(spec, options_.algorithm));
     plan = std::shared_ptr<const plan::PlanNode>(std::move(optimized.plan));
     result.plan_fingerprint = plan->Fingerprint();
+    stats_tier = exec::WeakestStatsTier(*plan);
     if (use_cache) {
       entry.plan = plan;
       entry.text_hash = norm.text_hash;
       entry.family_hash = norm.family_hash;
       entry.plan_fingerprint = result.plan_fingerprint;
+      entry.stats_tier = stats_tier;
       entry.algorithm = algorithm_name;
       entry.est_cost = optimized.est_cost;
       entry.optimize_seconds = SecondsSince(plan_start);
       state_->plan_cache.Insert(key, std::move(entry));
     }
   }
-  return RunPlan(std::move(plan), std::move(result), norm.text_hash,
+  return RunPlan(std::move(plan), std::move(result), stats_tier,
                  algorithm_name, plan_start);
+}
+
+uint64_t Session::ParamsHash() {
+  if (!params_hash_memo_.has_value() ||
+      params_hash_memo_->algorithm != options_.algorithm ||
+      !(params_hash_memo_->cost_params == options_.cost_params)) {
+    params_hash_memo_ = ParamsHashMemo{
+        options_.cost_params, options_.algorithm,
+        PlacementParamsHash(options_.cost_params,
+                            optimizer::AlgorithmName(options_.algorithm))};
+  }
+  return params_hash_memo_->hash;
 }
 
 common::Result<QueryResult> Session::RunPlan(
     std::shared_ptr<const plan::PlanNode> plan, QueryResult result,
-    uint64_t text_hash, const std::string& algorithm_name,
+    obs::StatsTier stats_tier, const std::string& algorithm_name,
     std::chrono::steady_clock::time_point plan_start) {
   result.optimize_seconds = SecondsSince(plan_start);
   result.plan = plan;
@@ -478,10 +533,12 @@ common::Result<QueryResult> Session::RunPlan(
   ctx_.params = options_.exec_params;
   ctx_.shared_caches =
       state_->share_predicate_caches ? &state_->shared_caches : nullptr;
-  ctx_.log_hints.text_hash = text_hash;
+  ctx_.log_hints.text_hash = result.text_hash;
   ctx_.log_hints.algorithm = algorithm_name;
   ctx_.log_hints.optimize_seconds = result.optimize_seconds;
   ctx_.log_hints.session_id = id_;
+  ctx_.log_hints.plan_fingerprint = result.plan_fingerprint;
+  ctx_.log_hints.stats_tier = stats_tier;
 
   const auto exec_start = std::chrono::steady_clock::now();
   exec::ExecStats stats;
@@ -512,6 +569,7 @@ common::Result<QueryResult> Session::Prepare(const std::string& name,
   family->family_hash = norm.family_hash;
   family->num_params = norm.params.size();
   family->param_kinds = norm.param_kinds;
+  SplitFamilyText(family.get());
   std::shared_ptr<const PreparedFamily> shared = family;
   {
     // Statements differing only in constants normalize to one family —
@@ -553,13 +611,11 @@ common::Result<QueryResult> Session::ExecutePrepared(
   }
 
   const auto plan_start = std::chrono::steady_clock::now();
-  const std::string concrete_text =
-      RenderConcreteText(family->family_text, bound);
-  const uint64_t text_hash = common::Fnv1aHash(concrete_text);
+  const uint64_t text_hash =
+      common::Fnv1aHash(RenderConcreteText(*family, bound));
   const std::string algorithm_name =
       optimizer::AlgorithmName(options_.algorithm);
-  const uint64_t params_hash =
-      PlacementParamsHash(options_.cost_params, algorithm_name);
+  const uint64_t params_hash = ParamsHash();
   const bool use_cache =
       state_->plan_cache_enabled && options_.use_plan_cache;
 
@@ -585,7 +641,7 @@ common::Result<QueryResult> Session::ExecutePrepared(
     }
     result.plan_cache_hit = true;
     result.plan_fingerprint = cached->plan_fingerprint;
-    return RunPlan(cached->plan, std::move(result), text_hash,
+    return RunPlan(cached->plan, std::move(result), cached->stats_tier,
                    algorithm_name, plan_start);
   }
 
@@ -608,6 +664,8 @@ common::Result<QueryResult> Session::ExecutePrepared(
       result.plan_fingerprint = plan->Fingerprint();
       // Promote into the exact level so a repeat of these literals skips
       // even the substitution. Epochs were just validated by the probe.
+      // Substitution swaps constants only, so the estimate provenance is
+      // the family plan's.
       CachedPlan entry;
       entry.plan = plan;
       entry.bindings = generic->bindings;
@@ -615,11 +673,12 @@ common::Result<QueryResult> Session::ExecutePrepared(
       entry.text_hash = text_hash;
       entry.family_hash = family->family_hash;
       entry.plan_fingerprint = result.plan_fingerprint;
+      entry.stats_tier = generic->stats_tier;
       entry.algorithm = algorithm_name;
       entry.est_cost = generic->est_cost;
       entry.optimize_seconds = SecondsSince(plan_start);
       state_->plan_cache.Insert(exact_key, std::move(entry));
-      return RunPlan(std::move(plan), std::move(result), text_hash,
+      return RunPlan(std::move(plan), std::move(result), generic->stats_tier,
                      algorithm_name, plan_start);
     }
   }
@@ -644,11 +703,13 @@ common::Result<QueryResult> Session::ExecutePrepared(
                        opt.Optimize(spec, options_.algorithm));
   plan = std::shared_ptr<const plan::PlanNode>(std::move(optimized.plan));
   result.plan_fingerprint = plan->Fingerprint();
+  const obs::StatsTier stats_tier = exec::WeakestStatsTier(*plan);
   if (use_cache) {
     entry.plan = plan;
     entry.text_hash = text_hash;
     entry.family_hash = family->family_hash;
     entry.plan_fingerprint = result.plan_fingerprint;
+    entry.stats_tier = stats_tier;
     entry.algorithm = algorithm_name;
     entry.est_cost = optimized.est_cost;
     entry.optimize_seconds = SecondsSince(plan_start);
@@ -661,7 +722,7 @@ common::Result<QueryResult> Session::ExecutePrepared(
     entry.num_params = 0;
     state_->plan_cache.Insert(exact_key, std::move(entry));
   }
-  return RunPlan(std::move(plan), std::move(result), text_hash,
+  return RunPlan(std::move(plan), std::move(result), stats_tier,
                  algorithm_name, plan_start);
 }
 

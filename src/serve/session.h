@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "exec/executor.h"
 #include "exec/operator.h"
 #include "exec/shared_caches.h"
+#include "obs/query_log.h"
 #include "optimizer/optimizer.h"
 #include "parser/normalize.h"
 #include "serve/plan_cache.h"
@@ -47,6 +49,11 @@ struct PreparedFamily {
   /// EXECUTE arguments are checked (and int→float widened) against it;
   /// kHole slots (explicit $n) accept any scalar.
   std::vector<parser::ParamKind> param_kinds;
+  /// family_text cut at its $n slots once, at PREPARE: text_pieces[i]
+  /// precedes slot piece_slots[i] (0-based) and the last piece trails, so
+  /// an EXECUTE renders its concrete text without re-scanning the family.
+  std::vector<std::string> text_pieces;
+  std::vector<size_t> piece_slots;
 };
 
 /// Outcome of one Session::Execute call.
@@ -174,9 +181,19 @@ class Session {
   common::Result<QueryResult> ExecuteAnalyze(const std::string& sql);
   common::Result<QueryResult> RunPlan(
       std::shared_ptr<const plan::PlanNode> plan, QueryResult result,
-      uint64_t text_hash, const std::string& algorithm_name,
+      obs::StatsTier stats_tier, const std::string& algorithm_name,
       std::chrono::steady_clock::time_point plan_start);
   void UpdateRow(const QueryResult& result);
+  /// PlacementParamsHash of the session's current knobs, recomputed only
+  /// when options_.cost_params or options_.algorithm moved since the last
+  /// statement (options() hands out a mutable reference).
+  uint64_t ParamsHash();
+
+  struct ParamsHashMemo {
+    cost::CostParams cost_params;
+    optimizer::Algorithm algorithm;
+    uint64_t hash = 0;
+  };
 
   std::shared_ptr<internal::ServeState> state_;
   uint64_t id_ = 0;
@@ -189,6 +206,7 @@ class Session {
   std::vector<std::string> prepared_order_;
   uint64_t queries_ = 0;
   uint64_t cache_hits_ = 0;
+  std::optional<ParamsHashMemo> params_hash_memo_;
 };
 
 /// Hands out sessions over one shared engine context and wires the

@@ -16,7 +16,6 @@
 #include "obs/plan_history.h"
 #include "obs/query_log.h"
 #include "obs/span.h"
-#include "obs/timeseries.h"
 #include "optimizer/optimizer.h"
 #include "parser/binder.h"
 #include "stats/collector.h"
@@ -31,8 +30,8 @@ using types::TypeId;
 using types::Value;
 
 const char* const kSystemTables[] = {
-    "ppp_query_log", "ppp_metrics", "ppp_metrics_window", "ppp_spans",
-    "ppp_table_stats", "ppp_operator_audit", "ppp_plan_history",
+    "ppp_query_log", "ppp_metrics", "ppp_spans", "ppp_table_stats",
+    "ppp_operator_audit", "ppp_plan_history",
 };
 
 class IntrospectTest : public ::testing::Test {
@@ -45,7 +44,6 @@ class IntrospectTest : public ::testing::Test {
     obs::PlanAudit::Global().set_enabled(true);
     obs::PlanHistory::Global().Clear();
     obs::PlanHistory::Global().set_enabled(true);
-    obs::TimeSeries::Global().Clear();
     obs::SpanTracer::Global().set_enabled(false);
     obs::SpanTracer::Global().Clear();
 
@@ -204,18 +202,42 @@ TEST_F(IntrospectTest, MetricsTableExposesCountersWithStringPredicates) {
   EXPECT_TRUE(saw_batches);
 }
 
-TEST_F(IntrospectTest, QueryLogJoinsMetricsWindowOnBucket) {
-  // Two queries a sample apart give the window at least one credited
-  // delta; the join itself must plan and execute like any equi-join.
-  Run("SELECT count(*) FROM t");
-  Run("SELECT count(*) FROM t WHERE t.val < 25");
-  const std::vector<Tuple> rows = Run(
-      "SELECT ppp_query_log.query_id, ppp_metrics_window.name "
-      "FROM ppp_query_log, ppp_metrics_window "
-      "WHERE ppp_query_log.bucket = ppp_metrics_window.bucket");
-  // Row count is timing-dependent (1 s buckets); the contract under test
-  // is that the join binds, plans, and runs.
-  EXPECT_GE(rows.size(), 0u);
+TEST_F(IntrospectTest, QueryLogGroupsByBucketIntoPerSecondCounters) {
+  // GROUP BY bucket turns the log's exact per-query counters into
+  // per-second totals. Which seconds the queries land in is
+  // timing-dependent; the per-bucket sums must add up to the log's totals
+  // either way, and the self-join on bucket must plan and run like any
+  // equi-join.
+  Run("SELECT count(*) FROM t WHERE pricey(t.val)");
+  Run("SELECT count(*) FROM t WHERE t.val < 25 AND pricey(t.grp)");
+  const std::vector<Tuple> buckets = Run(
+      "SELECT ppp_query_log.bucket, count(*), "
+      "sum(ppp_query_log.udf_invocations) FROM ppp_query_log "
+      "GROUP BY ppp_query_log.bucket");
+  ASSERT_GE(buckets.size(), 1u);
+  ASSERT_LE(buckets.size(), 2u);
+  int64_t queries = 0;
+  int64_t invocations = 0;
+  for (const Tuple& row : buckets) {
+    EXPECT_GE(row.Get(0).AsInt64(), 0);
+    queries += row.Get(1).AsInt64();
+    invocations += static_cast<int64_t>(row.Get(2).AsNumeric());
+  }
+  EXPECT_EQ(queries, 2);
+  int64_t logged = 0;
+  for (const obs::QueryLogRecord& r : obs::QueryLog::Global().Snapshot()) {
+    logged += static_cast<int64_t>(r.udf_invocations);
+  }
+  EXPECT_GT(invocations, 0);
+  EXPECT_EQ(invocations, logged);
+
+  const std::vector<Tuple> pairs = Run(
+      "SELECT a.query_id, b.query_id FROM ppp_query_log a, ppp_query_log b "
+      "WHERE a.bucket = b.bucket");
+  // Every record pairs with itself at least; three records are logged by
+  // now (the GROUP BY above closed before this scan opened).
+  EXPECT_GE(pairs.size(), 3u);
+  EXPECT_LE(pairs.size(), 9u);
 }
 
 TEST_F(IntrospectTest, SpansTableCarriesTheQueryId) {
@@ -277,7 +299,7 @@ TEST_F(IntrospectTest, SystemTablesRejectDdlDmlAndAnalyze) {
 
 TEST_F(IntrospectTest, SystemTableNamesListsAllSorted) {
   const std::vector<std::string> names = catalog_.SystemTableNames();
-  ASSERT_EQ(names.size(), 7u);
+  ASSERT_EQ(names.size(), 6u);
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   for (const char* name : kSystemTables) {
     EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())

@@ -2,15 +2,20 @@
 // arithmetic (hand-computed pairs and the zero-row clamp), the
 // OperatorAuditRecord ring (wraparound, tail, concurrent writers — run
 // under TSan), and PlanHistory aggregation with plan-change and regression
-// detection (warmup gating, once-per-displacement flagging, eviction).
+// detection (warmup gating, once-per-displacement flagging, eviction —
+// checked against a linear-scan reference model).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "obs/plan_audit.h"
 #include "obs/plan_history.h"
 
@@ -328,6 +333,185 @@ TEST(PlanHistoryTest, ConcurrentRecordersAndSnapshotters) {
     executions += e.executions;
   }
   EXPECT_EQ(executions, kWriters * kPerWriter);
+}
+
+/// PlanHistory's bookkeeping with the eviction victim found the original
+/// way: a linear scan for the smallest last_query_id. The reference model
+/// for the ordered-index eviction.
+class LinearScanHistory {
+ public:
+  explicit LinearScanHistory(size_t max_entries)
+      : max_entries_(max_entries) {}
+
+  PlanOutcome Record(uint64_t text_hash, uint64_t fingerprint, double wall,
+                     uint64_t invocations, uint64_t query_id) {
+    PlanOutcome outcome;
+    auto [current, first_plan] = current_.try_emplace(text_hash, fingerprint);
+    const uint64_t previous = current->second;
+    const bool changed = !first_plan && previous != fingerprint;
+    current->second = fingerprint;
+    auto [it, inserted] = rows_.try_emplace({text_hash, fingerprint});
+    Row& row = it->second;
+    if (inserted) row.first_query_id = query_id;
+    if (changed) {
+      outcome.plan_changed = true;
+      row.plan_changed = true;
+      row.displaced = previous;
+      row.regressed = false;
+    }
+    ++row.executions;
+    row.wall_sum += wall;
+    row.invocations += invocations;
+    row.last_query_id = query_id;
+    if (!row.regressed && row.displaced != 0 &&
+        row.executions >= PlanHistory::kDefaultWarmupExecutions) {
+      auto prior = rows_.find({text_hash, row.displaced});
+      if (prior != rows_.end() &&
+          prior->second.executions >= PlanHistory::kDefaultWarmupExecutions) {
+        const double prior_mean =
+            prior->second.wall_sum /
+            static_cast<double>(prior->second.executions);
+        const double mean =
+            row.wall_sum / static_cast<double>(row.executions);
+        if (prior_mean > 0.0 &&
+            mean > prior_mean * PlanHistory::kDefaultRegressionFactor) {
+          row.regressed = true;
+          outcome.plan_regressed = true;
+        }
+      }
+    }
+    while (rows_.size() > max_entries_) {
+      auto oldest = rows_.begin();
+      for (auto r = rows_.begin(); r != rows_.end(); ++r) {
+        if (r->second.last_query_id < oldest->second.last_query_id) {
+          oldest = r;
+        }
+      }
+      auto cur = current_.find(oldest->first.first);
+      if (cur != current_.end() && cur->second == oldest->first.second) {
+        current_.erase(cur);
+      }
+      rows_.erase(oldest);
+      ++evictions_;
+    }
+    return outcome;
+  }
+
+  /// Same order as PlanHistory::Snapshot(): first_query_id, fingerprint.
+  std::vector<PlanHistoryEntry> Snapshot() const {
+    std::vector<PlanHistoryEntry> out;
+    for (const auto& [key, row] : rows_) {
+      PlanHistoryEntry e;
+      e.text_hash = key.first;
+      e.plan_fingerprint = key.second;
+      e.executions = row.executions;
+      e.wall_mean = row.wall_sum / static_cast<double>(row.executions);
+      e.total_invocations = row.invocations;
+      e.first_query_id = row.first_query_id;
+      e.last_query_id = row.last_query_id;
+      e.plan_changed = row.plan_changed;
+      e.regressed = row.regressed;
+      out.push_back(e);
+    }
+    std::sort(out.begin(), out.end(),
+              [](const PlanHistoryEntry& a, const PlanHistoryEntry& b) {
+                if (a.first_query_id != b.first_query_id) {
+                  return a.first_query_id < b.first_query_id;
+                }
+                return a.plan_fingerprint < b.plan_fingerprint;
+              });
+    return out;
+  }
+
+  bool Regressed(uint64_t text_hash, uint64_t fingerprint) const {
+    auto it = rows_.find({text_hash, fingerprint});
+    return it != rows_.end() && it->second.regressed;
+  }
+
+  uint64_t evictions() const { return evictions_; }
+
+ private:
+  struct Row {
+    uint64_t executions = 0;
+    double wall_sum = 0.0;
+    uint64_t invocations = 0;
+    uint64_t first_query_id = 0;
+    uint64_t last_query_id = 0;
+    bool plan_changed = false;
+    bool regressed = false;
+    uint64_t displaced = 0;
+  };
+  size_t max_entries_;
+  std::map<std::pair<uint64_t, uint64_t>, Row> rows_;
+  std::map<uint64_t, uint64_t> current_;
+  uint64_t evictions_ = 0;
+};
+
+TEST(PlanHistoryTest, OrderedEvictionMatchesTheLinearScanModel) {
+  constexpr size_t kCap = 64;
+  PlanHistory history;
+  history.set_max_entries(kCap);
+  LinearScanHistory model(kCap);
+  common::Random rng(20261017);
+  // 48 texts x 3 plans = 144 possible keys against a cap of 64. Half the
+  // calls re-touch one of the last few keys, so recency — not insertion
+  // order — decides who is evicted; slower wall times on higher
+  // fingerprints make plan flips regress now and then.
+  std::vector<std::pair<uint64_t, uint64_t>> recent;
+  uint64_t regressions = 0;
+  uint64_t changes = 0;
+  for (uint64_t query_id = 1; query_id <= 5000; ++query_id) {
+    std::pair<uint64_t, uint64_t> key;
+    if (!recent.empty() && rng.NextBool(0.5)) {
+      key = recent[rng.NextUint64(recent.size())];
+      if (rng.NextBool(0.2)) key.second = 1 + rng.NextUint64(3);
+    } else {
+      key = {1 + rng.NextUint64(48), 1 + rng.NextUint64(3)};
+    }
+    recent.push_back(key);
+    if (recent.size() > 8) recent.erase(recent.begin());
+    const double wall =
+        0.001 * static_cast<double>(key.second) * (1.0 + rng.NextDouble());
+    const uint64_t invocations = rng.NextUint64(5);
+    const PlanOutcome got = history.Record(key.first, key.second, wall,
+                                           invocations, 1.0, query_id);
+    const PlanOutcome want =
+        model.Record(key.first, key.second, wall, invocations, query_id);
+    ASSERT_EQ(got.plan_changed, want.plan_changed) << "query " << query_id;
+    ASSERT_EQ(got.plan_regressed, want.plan_regressed)
+        << "query " << query_id;
+    changes += got.plan_changed ? 1 : 0;
+    regressions += got.plan_regressed ? 1 : 0;
+    ASSERT_LE(history.size(), kCap);
+
+    if (query_id % 50 != 0 && query_id != 5000) continue;
+    const std::vector<PlanHistoryEntry> real = history.Snapshot();
+    const std::vector<PlanHistoryEntry> ref = model.Snapshot();
+    ASSERT_EQ(real.size(), ref.size()) << "query " << query_id;
+    for (size_t i = 0; i < real.size(); ++i) {
+      ASSERT_EQ(real[i].text_hash, ref[i].text_hash) << "query " << query_id;
+      ASSERT_EQ(real[i].plan_fingerprint, ref[i].plan_fingerprint);
+      ASSERT_EQ(real[i].executions, ref[i].executions);
+      ASSERT_DOUBLE_EQ(real[i].wall_mean, ref[i].wall_mean);
+      ASSERT_EQ(real[i].total_invocations, ref[i].total_invocations);
+      ASSERT_EQ(real[i].first_query_id, ref[i].first_query_id);
+      ASSERT_EQ(real[i].last_query_id, ref[i].last_query_id);
+      ASSERT_EQ(real[i].plan_changed, ref[i].plan_changed);
+      ASSERT_EQ(real[i].regressed, ref[i].regressed);
+    }
+    for (uint64_t text = 1; text <= 48; ++text) {
+      for (uint64_t fingerprint = 1; fingerprint <= 3; ++fingerprint) {
+        ASSERT_EQ(history.Regressed(text, fingerprint),
+                  model.Regressed(text, fingerprint))
+            << "text " << text << " plan " << fingerprint;
+      }
+    }
+  }
+  // The run must actually exercise what it compares.
+  EXPECT_EQ(history.size(), kCap);
+  EXPECT_GT(model.evictions(), 1000u);
+  EXPECT_GT(changes, 100u);
+  EXPECT_GT(regressions, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Unit tests for the introspection backing stores: the QueryLog ring
-// (including wraparound under concurrent writers — run under TSan), the
-// TimeSeries sliding window, and the Chrome-trace round-trip with dropped
-// events surviving the parse.
+// (including wraparound under concurrent writers — run under TSan, and its
+// 1 s bucket clock) and the Chrome-trace round-trip with dropped events
+// surviving the parse.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "obs/query_log.h"
 #include "obs/span.h"
 #include "obs/trace_export.h"
-#include "obs/timeseries.h"
 
 namespace ppp {
 namespace {
@@ -22,8 +21,6 @@ namespace {
 using obs::QueryLog;
 using obs::QueryLogRecord;
 using obs::StatsTier;
-using obs::TimeSeries;
-using obs::TimeSeriesPoint;
 
 QueryLogRecord MakeRecord(uint64_t id) {
   QueryLogRecord r;
@@ -149,95 +146,13 @@ TEST(QueryLogTest, ConcurrentWritersWrapWithoutTearingRecords) {
   EXPECT_EQ(ids.size(), 64u);  // All retained records are distinct.
 }
 
-double DeltaOf(const std::vector<TimeSeriesPoint>& points,
-               const std::string& name, int64_t bucket) {
-  for (const TimeSeriesPoint& p : points) {
-    if (p.name == name && p.bucket == bucket) return p.delta;
-  }
-  return -1.0;
-}
-
-TEST(TimeSeriesTest, FirstSampleBaselinesWithoutCreditingHistory) {
-  TimeSeries ts;
-  ts.SampleAt({{"c", 100}}, 1.5);
-  EXPECT_TRUE(ts.Snapshot().empty());  // Baseline only, no delta yet.
-  ts.SampleAt({{"c", 130}}, 2.5);
-  const std::vector<TimeSeriesPoint> points = ts.Snapshot();
-  ASSERT_EQ(points.size(), 1u);
-  EXPECT_EQ(points[0].name, "c");
-  EXPECT_EQ(points[0].bucket, 2);
-  EXPECT_DOUBLE_EQ(points[0].delta, 30.0);
-  EXPECT_DOUBLE_EQ(points[0].window_total, 30.0);
-}
-
-TEST(TimeSeriesTest, SameBucketSamplesAccumulate) {
-  TimeSeries ts;
-  ts.SampleAt({{"c", 0}}, 5.1);
-  ts.SampleAt({{"c", 10}}, 5.4);
-  ts.SampleAt({{"c", 25}}, 5.9);
-  const std::vector<TimeSeriesPoint> points = ts.Snapshot();
-  ASSERT_EQ(points.size(), 1u);
-  EXPECT_EQ(points[0].bucket, 5);
-  EXPECT_DOUBLE_EQ(points[0].delta, 25.0);
-}
-
-TEST(TimeSeriesTest, BackwardsCounterRebaselinesWithoutNegativeDelta) {
-  TimeSeries ts;
-  ts.SampleAt({{"c", 0}}, 1.0);
-  ts.SampleAt({{"c", 50}}, 2.0);
-  // A ResetAll between bench phases moves the counter backwards; the
-  // series must rebaseline, not credit a negative or giant delta. Only
-  // touched buckets are stored, so the rebaseline second has no cell.
-  ts.SampleAt({{"c", 5}}, 3.0);
-  ts.SampleAt({{"c", 12}}, 4.0);
-  const std::vector<TimeSeriesPoint> points = ts.Snapshot();
-  EXPECT_DOUBLE_EQ(DeltaOf(points, "c", 2), 50.0);
-  EXPECT_DOUBLE_EQ(DeltaOf(points, "c", 3), -1.0);  // Absent, not stored.
-  EXPECT_DOUBLE_EQ(DeltaOf(points, "c", 4), 7.0);
-}
-
-TEST(TimeSeriesTest, BucketsOlderThanTheWindowFallOff) {
-  TimeSeries ts;
-  ts.set_window_buckets(3);
-  ts.SampleAt({{"c", 0}}, 1.0);
-  ts.SampleAt({{"c", 10}}, 2.0);
-  ts.SampleAt({{"c", 20}}, 3.0);
-  ts.SampleAt({{"c", 30}}, 10.0);  // Buckets 2 and 3 age out.
-  const std::vector<TimeSeriesPoint> points = ts.Snapshot();
-  ASSERT_EQ(points.size(), 1u);
-  EXPECT_EQ(points[0].bucket, 10);
-  EXPECT_DOUBLE_EQ(points[0].delta, 10.0);
-  EXPECT_DOUBLE_EQ(points[0].window_total, 10.0);
-}
-
-TEST(TimeSeriesTest, PercentilesZeroFillGapBucketsAndOrderIsStable) {
-  TimeSeries ts;
-  ts.SampleAt({{"a", 0}, {"b", 0}}, 0.5);
-  ts.SampleAt({{"a", 100}, {"b", 1}}, 1.5);
-  ts.SampleAt({{"a", 101}, {"b", 2}}, 9.5);  // Seven idle seconds between.
-  const std::vector<TimeSeriesPoint> points = ts.Snapshot();
-  // Ordered by name then bucket: a@1, a@9, b@1, b@9. The idle seconds
-  // between the stored buckets count as zero-rate in the percentiles.
-  ASSERT_EQ(points.size(), 4u);
-  EXPECT_EQ(points[0].name, "a");
-  EXPECT_EQ(points[0].bucket, 1);
-  EXPECT_EQ(points[1].name, "a");
-  EXPECT_EQ(points[1].bucket, 9);
-  EXPECT_EQ(points[2].name, "b");
-  // "a" spiked 100 in one of nine buckets: the median second is idle.
-  EXPECT_DOUBLE_EQ(points[0].rate_p50, 0.0);
-  EXPECT_DOUBLE_EQ(points[0].rate_p99, 100.0);
-  EXPECT_DOUBLE_EQ(points[0].window_total, 101.0);
-}
-
-TEST(TimeSeriesTest, ClearForgetsBaselinesAndBuckets) {
-  TimeSeries ts;
-  ts.SampleAt({{"c", 0}}, 1.0);
-  ts.SampleAt({{"c", 10}}, 2.0);
-  ts.Clear();
-  EXPECT_TRUE(ts.Snapshot().empty());
-  ts.SampleAt({{"c", 500}}, 3.0);  // Re-baselines; no 490-delta ghost.
-  EXPECT_TRUE(ts.Snapshot().empty());
+TEST(QueryLogTest, BucketsCountWholeSecondsFromTheLogsOwnEpoch) {
+  // The bucket clock starts at construction, so a fresh log is in bucket
+  // 0 and never moves backwards.
+  QueryLog log;
+  const int64_t first = log.CurrentBucket();
+  EXPECT_EQ(first, 0);
+  EXPECT_GE(log.CurrentBucket(), first);
 }
 
 TEST(TraceExportTest, DroppedEventsSurviveTheJsonRoundTrip) {

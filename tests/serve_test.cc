@@ -18,6 +18,7 @@
 #include "exec/executor.h"
 #include "exec/shared_caches.h"
 #include "obs/metrics.h"
+#include "obs/profiler.h"
 #include "obs/query_log.h"
 #include "optimizer/optimizer.h"
 #include "parser/normalize.h"
@@ -373,6 +374,133 @@ TEST_F(ServeTest, DifferentCostParamsGetDifferentSlots) {
   // plan (it was optimized under different costs).
   EXPECT_FALSE(r->plan_cache_hit);
   EXPECT_EQ(manager.plan_cache().entries(), 2u);
+}
+
+TEST_F(ServeTest, ExecuteSharesTheExactSlotOfTheSameLiteralQuery) {
+  // An EXECUTE's concrete text must be spelled exactly as NormalizeSql
+  // spells the QUERY with the same literal, or the two never share a plan.
+  serve::SessionManager manager(&db_);
+  auto session = manager.CreateSession();
+  ASSERT_TRUE(
+      session->Execute("PREPARE pi AS SELECT t3.a FROM t3 WHERE t3.a = $1")
+          .ok());
+  ASSERT_TRUE(
+      session->Execute("PREPARE pd AS SELECT t3.a FROM t3 WHERE t3.u10 < $1")
+          .ok());
+  ASSERT_TRUE(
+      session->Execute("PREPARE ps AS SELECT t3.a FROM t3 WHERE t3.pad = $1")
+          .ok());
+  const struct {
+    const char* execute;
+    const char* query;
+  } kCases[] = {
+      {"EXECUTE pi(5)", "SELECT t3.a FROM t3 WHERE t3.a = 5"},
+      {"EXECUTE pi(-2)", "SELECT t3.a FROM t3 WHERE t3.a = -2"},
+      {"EXECUTE pd(2.5)", "SELECT t3.a FROM t3 WHERE t3.u10 < 2.5"},
+      {"EXECUTE pd(0.1)", "SELECT t3.a FROM t3 WHERE t3.u10 < 0.1"},
+      {"EXECUTE pd(-3.0)", "SELECT t3.a FROM t3 WHERE t3.u10 < -3.0"},
+      {"EXECUTE ps('xyz')", "SELECT t3.a FROM t3 WHERE t3.pad = 'xyz'"},
+  };
+  for (const auto& c : kCases) {
+    auto executed = session->Execute(c.execute);
+    ASSERT_TRUE(executed.ok()) << c.execute << ": " << executed.status();
+    auto norm = parser::NormalizeSql(c.query);
+    ASSERT_TRUE(norm.ok()) << norm.status();
+    EXPECT_EQ(executed->text_hash, norm->text_hash) << c.execute;
+    auto queried = session->Execute(c.query);
+    ASSERT_TRUE(queried.ok()) << c.query << ": " << queried.status();
+    EXPECT_TRUE(queried->plan_cache_hit) << c.query;
+    EXPECT_FALSE(queried->generic_plan) << c.query;
+    EXPECT_EQ(queried->rows.size(), executed->rows.size()) << c.query;
+  }
+}
+
+TEST_F(ServeTest, QueryLogTakesPlanFactsFromTheCacheOnEveryPath) {
+  obs::QueryLog::Global().Clear();
+  // Calibrated costly1 puts the plans on the feedback tier, so a cached
+  // tier that fell back to the declared default would show.
+  obs::FeedbackEntry calibrated;
+  calibrated.cost_per_call = 1.0;
+  calibrated.selectivity = 0.5;
+  calibrated.has_selectivity = true;
+  calibrated.samples = 100;
+  obs::PredicateFeedbackStore::Global().Update("costly1", calibrated);
+  serve::SessionManager manager(&db_);
+  auto session = manager.CreateSession();
+  session->options().cost_params.use_feedback = true;
+  // The log record must carry exactly what the plan itself yields, however
+  // the plan was obtained.
+  auto check = [](const serve::QueryResult& r, const char* path) {
+    const std::vector<obs::QueryLogRecord> tail =
+        obs::QueryLog::Global().Tail(1);
+    ASSERT_EQ(tail.size(), 1u) << path;
+    ASSERT_NE(r.plan, nullptr) << path;
+    EXPECT_EQ(tail[0].plan_fingerprint, r.plan->Fingerprint()) << path;
+    EXPECT_EQ(r.plan_fingerprint, r.plan->Fingerprint()) << path;
+    EXPECT_EQ(tail[0].stats_tier, exec::WeakestStatsTier(*r.plan)) << path;
+    EXPECT_EQ(tail[0].text_hash, r.text_hash) << path;
+  };
+  ASSERT_TRUE(session
+                  ->Execute("PREPARE q AS SELECT t3.a, t3.u10 FROM t3 "
+                            "WHERE costly1(t3.ua + $1)")
+                  .ok());
+  auto cold = session->Execute("EXECUTE q(5)");
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_FALSE(cold->plan_cache_hit);
+  EXPECT_EQ(exec::WeakestStatsTier(*cold->plan), obs::StatsTier::kFeedback);
+  check(*cold, "cold compile");
+  auto generic = session->Execute("EXECUTE q(7)");
+  ASSERT_TRUE(generic.ok()) << generic.status();
+  EXPECT_TRUE(generic->generic_plan);
+  check(*generic, "generic hit");
+  auto exact = session->Execute("EXECUTE q(5)");
+  ASSERT_TRUE(exact.ok()) << exact.status();
+  EXPECT_TRUE(exact->plan_cache_hit);
+  EXPECT_FALSE(exact->generic_plan);
+  check(*exact, "exact hit");
+  const std::string sql = QueryTexts()[0];
+  auto miss = session->Execute(sql);
+  ASSERT_TRUE(miss.ok()) << miss.status();
+  check(*miss, "query miss");
+  auto hit = session->Execute(sql);
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_TRUE(hit->plan_cache_hit);
+  check(*hit, "query hit");
+  obs::PredicateFeedbackStore::Global().Clear();
+}
+
+TEST_F(ServeTest, KnobChangeBetweenExecutesMovesToANewSlot) {
+  serve::SessionManager manager(&db_);
+  auto session = manager.CreateSession();
+  ASSERT_TRUE(
+      session->Execute("PREPARE k AS SELECT t3.a FROM t3 WHERE t3.a < $1")
+          .ok());
+  ASSERT_TRUE(session->Execute("EXECUTE k(5)").ok());
+  auto warm = session->Execute("EXECUTE k(5)");
+  ASSERT_TRUE(warm.ok());
+  EXPECT_TRUE(warm->plan_cache_hit);
+  const size_t entries = manager.plan_cache().entries();
+
+  // The params-hash memo must notice a knob set through options().
+  session->options().cost_params.cpu_tuple_cost = 0.25;
+  auto moved = session->Execute("EXECUTE k(5)");
+  ASSERT_TRUE(moved.ok());
+  EXPECT_FALSE(moved->plan_cache_hit);
+  EXPECT_GT(manager.plan_cache().entries(), entries);
+  auto again = session->Execute("EXECUTE k(5)");
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->plan_cache_hit);
+
+  // Back to the defaults: the original slot serves again.
+  session->options().cost_params.cpu_tuple_cost = 0.0;
+  auto back = session->Execute("EXECUTE k(5)");
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(back->plan_cache_hit);
+  // The algorithm is part of the key as well.
+  session->options().algorithm = optimizer::Algorithm::kPushDown;
+  auto algo = session->Execute("EXECUTE k(5)");
+  ASSERT_TRUE(algo.ok());
+  EXPECT_FALSE(algo->plan_cache_hit);
 }
 
 TEST_F(ServeTest, ByteBoundedLruEviction) {
