@@ -23,30 +23,31 @@ int main() {
   struct Variant {
     const char* name;
     exec::ExecParams params;
+    cost::CostParams cost_params;
   };
   std::vector<Variant> variants;
   {
-    Variant v{"predicate (Montage)", {}};
+    Variant v{"predicate (Montage)", {}, {}};
     variants.push_back(v);
   }
   {
-    Variant v{"function [Jhi88]", {}};
+    Variant v{"function [Jhi88]", {}, {}};
     v.params.cache_mode = exec::CacheMode::kFunction;
     variants.push_back(v);
   }
   {
-    Variant v{"predicate, 64 entries", {}};
+    Variant v{"predicate, 64 entries", {}, {}};
     v.params.cache_max_entries = 64;
     variants.push_back(v);
   }
   {
-    Variant v{"predicate, adaptive", {}};
+    Variant v{"predicate, adaptive", {}, {}};
     v.params.adaptive_caching = true;
     variants.push_back(v);
   }
   {
-    Variant v{"no caching", {}};
-    v.params.predicate_caching = false;
+    Variant v{"no caching", {}, {}};
+    v.cost_params.predicate_caching = false;
     variants.push_back(v);
   }
 
@@ -57,11 +58,9 @@ int main() {
     for (const Variant& variant : variants) {
       auto spec = workload::GetBenchmarkQuery(*db, config, id);
       PPP_CHECK(spec.ok());
-      cost::CostParams cost_params;
-      cost_params.predicate_caching = variant.params.predicate_caching;
       auto m = workload::RunWithAlgorithm(
-          db.get(), *spec, optimizer::Algorithm::kMigration, cost_params,
-          variant.params);
+          db.get(), *spec, optimizer::Algorithm::kMigration,
+          variant.cost_params, variant.params);
       PPP_CHECK(m.ok()) << m.status().ToString();
       std::string invs;
       for (const auto& [name, count] : m->invocations) {

@@ -83,7 +83,7 @@ int main() {
 
   const optimizer::Algorithm algorithm = optimizer::Algorithm::kMigration;
   cost::CostParams cost_params;
-  const exec::ExecParams exec_params = workload::ExecParamsFor(cost_params);
+  const exec::ExecParams exec_params;
 
   bench::PrintHeader(
       "Feedback calibration (" + std::to_string(rows) +

@@ -160,8 +160,8 @@ int main() {
       db->catalog());
   PPP_CHECK(spec.ok()) << spec.status().ToString();
   auto join = workload::RunWithAlgorithm(
-      db.get(), *spec, optimizer::Algorithm::kMigration, {},
-      workload::ExecParamsFor({}), /*execute=*/true,
+      db.get(), *spec, optimizer::Algorithm::kMigration, {}, {},
+      /*execute=*/true,
       /*collect_explain=*/true);
   PPP_CHECK(join.ok()) << join.status().ToString();
   PPP_CHECK(join->output_rows >= 1)

@@ -74,11 +74,11 @@ int main() {
   double serial_wall = 0.0;
   double wall_at_4 = 0.0;
 
-  for (const size_t workers : {1, 2, 4, 8}) {
+  for (const int workers : {1, 2, 4, 8}) {
     exec::ExecContext ctx;
     ctx.catalog = &catalog;
     ctx.binding = binding;
-    ctx.params.parallel_workers = workers;
+    ctx.cost_params.parallel_workers = workers;
     plan::PlanPtr plan =
         plan::MakeFilter(plan::MakeSeqScan("t", "t"), *info);
     exec::ExecStats stats;

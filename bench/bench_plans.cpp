@@ -44,7 +44,7 @@ ppp::workload::Measurement RunMix(ppp::workload::Database* db,
                                   const ppp::workload::BenchmarkConfig& config,
                                   const std::string& label, int workers) {
   ppp::cost::CostParams cost_params;
-  cost_params.parallel_workers = static_cast<double>(workers);
+  cost_params.parallel_workers = workers;
   ppp::workload::Measurement total;
   total.algorithm = label;
   for (const char* id : {"Q1", "Q2", "Q3", "Q4", "Q5"}) {
@@ -200,7 +200,7 @@ int main() {
 
   const optimizer::Algorithm algorithm = optimizer::Algorithm::kMigration;
   cost::CostParams cost_params;
-  const exec::ExecParams exec_params = workload::ExecParamsFor(cost_params);
+  const exec::ExecParams exec_params;
   const auto run_once = [&](const std::string& label) {
     auto m = workload::RunWithAlgorithm(&flip_db, *spec, algorithm,
                                         cost_params, exec_params,

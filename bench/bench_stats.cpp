@@ -87,7 +87,7 @@ int main() {
 
   const optimizer::Algorithm algorithm = optimizer::Algorithm::kMigration;
   cost::CostParams cost_params;  // use_collected_stats defaults to true.
-  const exec::ExecParams exec_params = workload::ExecParamsFor(cost_params);
+  const exec::ExecParams exec_params;
 
   bench::PrintHeader(
       "ANALYZE-driven placement (" + std::to_string(rows_r) + " x " +

@@ -127,8 +127,8 @@ int main() {
       exec::ExecContext ctx;
       ctx.catalog = &catalog;
       ctx.binding = binding;
-      ctx.params.predicate_transfer = transfer;
-      ctx.params.parallel_workers = workers;
+      ctx.cost_params.predicate_transfer = transfer;
+      ctx.cost_params.parallel_workers = static_cast<int>(workers);
       plan::PlanPtr plan = make_plan();
       exec::ExecStats stats;
       std::unique_ptr<exec::Operator> root;

@@ -57,8 +57,7 @@ workload::Measurement RunQuery(workload::Database* db,
   auto spec = workload::GetBenchmarkQuery(*db, config, id);
   PPP_CHECK(spec.ok()) << spec.status().ToString();
   auto m = workload::RunWithAlgorithm(db, *spec, algorithm, cost_params,
-                                      workload::ExecParamsFor(cost_params),
-                                      execute,
+                                      exec::ExecParams{}, execute,
                                       /*collect_explain=*/false, trace);
   PPP_CHECK(m.ok()) << m.status().ToString();
   workload::Measurement best = *m;
@@ -67,8 +66,7 @@ workload::Measurement RunQuery(workload::Database* db,
     // the same run); the optimizer trace comes from the first run only.
     for (size_t i = 1; i < BenchRepeat(); ++i) {
       auto rerun = workload::RunWithAlgorithm(
-          db, *spec, algorithm, cost_params,
-          workload::ExecParamsFor(cost_params), execute,
+          db, *spec, algorithm, cost_params, exec::ExecParams{}, execute,
           /*collect_explain=*/false, /*trace=*/nullptr);
       PPP_CHECK(rerun.ok()) << rerun.status().ToString();
       if (rerun->wall_seconds < best.wall_seconds) best = *rerun;

@@ -104,11 +104,13 @@ int main() {
 
   const auto run_once = [&](const plan::PlanNode& plan,
                             const exec::ExecParams& params,
+                            const cost::CostParams& cost_params,
                             exec::ExecStats* stats, double* wall) {
     exec::ExecContext ctx;
     ctx.catalog = &catalog;
     ctx.binding = binding;
     ctx.params = params;
+    ctx.cost_params = cost_params;
     const auto started = std::chrono::steady_clock::now();
     auto result = exec::ExecutePlan(plan, &ctx, stats);
     *wall = std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -136,7 +138,7 @@ int main() {
   exec::ExecStats warmup_stats;
   double warmup_wall = 0.0;
   const std::vector<std::string> reference =
-      run_once(*chain, scalar_params, &warmup_stats, &warmup_wall);
+      run_once(*chain, scalar_params, {}, &warmup_stats, &warmup_wall);
   const int reps = static_cast<int>(
       std::max<int64_t>(1, std::min<int64_t>(1000, 1600000 / rows)));
 
@@ -156,7 +158,7 @@ int main() {
       exec::ExecStats rep_stats;
       double wall = 0.0;
       const std::vector<std::string> rows_out =
-          run_once(*chain, params, &rep_stats, &wall);
+          run_once(*chain, params, {}, &rep_stats, &wall);
       PPP_CHECK(rows_out == reference)
           << "phase-1 results changed with vectorized=" << vectorized;
       best = std::min(best, wall);
@@ -200,15 +202,16 @@ int main() {
   uint64_t udf_calls = 0;
   bool parity_ok = true;
   for (const bool vectorized : {false, true}) {
-    for (const size_t workers : {size_t{1}, size_t{4}}) {
+    for (const int workers : {1, 4}) {
       exec::ExecParams params;
       params.vectorized = vectorized;
-      params.parallel_workers = workers;
-      params.predicate_caching = false;
+      cost::CostParams cost_params;
+      cost_params.parallel_workers = workers;
+      cost_params.predicate_caching = false;
       exec::ExecStats stats;
       double wall = 0.0;
       const std::vector<std::string> rows_out =
-          run_once(*udf_plan, params, &stats, &wall);
+          run_once(*udf_plan, params, cost_params, &stats, &wall);
       const uint64_t calls = stats.invocations.at("costly");
       if (udf_reference.empty()) {
         udf_reference = rows_out;

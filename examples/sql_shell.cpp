@@ -55,6 +55,9 @@
 //                      session, or switch to session N (each session has
 //                      its own knobs; the plan cache is shared)
 //   \quit
+// \algorithm, \calibrate and \set change the current session's knobs
+// only; a new session starts from the defaults. SELECT, PREPARE/EXECUTE
+// and EXPLAIN [ANALYZE] all run under the current session's knobs.
 
 #include <cctype>
 #include <cstdio>
@@ -146,16 +149,14 @@ int main() {
     return 1;
   }
 
-  optimizer::Algorithm algorithm = optimizer::Algorithm::kMigration;
   bool explain = true;
   bool tracing = false;
-  cost::CostParams cost_params;
-  size_t batch_size = exec::ExecParams{}.batch_size;
   std::string last_body;  // Last SELECT body, parsed on demand by \calibrate.
 
   // The serving layer: plain SELECTs run through a session so repeats hit
   // the shared plan cache; EXPLAIN variants keep the direct path (they want
-  // a fresh optimization trace, not a cached plan).
+  // a fresh optimization trace, not a cached plan). Every knob — algorithm,
+  // cost and executor params — lives in the current session's options().
   serve::SessionManager manager(&db);
   std::map<uint64_t, std::unique_ptr<serve::Session>> sessions;
   serve::Session* session = nullptr;
@@ -228,6 +229,7 @@ int main() {
       if (word == "algorithm") {
         std::string name;
         cmd >> name;
+        optimizer::Algorithm& algorithm = session->options().algorithm;
         if (!ParseAlgorithm(name, &algorithm)) {
           std::printf("unknown algorithm '%s'\n", name.c_str());
         } else {
@@ -417,8 +419,9 @@ int main() {
       if (word == "calibrate") {
         std::string mode;
         cmd >> mode;
+        serve::SessionOptions& options = session->options();
         if (mode == "off") {
-          cost_params.use_feedback = false;
+          options.cost_params.use_feedback = false;
           obs::PredicateFeedbackStore::Global().Clear();
           std::printf("feedback off (store cleared)\n");
           continue;
@@ -433,7 +436,8 @@ int main() {
           continue;
         }
         auto report = workload::Calibrate(&db.catalog(), *last_spec,
-                                          algorithm, cost_params);
+                                          options.algorithm,
+                                          options.cost_params);
         if (!report.ok()) {
           std::printf("error: %s\n", report.status().ToString().c_str());
           continue;
@@ -444,7 +448,7 @@ int main() {
                       report->plan_before.c_str(),
                       report->plan_after.c_str());
         }
-        cost_params.use_feedback = true;
+        options.cost_params.use_feedback = true;
         std::printf("feedback on: subsequent queries use observed "
                     "costs/selectivities\n");
         continue;
@@ -502,10 +506,12 @@ int main() {
         std::string value_word;
         cmd >> knob >> value_word;
         const long long value = std::atoll(value_word.c_str());
+        cost::CostParams& cost_params = session->options().cost_params;
+        exec::ExecParams& exec_params = session->options().exec_params;
         if (knob == "transfer" &&
             (value_word == "on" || value_word == "off")) {
-          // Both the cost model (plan choice) and the executor follow:
-          // ExecParamsFor copies the flag into ExecParams.
+          // One field: the cost model (plan choice) and the executor both
+          // read it.
           cost_params.predicate_transfer = (value_word == "on");
           std::printf("transfer %s\n", value_word.c_str());
         } else if (knob == "stats" &&
@@ -513,17 +519,16 @@ int main() {
           cost_params.use_collected_stats = (value_word == "on");
           std::printf("stats %s\n", value_word.c_str());
         } else if (knob == "workers" && value >= 1) {
-          cost_params.parallel_workers = static_cast<double>(value);
+          cost_params.parallel_workers = static_cast<int>(value);
           std::printf("workers %lld\n", value);
         } else if (knob == "batch" && value >= 1) {
-          batch_size = static_cast<size_t>(value);
+          exec_params.batch_size = static_cast<size_t>(value);
           std::printf("batch %lld\n", value);
         } else if (knob == "vector" &&
                    (value_word == "on" || value_word == "off")) {
-          // Columnar batches + vectorized cheap-predicate kernels; the
-          // executor follows via ExecParamsFor, the cost model scales its
-          // (optional) cheap per-row charge.
-          cost_params.vectorized = (value_word == "on");
+          // Columnar batches + vectorized cheap-predicate kernels: an
+          // executor knob only, no plan depends on it.
+          exec_params.vectorized = (value_word == "on");
           std::printf("vector %s\n", value_word.c_str());
         } else if (knob == "plancache" &&
                    (value_word == "on" || value_word == "off")) {
@@ -569,8 +574,6 @@ int main() {
     // PREPARE/EXECUTE go straight through the session, which owns the
     // statement-name registry and the family-keyed plan acquisition.
     if (FirstWordIs(sql, "PREPARE") || FirstWordIs(sql, "EXECUTE")) {
-      session->options().algorithm = algorithm;
-      session->options().cost_params = cost_params;
       auto r = session->Execute(sql);
       if (!r.ok()) {
         std::printf("error: %s\n", r.status().ToString().c_str());
@@ -603,14 +606,6 @@ int main() {
     // the shared plan cache. EXPLAIN variants take the direct path below —
     // they exist to show a fresh optimization, not a cached one.
     if (kind == parser::StatementKind::kSelect) {
-      const bool cross_kill =
-          session->options().exec_params.transfer_cross_query_kill;
-      session->options().algorithm = algorithm;
-      session->options().cost_params = cost_params;
-      exec::ExecParams session_params = workload::ExecParamsFor(cost_params);
-      session_params.batch_size = batch_size;
-      session_params.transfer_cross_query_kill = cross_kill;
-      session->options().exec_params = session_params;
       auto r = session->Execute(body);
       if (!r.ok()) {
         std::printf("error: %s\n", r.status().ToString().c_str());
@@ -635,11 +630,14 @@ int main() {
     }
     last_body = body;
     obs::OptTrace trace;
-    exec::ExecParams exec_params = workload::ExecParamsFor(cost_params);
-    exec_params.batch_size = batch_size;
-    auto m = workload::RunWithAlgorithm(&db, *spec, algorithm, cost_params,
-                                        exec_params, execute, collect_explain,
-                                        tracing ? &trace : nullptr);
+    // The session's knobs, minus the cross-query Bloom kill memory: an
+    // EXPLAIN shows what this query does on its own.
+    const serve::SessionOptions& options = session->options();
+    exec::ExecParams exec_params = options.exec_params;
+    exec_params.transfer_cross_query_kill = false;
+    auto m = workload::RunWithAlgorithm(
+        &db, *spec, options.algorithm, options.cost_params, exec_params,
+        execute, collect_explain, tracing ? &trace : nullptr);
     if (!m.ok()) {
       std::printf("error: %s\n", m.status().ToString().c_str());
       continue;

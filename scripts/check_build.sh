@@ -274,6 +274,26 @@ grep -q "invalidations=1" "$SERVE_OUT" || {
 }
 echo "serve smoke ok: cross-session hits, ANALYZE invalidation, system tables"
 
+# Session-knob smoke: \set writes the current session's knobs, and every
+# statement path runs under them. A vectorized SELECT first registers the
+# exec.vector.* counters; with the columnar path then switched off, a
+# PREPARE/EXECUTE must run zero vectorized batches.
+KNOB_OUT="$BUILD_DIR/check_knobs.out"
+"$BUILD_DIR/examples/sql_shell" >"$KNOB_OUT" <<EOF
+SELECT count(*) FROM t10 WHERE t10.u10 < 5;
+\\set vector off
+\\metrics reset
+PREPARE p AS SELECT * FROM t10 WHERE t10.a1 < 500 AND costly100(t10.ua);
+EXECUTE p(500);
+\\metrics
+\\quit
+EOF
+grep -q "^exec.vector.batches 0$" "$KNOB_OUT" || {
+  echo "EXECUTE ignored \\set vector off (want exec.vector.batches 0)" >&2
+  cat "$KNOB_OUT" >&2; exit 1;
+}
+echo "knob smoke ok: PREPARE/EXECUTE runs under the session's \\set vector off"
+
 # Serving bench smoke: bench_serve asserts >= 10x plan-production speedup
 # on repeats, >= 3x QPS scaling from 1 to 8 sessions, byte-identical
 # results, and exact UDF invocation parity vs plancache off, exiting

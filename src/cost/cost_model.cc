@@ -306,24 +306,15 @@ common::Status CostModel::Annotate(plan::PlanNode* node) const {
       // the effective parallelism. Cheap predicates and join primaries stay
       // serial (the executor does not parallelize them).
       const double effective_workers =
-          pred.is_expensive() ? std::max(1.0, params_.parallel_workers) : 1.0;
+          pred.is_expensive() ? std::max(1, params_.parallel_workers) : 1;
       const double udf_charge =
           evals * pred.cost_per_tuple / effective_workers;
-      // Cheap predicates are free by default (cpu_tuple_cost = 0, the
-      // paper's model); when charged, the vectorized executor's tight
-      // column kernels divide the charge by their measured speedup.
-      double cpu_charge = 0.0;
-      if (!pred.is_expensive() && params_.cpu_tuple_cost > 0.0) {
-        const double speedup =
-            params_.vectorized ? std::max(1.0, params_.vector_speedup) : 1.0;
-        cpu_charge = child.est_rows * params_.cpu_tuple_cost / speedup;
-      }
       node->est_rows = child.est_rows * pred.selectivity;
       node->est_rows_noexp = pred.is_expensive()
                                  ? child.est_rows_noexp
                                  : child.est_rows_noexp * pred.selectivity;
       node->est_width = child.est_width;
-      node->est_cost = child.est_cost + udf_charge + cpu_charge;
+      node->est_cost = child.est_cost + udf_charge;
       node->est_udf_cost = child.est_udf_cost + udf_charge;
       node->est_order = child.est_order;
       break;

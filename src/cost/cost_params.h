@@ -6,6 +6,12 @@ namespace ppp::cost {
 /// Knobs of the cost model. All costs are in random-I/O units, the same
 /// currency as FunctionDef::cost_per_call, so "costly100 = 100" means one
 /// hundred random page reads per invocation exactly as in the paper.
+///
+/// The knobs the optimizer models *and* the executor obeys
+/// (predicate_caching, parallel_workers, predicate_transfer) live only
+/// here: a plan executes under the CostParams it was optimized with
+/// (exec::ExecContext::cost_params), and the plan-cache key hashes every
+/// field, so model and executor cannot disagree.
 struct CostParams {
   /// Cost of reading one page sequentially / randomly.
   double seq_page_io = 1.0;
@@ -31,17 +37,18 @@ struct CostParams {
   /// When true, rank calculations assume predicate caching (§5.1):
   /// join selectivities are computed on *values* rather than tuples and
   /// clamped at 1, and a Filter is charged for at most one evaluation per
-  /// distinct input binding. Must match ExecParams::predicate_caching so
-  /// the optimizer models what the executor does. Ablation A2.
+  /// distinct input binding. The executor reads the same field
+  /// (ExecContext::cost_params), so it memoizes exactly when the model
+  /// assumes it does. Ablation A2.
   bool predicate_caching = true;
 
-  /// Worker threads the executor may fan an expensive-predicate filter's
-  /// batch across (ExecParams::parallel_workers). The model divides a
-  /// Filter's per-tuple predicate charge by the effective parallelism:
+  /// Total threads (coordinator included) the executor fans an
+  /// expensive-predicate filter's batch across; 1 = serial. The model
+  /// divides a Filter's per-tuple predicate charge by this parallelism:
   /// expensive predicates are latency-bound (their cost is declared in
   /// random-I/O units), so concurrent workers overlap that latency. Join
   /// primaries are not parallelized by the executor and keep full cost.
-  double parallel_workers = 1.0;
+  int parallel_workers = 1;
 
   /// When true (Montage behaviour, §5.2), `{R}` in per-input selectivities
   /// and differential costs is the *current* planned cardinality, including
@@ -62,35 +69,14 @@ struct CostParams {
   /// the provenance ladder: feedback > stats > declared.
   bool use_collected_stats = true;
 
-  /// When true, the model assumes the executor runs predicate transfer
-  /// (ExecParams::predicate_transfer — workload::ExecParamsFor keeps the
-  /// pair consistent): every hash join on a cheap simple equi-join key
-  /// pushes a build-side Bloom filter into its probe-side scan, so the
-  /// join's probe-input selectivity is modeled as already applied at the
-  /// scan. Expensive predicates on the probe side are then ranked against
-  /// post-transfer cardinalities, which keeps them below the join (a
-  /// near-free filter has rank ≈ -1/0 — nothing beats it).
+  /// Predicate transfer, modeled and executed: every hash join on a cheap
+  /// simple equi-join key pushes a build-side Bloom filter into its
+  /// probe-side scan, so the join's probe-input selectivity is modeled as
+  /// already applied at the scan. Expensive predicates on the probe side
+  /// are then ranked against post-transfer cardinalities, which keeps them
+  /// below the join (a near-free filter has rank ≈ -1/0 — nothing beats
+  /// it).
   bool predicate_transfer = false;
-
-  /// Per-row CPU charge of evaluating a *cheap* (zero-declared-cost) filter
-  /// predicate, in random-I/O units. Zero by default — the paper treats
-  /// simple predicates as free, and the default keeps historical plans and
-  /// cost assertions unchanged. Set it > 0 to study placement sensitivity
-  /// to cheap-predicate CPU (e.g. very wide scans on fast storage).
-  double cpu_tuple_cost = 0.0;
-
-  /// Whether the executor runs the columnar fast path
-  /// (ExecParams::vectorized — workload::ExecParamsFor keeps the pair
-  /// consistent). Vectorized cheap comparisons run ~vector_speedup× faster
-  /// than scalar tuple evaluation, so the cheap per-row charge above
-  /// divides by it: making cheap predicates cheaper *sharpens* expensive
-  /// predicate placement, it never reorders ranks (cheap predicates keep
-  /// rank -inf and always apply first).
-  bool vectorized = true;
-
-  /// Throughput multiplier of the vectorized cheap-predicate kernels over
-  /// scalar evaluation (bench_vector measures ≥5×; 8 is the model default).
-  double vector_speedup = 8.0;
 
   /// Field-wise equality: the serving layer re-keys its plan-cache params
   /// hash only when a session's knobs actually move.

@@ -172,7 +172,7 @@ class BloomTransfer {
   /// through. Negative when no negatives were observed yet.
   double MeasuredFpr() const;
 
-  /// Kill-switch knobs, set from ExecParams at creation.
+  /// Kill-switch knobs, set by the executor at creation.
   uint64_t min_probes = 512;
   double kill_pass_rate = 0.95;
 

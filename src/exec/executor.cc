@@ -25,6 +25,11 @@ namespace ppp::exec {
 
 namespace {
 
+/// Observed pass rate above which a transferred Bloom filter is killed
+/// mid-query (and, with cross-query kill memory, not rebuilt): it prunes
+/// too little to pay for its probes.
+constexpr double kTransferKillPassRate = 0.95;
+
 common::Result<const catalog::Table*> TableFor(const ExecContext& ctx,
                                                const std::string& alias) {
   auto it = ctx.binding.find(alias);
@@ -242,7 +247,8 @@ common::Result<std::unique_ptr<Operator>> BuildExecutor(
       // built so the scan that owns the probe column can claim it.
       std::shared_ptr<BloomTransfer> transfer;
       if (plan.join_method == plan::JoinMethod::kHash &&
-          ctx->params.predicate_transfer && plan.predicate.is_simple_equijoin &&
+          ctx->cost_params.predicate_transfer &&
+          plan.predicate.is_simple_equijoin &&
           !plan.predicate.is_expensive()) {
         const std::vector<std::string> outer_aliases =
             plan.children[0]->CollectAliases();
@@ -256,7 +262,7 @@ common::Result<std::unique_ptr<Operator>> BuildExecutor(
             left_is_outer ? pred.right_table : pred.left_table,
             left_is_outer ? pred.right_column : pred.left_column);
         transfer->min_probes = ctx->params.transfer_min_probes;
-        transfer->kill_pass_rate = ctx->params.transfer_kill_pass_rate;
+        transfer->kill_pass_rate = kTransferKillPassRate;
         // Cross-query kill memory (serving layer): if past executions of
         // this site killed the filter or measured it passing nearly
         // everything, don't rebuild it just to kill it again.
@@ -266,7 +272,7 @@ common::Result<std::unique_ptr<Operator>> BuildExecutor(
           if (history.has_value() &&
               history->probed >= ctx->params.transfer_min_probes &&
               (history->kills > 0 ||
-               history->PassRate() > ctx->params.transfer_kill_pass_rate)) {
+               history->PassRate() > kTransferKillPassRate)) {
             static obs::Counter* skipped_counter =
                 obs::MetricsRegistry::Global().GetCounter(
                     "exec.transfer.skipped_by_history");
@@ -298,9 +304,7 @@ common::Result<std::unique_ptr<Operator>> BuildExecutor(
                 outer->schema(), inner->schema());
             PPP_ASSIGN_OR_RETURN(
                 CachedPredicate bound,
-                CachedPredicate::Bind(plan.predicate, joined, *ctx->catalog,
-                                      ctx->params, ctx->shared_caches,
-                                      &ctx->binding));
+                CachedPredicate::Bind(plan.predicate, joined, *ctx));
             primary = std::move(bound);
           }
           return std::unique_ptr<Operator>(
@@ -498,19 +502,20 @@ common::Result<std::vector<types::Tuple>> ExecutePlan(
 
   // Workers beyond the coordinator come from a persistent pool, reused
   // across executions on the same context.
-  const size_t workers = std::max<size_t>(1, ctx->params.parallel_workers);
+  const size_t workers =
+      static_cast<size_t>(std::max(1, ctx->cost_params.parallel_workers));
   if (workers > 1 && (ctx->thread_pool == nullptr ||
                       ctx->thread_pool->num_threads() != workers - 1)) {
     ctx->thread_pool = std::make_shared<common::ThreadPool>(workers - 1);
   }
 
   // Wire the function-level cache when that mode is selected.
-  if (ctx->params.predicate_caching &&
+  if (ctx->cost_params.predicate_caching &&
       ctx->params.cache_mode == CacheMode::kFunction) {
     expr::FunctionCache::Options options;
     options.max_entries = ctx->params.cache_max_entries;
     options.shards = ShardedPredicateCache::ShardsFor(
-        workers, ctx->params.cache_max_entries > 0);
+        ctx->cost_params.parallel_workers, ctx->params.cache_max_entries > 0);
     options.adaptive = ctx->params.adaptive_caching;
     options.probe_window = ctx->params.adaptive_probe_window;
     ctx->function_cache_storage.Configure(options);

@@ -10,7 +10,7 @@ FilterOp::FilterOp(std::unique_ptr<Operator> child,
                    CachedPredicate predicate, ExecContext* ctx)
     : child_(std::move(child)), predicate_(std::move(predicate)), ctx_(ctx) {
   schema_ = child_->schema();
-  parallel_ = ctx_->params.parallel_workers > 1 &&
+  parallel_ = ctx_->cost_params.parallel_workers > 1 &&
               ctx_->thread_pool != nullptr && predicate_.is_expensive() &&
               predicate_.parallel_safe();
   if (parallel_) {
@@ -24,8 +24,7 @@ common::Result<std::unique_ptr<FilterOp>> FilterOp::Make(
     ExecContext* ctx) {
   PPP_ASSIGN_OR_RETURN(
       CachedPredicate bound,
-      CachedPredicate::Bind(pred, child->schema(), *ctx->catalog,
-                            ctx->params, ctx->shared_caches, &ctx->binding));
+      CachedPredicate::Bind(pred, child->schema(), *ctx));
   auto op = std::make_unique<FilterOp>(std::move(child), std::move(bound),
                                        ctx);
   if (!ctx->params.vectorized || pred.expr == nullptr) return op;
@@ -59,9 +58,7 @@ common::Result<std::unique_ptr<FilterOp>> FilterOp::Make(
         conjuncts.begin() + static_cast<ptrdiff_t>(split), conjuncts.end()));
     PPP_ASSIGN_OR_RETURN(
         CachedPredicate suffix,
-        CachedPredicate::Bind(suffix_info, op->child_->schema(),
-                              *ctx->catalog, ctx->params,
-                              ctx->shared_caches, &ctx->binding));
+        CachedPredicate::Bind(suffix_info, op->child_->schema(), *ctx));
     op->suffix_ = std::move(suffix);
   }
   op->kernels_ = std::move(kernels);

@@ -187,9 +187,9 @@ common::Status RowCursor::Advance(size_t batch_size, types::Tuple** row) {
 
 common::Result<CachedPredicate> CachedPredicate::Bind(
     const expr::PredicateInfo& pred, const types::RowSchema& schema,
-    const catalog::Catalog& catalog, const ExecParams& params,
-    SharedPredicateCacheRegistry* shared,
-    const expr::TableBinding* binding) {
+    const ExecContext& ctx) {
+  const catalog::Catalog& catalog = *ctx.catalog;
+  const ExecParams& params = ctx.params;
   CachedPredicate out;
   PPP_ASSIGN_OR_RETURN(
       std::unique_ptr<expr::BoundExpr> bound,
@@ -208,7 +208,7 @@ common::Result<CachedPredicate> CachedPredicate::Bind(
     if (!def.ok() || !(*def)->parallel_safe) out.parallel_safe_ = false;
   }
 
-  const bool try_cache = params.predicate_caching &&
+  const bool try_cache = ctx.cost_params.predicate_caching &&
                          params.cache_mode == CacheMode::kPredicate;
   ShardedPredicateCache::Options options;
   if (try_cache && pred.is_expensive() && cacheable && !calls.empty()) {
@@ -217,31 +217,29 @@ common::Result<CachedPredicate> CachedPredicate::Bind(
     options.max_bytes = params.cache_max_bytes;
     options.lru = params.cache_lru;
     options.shards = ShardedPredicateCache::ShardsFor(
-        params.parallel_workers,
+        ctx.cost_params.parallel_workers,
         params.cache_max_entries > 0 || params.cache_max_bytes > 0);
     options.adaptive = params.adaptive_caching;
     options.probe_window = params.adaptive_probe_window;
   }
-  if (out.cache_enabled_ && shared != nullptr) {
+  if (out.cache_enabled_ && ctx.shared_caches != nullptr) {
     // Resolve every referenced alias to its table so identical text over
     // different tables never shares a memo (see BuildSharedCacheKey).
     std::string resolved;
-    bool resolvable = binding != nullptr;
-    if (resolvable) {
-      for (const std::string& alias : pred.tables) {
-        auto it = binding->find(alias);
-        if (it == binding->end() || it->second == nullptr) {
-          resolvable = false;
-          break;
-        }
-        resolved += alias;
-        resolved += '=';
-        resolved += it->second->name();
-        resolved += ';';
+    bool resolvable = true;
+    for (const std::string& alias : pred.tables) {
+      auto it = ctx.binding.find(alias);
+      if (it == ctx.binding.end() || it->second == nullptr) {
+        resolvable = false;
+        break;
       }
+      resolved += alias;
+      resolved += '=';
+      resolved += it->second->name();
+      resolved += ';';
     }
     if (resolvable) {
-      out.cache_ = shared->GetOrCreate(
+      out.cache_ = ctx.shared_caches->GetOrCreate(
           BuildSharedCacheKey(pred.expr->ToString(), resolved, options),
           options);
       return out;

@@ -10,6 +10,7 @@
 #include "catalog/catalog.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "cost/cost_params.h"
 #include "exec/bloom_filter.h"
 #include "exec/pred_cache.h"
 #include "expr/evaluator.h"
@@ -39,13 +40,10 @@ enum class CacheMode {
   kFunction,
 };
 
-/// Execution-time knobs.
+/// Execution-time knobs the optimizer does not model. The knobs it does
+/// model — predicate_caching (the §5.1 master switch), parallel_workers
+/// and predicate_transfer — are read from ExecContext::cost_params.
 struct ExecParams {
-  /// Master switch for the §5.1 memoization. Should match
-  /// cost::CostParams::predicate_caching so the optimizer models the
-  /// executor (workload::ExecParamsFor builds a consistent pair).
-  bool predicate_caching = true;
-
   CacheMode cache_mode = CacheMode::kPredicate;
 
   /// Per-cache entry bound (FIFO replacement); 0 = unbounded. The paper:
@@ -83,28 +81,13 @@ struct ExecParams {
   /// over a selection vector, evaluating expensive UDFs late against only
   /// the surviving positions. Results and invocation counters are
   /// identical either way (parity-tested); off forces the row-oriented
-  /// batch pipeline everywhere. Should match cost::CostParams::vectorized
-  /// (ExecParamsFor copies it).
+  /// batch pipeline everywhere. No plan depends on it, so it is not part
+  /// of the plan-cache key.
   bool vectorized = true;
 
-  /// Total threads (including the coordinator) that evaluate an expensive
-  /// filter predicate's batch concurrently. 1 = serial execution. Results
-  /// and counters are identical at any setting; see
-  /// ParallelPredicateEvaluator.
-  size_t parallel_workers = 1;
-
-  /// Predicate transfer: hash-join builds emit a Bloom filter over the
-  /// build-side join key, and probe-side scans pre-filter their rows
-  /// against it before any (expensive) predicate above them runs. Should
-  /// match cost::CostParams::predicate_transfer (ExecParamsFor copies it).
-  bool predicate_transfer = false;
-
-  /// Probes a transferred filter must see before the kill switch may fire.
+  /// Probes a transferred filter (cost::CostParams::predicate_transfer)
+  /// must see before the kill switch may fire.
   uint64_t transfer_min_probes = 512;
-
-  /// Observed pass rate above which a transferred filter is killed
-  /// mid-query: it prunes too little to pay for its probes.
-  double transfer_kill_pass_rate = 0.95;
 
   /// Cross-query kill memory: before building a Bloom transfer, consult
   /// the profiler's history for the site and skip creation when the filter
@@ -132,12 +115,16 @@ struct ExecContext {
   const catalog::Catalog* catalog = nullptr;
   expr::TableBinding binding;
   ExecParams params;
+  /// The cost model's knobs the plan was optimized under. The executor
+  /// reads the ones it shares with the model from here: predicate_caching,
+  /// parallel_workers and predicate_transfer.
+  cost::CostParams cost_params;
   expr::EvalContext eval;
   /// Backing store for eval.function_cache when cache_mode == kFunction
   /// (wired by ExecutePlan).
   expr::FunctionCache function_cache_storage;
   /// Worker pool for the parallel predicate evaluator; created by
-  /// ExecutePlan when params.parallel_workers > 1 and reused across
+  /// ExecutePlan when cost_params.parallel_workers > 1 and reused across
   /// executions on the same context.
   std::shared_ptr<common::ThreadPool> thread_pool;
   /// Transfers awaiting a probe-side consumer during plan construction:
@@ -348,20 +335,18 @@ class RowCursor {
 /// evaluator's workers (each with its own EvalContext).
 class CachedPredicate {
  public:
-  /// Binds and configures memoization from `params`: the predicate-level
-  /// cache engages when caching is on in kPredicate mode, the predicate is
-  /// expensive, and all its functions are cacheable. Bounds and the
-  /// adaptive self-disable follow `params`.
+  /// Binds and configures memoization from `ctx`: the predicate-level
+  /// cache engages when cost_params.predicate_caching is on in kPredicate
+  /// mode, the predicate is expensive, and all its functions are
+  /// cacheable. Bounds and the adaptive self-disable follow ctx.params.
   ///
-  /// With `shared` set (and `binding` available to resolve aliases), the
-  /// memo is acquired from the engine-wide registry under the predicate's
-  /// canonical identity instead of built fresh — hit/eviction accessors
+  /// With ctx.shared_caches set, the memo is acquired from the engine-wide
+  /// registry under the predicate's canonical identity (aliases resolved
+  /// through ctx.binding) instead of built fresh — hit/eviction accessors
   /// stay per-bind exact because each probe reports its own outcome.
-  static common::Result<CachedPredicate> Bind(
-      const expr::PredicateInfo& pred, const types::RowSchema& schema,
-      const catalog::Catalog& catalog, const ExecParams& params,
-      SharedPredicateCacheRegistry* shared = nullptr,
-      const expr::TableBinding* binding = nullptr);
+  static common::Result<CachedPredicate> Bind(const expr::PredicateInfo& pred,
+                                              const types::RowSchema& schema,
+                                              const ExecContext& ctx);
 
   /// Evaluates (three-valued logic collapsed to pass/fail). Cache hits do
   /// not invoke any function.

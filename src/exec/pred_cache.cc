@@ -52,13 +52,12 @@ ShardedPredicateCache::ShardedPredicateCache(const Options& options)
   memo_.set_listener(std::move(listener));
 }
 
-size_t ShardedPredicateCache::ShardsFor(size_t parallel_workers,
-                                        bool bounded) {
+size_t ShardedPredicateCache::ShardsFor(int parallel_workers, bool bounded) {
   if (!bounded) return kUnboundedShards;
   if (parallel_workers <= 1) return 1;
   // A few shards per worker keeps the collision probability of concurrent
   // probes low without ballooning per-shard bookkeeping.
-  return std::min<size_t>(64, parallel_workers * 4);
+  return std::min<size_t>(64, static_cast<size_t>(parallel_workers) * 4);
 }
 
 }  // namespace ppp::exec

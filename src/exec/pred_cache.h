@@ -45,7 +45,7 @@ class ShardedPredicateCache {
   /// gets 1 shard when serial (the exact single-table FIFO/LRU order, and
   /// therefore bit-identical serial behaviour) and several per worker
   /// otherwise.
-  static size_t ShardsFor(size_t parallel_workers, bool bounded);
+  static size_t ShardsFor(int parallel_workers, bool bounded);
   static constexpr size_t kUnboundedShards = 16;
 
   /// Returns the cached verdict for `key`, evaluating `compute` at most

@@ -1,18 +1,10 @@
 #include "obs/plan_audit.h"
 
 #include <algorithm>
-#include <cstdlib>
+
+#include "obs/env_flag.h"
 
 namespace ppp::obs {
-
-namespace {
-
-bool EnvDisabled(const char* name) {
-  const char* value = std::getenv(name);
-  return value != nullptr && value[0] == '0' && value[1] == '\0';
-}
-
-}  // namespace
 
 double CardinalityQError(double est_rows, uint64_t actual_rows) {
   const double est = std::max(1.0, est_rows);
@@ -20,82 +12,11 @@ double CardinalityQError(double est_rows, uint64_t actual_rows) {
   return std::max(est / actual, actual / est);
 }
 
-PlanAudit::PlanAudit() {
-  ring_.resize(kDefaultCapacity);
-  enabled_.store(!EnvDisabled("PPP_PLAN_AUDIT"), std::memory_order_relaxed);
-}
+PlanAudit::PlanAudit() : enabled_(EnvFlag("PPP_PLAN_AUDIT", true)) {}
 
 PlanAudit& PlanAudit::Global() {
   static PlanAudit* audit = new PlanAudit();
   return *audit;
-}
-
-void PlanAudit::Append(OperatorAuditRecord record) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.empty()) return;
-  if (size_ == ring_.size()) {
-    ring_[head_] = std::move(record);
-    head_ = (head_ + 1) % ring_.size();
-    evicted_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    ring_[(head_ + size_) % ring_.size()] = std::move(record);
-    ++size_;
-  }
-  total_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::vector<OperatorAuditRecord> PlanAudit::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<OperatorAuditRecord> out;
-  out.reserve(size_);
-  for (size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-std::vector<OperatorAuditRecord> PlanAudit::Tail(size_t n) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const size_t count = std::min(n, size_);
-  std::vector<OperatorAuditRecord> out;
-  out.reserve(count);
-  for (size_t i = size_ - count; i < size_; ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-size_t PlanAudit::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return size_;
-}
-
-void PlanAudit::set_capacity(size_t n) {
-  n = std::max<size_t>(n, 1);
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<OperatorAuditRecord> fresh(n);
-  const size_t keep = std::min(size_, n);
-  for (size_t i = 0; i < keep; ++i) {
-    fresh[i] = std::move(ring_[(head_ + (size_ - keep) + i) % ring_.size()]);
-  }
-  ring_ = std::move(fresh);
-  head_ = 0;
-  size_ = keep;
-}
-
-size_t PlanAudit::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
-}
-
-void PlanAudit::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (OperatorAuditRecord& r : ring_) r = OperatorAuditRecord{};
-  head_ = 0;
-  size_ = 0;
-  total_.store(0, std::memory_order_relaxed);
-  evicted_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace ppp::obs

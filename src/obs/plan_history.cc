@@ -1,21 +1,13 @@
 #include "obs/plan_history.h"
 
 #include <algorithm>
-#include <cstdlib>
+
+#include "obs/env_flag.h"
 
 namespace ppp::obs {
 
-namespace {
-
-bool EnvDisabled(const char* name) {
-  const char* value = std::getenv(name);
-  return value != nullptr && value[0] == '0' && value[1] == '\0';
-}
-
-}  // namespace
-
 PlanHistory::PlanHistory() {
-  enabled_.store(!EnvDisabled("PPP_PLAN_HISTORY"), std::memory_order_relaxed);
+  enabled_.store(EnvFlag("PPP_PLAN_HISTORY", true), std::memory_order_relaxed);
 }
 
 PlanHistory& PlanHistory::Global() {

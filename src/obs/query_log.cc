@@ -1,18 +1,8 @@
 #include "obs/query_log.h"
 
-#include <algorithm>
-#include <cstdlib>
+#include "obs/env_flag.h"
 
 namespace ppp::obs {
-
-namespace {
-
-bool EnvDisabled(const char* name) {
-  const char* value = std::getenv(name);
-  return value != nullptr && value[0] == '0' && value[1] == '\0';
-}
-
-}  // namespace
 
 const char* StatsTierName(StatsTier tier) {
   switch (tier) {
@@ -26,84 +16,11 @@ const char* StatsTierName(StatsTier tier) {
   return "declared";
 }
 
-QueryLog::QueryLog() {
-  ring_.resize(kDefaultCapacity);
-  enabled_.store(!EnvDisabled("PPP_QUERY_LOG"), std::memory_order_relaxed);
-}
+QueryLog::QueryLog() : enabled_(EnvFlag("PPP_QUERY_LOG", true)) {}
 
 QueryLog& QueryLog::Global() {
   static QueryLog* log = new QueryLog();
   return *log;
-}
-
-void QueryLog::Append(QueryLogRecord record) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.empty()) return;
-  if (size_ == ring_.size()) {
-    // Full: the slot at head_ holds the oldest record; overwrite it and
-    // advance the ring.
-    ring_[head_] = std::move(record);
-    head_ = (head_ + 1) % ring_.size();
-    evicted_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    ring_[(head_ + size_) % ring_.size()] = std::move(record);
-    ++size_;
-  }
-  total_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::vector<QueryLogRecord> QueryLog::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<QueryLogRecord> out;
-  out.reserve(size_);
-  for (size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-std::vector<QueryLogRecord> QueryLog::Tail(size_t n) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const size_t count = std::min(n, size_);
-  std::vector<QueryLogRecord> out;
-  out.reserve(count);
-  for (size_t i = size_ - count; i < size_; ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-size_t QueryLog::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return size_;
-}
-
-void QueryLog::set_capacity(size_t n) {
-  n = std::max<size_t>(n, 1);
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<QueryLogRecord> fresh(n);
-  const size_t keep = std::min(size_, n);
-  for (size_t i = 0; i < keep; ++i) {
-    fresh[i] = std::move(ring_[(head_ + (size_ - keep) + i) % ring_.size()]);
-  }
-  ring_ = std::move(fresh);
-  head_ = 0;
-  size_ = keep;
-}
-
-size_t QueryLog::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
-}
-
-void QueryLog::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (QueryLogRecord& r : ring_) r = QueryLogRecord{};
-  head_ = 0;
-  size_ = 0;
-  total_.store(0, std::memory_order_relaxed);
-  evicted_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace ppp::obs

@@ -4,9 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "obs/bounded_ring.h"
 
 namespace ppp::obs {
 
@@ -98,43 +100,36 @@ class QueryLog {
 
   /// Appends one record; past capacity the oldest record is overwritten
   /// (counted in evicted()). No-op while disabled.
-  void Append(QueryLogRecord record);
-
-  /// All retained records, oldest first.
-  std::vector<QueryLogRecord> Snapshot() const;
-
-  /// The most recent `n` records, oldest first.
-  std::vector<QueryLogRecord> Tail(size_t n) const;
-
-  size_t size() const;
-  /// Records ever appended (including since-evicted ones).
-  uint64_t total() const { return total_.load(std::memory_order_relaxed); }
-  /// Records overwritten by ring wraparound.
-  uint64_t evicted() const {
-    return evicted_.load(std::memory_order_relaxed);
+  void Append(QueryLogRecord record) {
+    if (enabled()) ring_.Append(std::move(record));
   }
 
+  /// All retained records, oldest first.
+  std::vector<QueryLogRecord> Snapshot() const { return ring_.Snapshot(); }
+
+  /// The most recent `n` records, oldest first.
+  std::vector<QueryLogRecord> Tail(size_t n) const { return ring_.Tail(n); }
+
+  size_t size() const { return ring_.size(); }
+  /// Records ever appended (including since-evicted ones).
+  uint64_t total() const { return ring_.total(); }
+  /// Records overwritten by ring wraparound.
+  uint64_t evicted() const { return ring_.evicted(); }
+
   /// Shrinks or grows the ring; shrinking keeps the newest records.
-  void set_capacity(size_t n);
-  size_t capacity() const;
+  void set_capacity(size_t n) { ring_.set_capacity(n); }
+  size_t capacity() const { return ring_.capacity(); }
 
   /// Drops all retained records and zeroes total/evicted. Query ids keep
   /// increasing (they are identities, not positions).
-  void Clear();
+  void Clear() { ring_.Clear(); }
 
  private:
   const std::chrono::steady_clock::time_point epoch_ =
       std::chrono::steady_clock::now();
-  std::atomic<bool> enabled_{true};
+  std::atomic<bool> enabled_;
   std::atomic<uint64_t> next_id_{0};
-  std::atomic<uint64_t> total_{0};
-  std::atomic<uint64_t> evicted_{0};
-  mutable std::mutex mu_;
-  /// Ring storage: `ring_[(head_ + i) % ring_.size()]` for i in [0, size_)
-  /// walks oldest to newest.
-  std::vector<QueryLogRecord> ring_;
-  size_t head_ = 0;
-  size_t size_ = 0;
+  BoundedRing<QueryLogRecord> ring_{kDefaultCapacity};
 };
 
 }  // namespace ppp::obs

@@ -1,16 +1,10 @@
 #include "obs/span.h"
 
-#include <cstdlib>
+#include "obs/env_flag.h"
 
 namespace ppp::obs {
 
 namespace {
-
-bool EnvEnabled(const char* name) {
-  const char* value = std::getenv(name);
-  return value != nullptr && value[0] != '\0' &&
-         !(value[0] == '0' && value[1] == '\0');
-}
 
 std::atomic<int> next_thread_id{0};
 
@@ -27,7 +21,7 @@ int CurrentThreadId() {
 }
 
 SpanTracer::SpanTracer() : epoch_(std::chrono::steady_clock::now()) {
-  enabled_.store(EnvEnabled("PPP_TRACE_SPANS"), std::memory_order_relaxed);
+  enabled_.store(EnvFlag("PPP_TRACE_SPANS", false), std::memory_order_relaxed);
 }
 
 SpanTracer& SpanTracer::Global() {

@@ -203,14 +203,12 @@ uint64_t PlacementParamsHash(const cost::CostParams& p,
   // %.17g round-trips doubles exactly, so distinct knob values never
   // collide by formatting.
   const std::string text = common::StringPrintf(
-      "%s|%.17g|%.17g|%.17g|%.17g|%.17g|%d|%d|%.17g|%d|%d|%d|%d|%.17g|%d|"
-      "%.17g",
+      "%s|%.17g|%.17g|%.17g|%.17g|%.17g|%d|%d|%d|%d|%d|%d|%d",
       algorithm.c_str(), p.seq_page_io, p.rand_page_io, p.index_probe_ios,
       p.buffer_pages, p.sort_fanout, p.per_input_selectivity ? 1 : 0,
       p.predicate_caching ? 1 : 0, p.parallel_workers,
       p.current_cardinality_estimate ? 1 : 0, p.use_feedback ? 1 : 0,
-      p.use_collected_stats ? 1 : 0, p.predicate_transfer ? 1 : 0,
-      p.cpu_tuple_cost, p.vectorized ? 1 : 0, p.vector_speedup);
+      p.use_collected_stats ? 1 : 0, p.predicate_transfer ? 1 : 0);
   return common::Fnv1aHash(text);
 }
 

@@ -183,8 +183,10 @@ class PlanCache {
   std::unordered_map<uint64_t, uint64_t> family_hit_counts_;
 };
 
-/// Hash over every CostParams field that can change plan choice, plus the
-/// algorithm name: two sessions with different knobs never share a slot.
+/// Hash over every CostParams field plus the algorithm name: two sessions
+/// with different knobs never share a slot. CostParams also holds the knobs
+/// the executor shares with the model, so a cached plan always runs under
+/// the knobs it was optimized for.
 uint64_t PlacementParamsHash(const cost::CostParams& params,
                              const std::string& algorithm);
 

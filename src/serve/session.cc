@@ -531,6 +531,7 @@ common::Result<QueryResult> Session::RunPlan(
   // wired per query (cheap pointer writes) so manager-level toggles apply
   // immediately.
   ctx_.params = options_.exec_params;
+  ctx_.cost_params = options_.cost_params;
   ctx_.shared_caches =
       state_->share_predicate_caches ? &state_->shared_caches : nullptr;
   ctx_.log_hints.text_hash = result.text_hash;

@@ -97,16 +97,6 @@ common::Result<std::string> WriteBenchJson(
   return path;
 }
 
-exec::ExecParams ExecParamsFor(const cost::CostParams& cost_params) {
-  exec::ExecParams exec_params;
-  exec_params.predicate_caching = cost_params.predicate_caching;
-  exec_params.parallel_workers = static_cast<size_t>(
-      std::max(1.0, cost_params.parallel_workers));
-  exec_params.predicate_transfer = cost_params.predicate_transfer;
-  exec_params.vectorized = cost_params.vectorized;
-  return exec_params;
-}
-
 double ChargedTime(const exec::ExecStats& stats,
                    const catalog::FunctionRegistry& functions,
                    const cost::CostParams& params, double* io_part,
@@ -169,6 +159,7 @@ common::Result<Measurement> RunWithAlgorithm(
   exec::ExecContext ctx;
   ctx.catalog = &db->catalog();
   ctx.params = exec_params;
+  ctx.cost_params = cost_params;
   // The query log's normalized text is the bound spec's canonical
   // rendering — stable across whitespace/literal formatting of the
   // original SQL, distinct across constants.

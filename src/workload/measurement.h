@@ -53,13 +53,6 @@ struct Measurement {
 common::Result<std::string> WriteBenchJson(
     const std::string& name, const std::vector<Measurement>& measurements);
 
-/// Execution parameters consistent with `cost_params`: the knobs shared by
-/// optimizer and executor (predicate_caching, parallel_workers,
-/// predicate_transfer) are copied from the cost side, so the optimizer
-/// always models what the executor does. Use this instead of setting the
-/// two flags independently.
-exec::ExecParams ExecParamsFor(const cost::CostParams& cost_params);
-
 /// Converts executor stats into charged relative time under `params`.
 double ChargedTime(const exec::ExecStats& stats,
                    const catalog::FunctionRegistry& functions,
@@ -67,8 +60,10 @@ double ChargedTime(const exec::ExecStats& stats,
                    double* udf_part);
 
 /// Optimizes `spec` with `algorithm`, evicts the buffer pool (cold start,
-/// as the paper's one-query-at-a-time measurements imply), executes, and
-/// measures. `execute` false skips execution (for optimize-time studies).
+/// as the paper's one-query-at-a-time measurements imply), executes under
+/// `cost_params` (the knobs it shares with the optimizer) and
+/// `exec_params`, and measures. `execute` false skips execution (for
+/// optimize-time studies).
 /// `collect_explain` fills Measurement::explain_text — EXPLAIN ANALYZE of
 /// the executed operator tree when executing, plain EXPLAIN otherwise.
 /// `trace`, when non-null, records the optimizer's decisions.

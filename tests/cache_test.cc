@@ -54,13 +54,16 @@ class CacheTest : public ::testing::Test {
     return *info;
   }
 
-  /// Runs Filter(f(t.<col>)) over the table under `params`; returns stats.
+  /// Runs Filter(f(t.<col>)) over the table under `params` and `knobs`;
+  /// returns stats.
   ExecStats RunFilter(const std::string& col, const ExecParams& params,
-                      const std::string& fn = "f") {
+                      const std::string& fn = "f",
+                      const cost::CostParams& knobs = {}) {
     ExecContext ctx;
     ctx.catalog = &catalog_;
     ctx.binding = binding_;
     ctx.params = params;
+    ctx.cost_params = knobs;
     plan::PlanPtr plan = plan::MakeFilter(
         plan::MakeSeqScan("t", "t"), Analyze(Call(fn, {Col("t", col)})));
     ExecStats stats;
@@ -99,9 +102,11 @@ TEST_F(CacheTest, MasterSwitchOffDisablesAllModes) {
   for (const CacheMode mode :
        {CacheMode::kPredicate, CacheMode::kFunction}) {
     ExecParams params;
-    params.predicate_caching = false;
     params.cache_mode = mode;
-    EXPECT_EQ(RunFilter("grp", params).invocations.at("f"), 1000u);
+    cost::CostParams knobs;
+    knobs.predicate_caching = false;
+    EXPECT_EQ(RunFilter("grp", params, "f", knobs).invocations.at("f"),
+              1000u);
   }
 }
 
@@ -221,9 +226,10 @@ TEST_F(CacheTest, ShardedCacheEvictsUnderParallelConfig) {
   ExecParams params;
   params.cache_mode = CacheMode::kPredicate;
   params.cache_max_entries = 4;
-  params.parallel_workers = 4;
   params.batch_size = 64;
-  const ExecStats sharded = RunFilter("grp", params);
+  cost::CostParams knobs;
+  knobs.parallel_workers = 4;
+  const ExecStats sharded = RunFilter("grp", params, "f", knobs);
   const ExecStats unbounded = RunFilter("grp", ExecParams{});
   EXPECT_EQ(sharded.output_rows, unbounded.output_rows);
   EXPECT_GT(sharded.invocations.at("f"), unbounded.invocations.at("f"));
@@ -233,9 +239,10 @@ TEST_F(CacheTest, ShardedAdaptiveDisableUnderParallelConfig) {
   ExecParams params;
   params.cache_mode = CacheMode::kPredicate;
   params.adaptive_caching = true;
-  params.parallel_workers = 4;
   params.batch_size = 128;
-  const ExecStats stats = RunFilter("uniq", params);
+  cost::CostParams knobs;
+  knobs.parallel_workers = 4;
+  const ExecStats stats = RunFilter("uniq", params, "f", knobs);
   // Every distinct binding evaluated exactly once even while the cache
   // disables itself mid-run: pending-entry dedup keeps counters exact.
   EXPECT_EQ(stats.invocations.at("f"), 1000u);
@@ -243,10 +250,11 @@ TEST_F(CacheTest, ShardedAdaptiveDisableUnderParallelConfig) {
 }
 
 TEST_F(CacheTest, CachedPredicateAccessors) {
-  ExecParams params;
+  ExecContext ctx;
+  ctx.catalog = &catalog_;
   auto pred = CachedPredicate::Bind(
       Analyze(Call("f", {Col("t", "grp")})),
-      (*catalog_.GetTable("t"))->RowSchemaForAlias("t"), catalog_, params);
+      (*catalog_.GetTable("t"))->RowSchemaForAlias("t"), ctx);
   ASSERT_TRUE(pred.ok());
   EXPECT_TRUE(pred->cache_enabled());
   expr::EvalContext eval;
@@ -323,10 +331,11 @@ TEST_F(CacheTest, LruPredicateCacheEndToEnd) {
 }
 
 TEST_F(CacheTest, CheapPredicateNotCached) {
-  ExecParams params;
+  ExecContext ctx;
+  ctx.catalog = &catalog_;
   auto pred = CachedPredicate::Bind(
       Analyze(expr::Eq(Col("t", "grp"), expr::Int(1))),
-      (*catalog_.GetTable("t"))->RowSchemaForAlias("t"), catalog_, params);
+      (*catalog_.GetTable("t"))->RowSchemaForAlias("t"), ctx);
   ASSERT_TRUE(pred.ok());
   EXPECT_FALSE(pred->cache_enabled());
 }

@@ -370,55 +370,5 @@ TEST_F(CostModelTest, PagesForRoundsUp) {
   EXPECT_DOUBLE_EQ(CostModel::PagesFor(41, 100), 2.0);  // 4100 bytes.
 }
 
-TEST_F(CostModelTest, VectorizedModeDividesCheapCpuCharge) {
-  const expr::ExprPtr cheap =
-      expr::Cmp(expr::CompareOp::kLt, Col("r", "key"), Int(500));
-
-  // cpu_tuple_cost defaults to 0: cheap filters stay free either way
-  // (historical plans and cost assertions unchanged).
-  {
-    CostModel model = Model();
-    plan::PlanPtr plan =
-        plan::MakeFilter(plan::MakeSeqScan("r", "r"), Analyze(cheap));
-    ASSERT_TRUE(model.Annotate(plan.get()).ok());
-    EXPECT_DOUBLE_EQ(plan->est_cost, plan->children[0]->est_cost);
-  }
-
-  // With cpu_tuple_cost set, scalar mode charges rows * cost and
-  // vectorized mode divides the charge by vector_speedup.
-  CostParams params;
-  params.cpu_tuple_cost = 0.01;
-  params.vectorized = false;
-  double scalar_cost = 0.0;
-  {
-    CostModel model = Model(params);
-    plan::PlanPtr plan =
-        plan::MakeFilter(plan::MakeSeqScan("r", "r"), Analyze(cheap));
-    ASSERT_TRUE(model.Annotate(plan.get()).ok());
-    scalar_cost = plan->est_cost - plan->children[0]->est_cost;
-    EXPECT_DOUBLE_EQ(scalar_cost, 1000 * 0.01);
-  }
-  params.vectorized = true;
-  {
-    CostModel model = Model(params);
-    plan::PlanPtr plan =
-        plan::MakeFilter(plan::MakeSeqScan("r", "r"), Analyze(cheap));
-    ASSERT_TRUE(model.Annotate(plan.get()).ok());
-    EXPECT_DOUBLE_EQ(plan->est_cost - plan->children[0]->est_cost,
-                     scalar_cost / params.vector_speedup);
-  }
-
-  // Expensive filters are charged through est_udf_cost only — the vector
-  // knob must not touch them.
-  {
-    CostModel model = Model(params);
-    plan::PlanPtr plan = plan::MakeFilter(
-        plan::MakeSeqScan("r", "r"), Analyze(Call("costly", {Col("r", "key")})));
-    ASSERT_TRUE(model.Annotate(plan.get()).ok());
-    EXPECT_DOUBLE_EQ(plan->est_cost,
-                     plan->children[0]->est_cost + plan->est_udf_cost);
-  }
-}
-
 }  // namespace
 }  // namespace ppp::cost

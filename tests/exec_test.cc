@@ -107,7 +107,7 @@ TEST_F(ExecTest, FilterKeepsOnlyPassing) {
 }
 
 TEST_F(ExecTest, FilterCountsUdfInvocations) {
-  ctx_.params.predicate_caching = false;
+  ctx_.cost_params.predicate_caching = false;
   plan::PlanPtr plan = plan::MakeFilter(
       plan::MakeSeqScan("r", "r"), Analyze(Call("costly", {Col("r", "key")})));
   ExecStats stats;
@@ -116,7 +116,7 @@ TEST_F(ExecTest, FilterCountsUdfInvocations) {
 }
 
 TEST_F(ExecTest, PredicateCacheDeduplicatesInvocations) {
-  ctx_.params.predicate_caching = true;
+  ctx_.cost_params.predicate_caching = true;
   // Only 10 distinct grp values: at most 10 invocations.
   plan::PlanPtr plan = plan::MakeFilter(
       plan::MakeSeqScan("r", "r"), Analyze(Call("costly", {Col("r", "grp")})));
@@ -126,7 +126,7 @@ TEST_F(ExecTest, PredicateCacheDeduplicatesInvocations) {
 }
 
 TEST_F(ExecTest, CacheDisabledEvaluatesEveryTuple) {
-  ctx_.params.predicate_caching = false;
+  ctx_.cost_params.predicate_caching = false;
   plan::PlanPtr plan = plan::MakeFilter(
       plan::MakeSeqScan("r", "r"), Analyze(Call("costly", {Col("r", "grp")})));
   ExecStats stats;
@@ -249,7 +249,7 @@ TEST_F(ExecTest, MergeAndHashJoinsRequireSimpleEquiJoin) {
 }
 
 TEST_F(ExecTest, ExpensivePrimaryJoinViaNestLoop) {
-  ctx_.params.predicate_caching = false;
+  ctx_.cost_params.predicate_caching = false;
   expr::PredicateInfo pred =
       Analyze(Call("costly", {Col("r", "grp"), Col("s", "grp")}));
   plan::PlanPtr plan = plan::MakeJoin(
@@ -287,7 +287,7 @@ TEST_F(ExecTest, ProjectComputesExpressions) {
 }
 
 TEST_F(ExecTest, MaterializeReplaysWithoutReexecution) {
-  ctx_.params.predicate_caching = false;
+  ctx_.cost_params.predicate_caching = false;
   // Materialized expensive filter as NLJ inner: the filter runs once.
   plan::PlanPtr inner = plan::MakeMaterialize(plan::MakeFilter(
       plan::MakeSeqScan("s", "s"), Analyze(Call("costly", {Col("s", "key")}))));
@@ -300,7 +300,7 @@ TEST_F(ExecTest, MaterializeReplaysWithoutReexecution) {
 }
 
 TEST_F(ExecTest, PipelinedNestLoopReexecutesInnerFilterButCacheAbsorbs) {
-  ctx_.params.predicate_caching = true;
+  ctx_.cost_params.predicate_caching = true;
   plan::PlanPtr inner = plan::MakeFilter(
       plan::MakeSeqScan("s", "s"), Analyze(Call("costly", {Col("s", "key")})));
   plan::PlanPtr plan = plan::MakeJoin(

@@ -208,8 +208,7 @@ class ProvenanceTest : public ExplainTest {
     EXPECT_TRUE(spec.ok()) << spec.status();
     auto m = workload::RunWithAlgorithm(
         &db_, *spec, optimizer::Algorithm::kMigration, cost_params,
-        workload::ExecParamsFor(cost_params),
-        /*execute=*/false, /*collect_explain=*/true);
+        exec::ExecParams{}, /*execute=*/false, /*collect_explain=*/true);
     EXPECT_TRUE(m.ok()) << m.status();
     return m->explain_text;
   }

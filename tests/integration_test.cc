@@ -54,7 +54,7 @@ class IntegrationTest : public ::testing::Test {
 
     exec::ExecContext ctx;
     ctx.catalog = &db_.catalog();
-    ctx.params.predicate_caching = caching;
+    ctx.cost_params = cost_params;
     for (const plan::TableRef& ref : spec.tables) {
       ctx.binding[ref.alias] = *db_.catalog().GetTable(ref.table_name);
     }
@@ -69,7 +69,7 @@ class IntegrationTest : public ::testing::Test {
     cost::CostParams cost_params;
     cost_params.predicate_caching = caching;
     auto m = workload::RunWithAlgorithm(&db_, spec, algorithm, cost_params,
-                                        workload::ExecParamsFor(cost_params));
+                                        exec::ExecParams{});
     EXPECT_TRUE(m.ok()) << m.status();
     return *m;
   }

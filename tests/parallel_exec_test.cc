@@ -79,6 +79,12 @@ struct RunOutcome {
   }
 };
 
+/// The executor knobs of one configuration (the plan stays fixed).
+struct Knobs {
+  exec::ExecParams params;
+  cost::CostParams cost_params;
+};
+
 class ParallelExecTest : public ::testing::Test {
  protected:
   ParallelExecTest() {
@@ -88,11 +94,11 @@ class ParallelExecTest : public ::testing::Test {
     EXPECT_TRUE(workload::RegisterBenchmarkFunctions(&db_).ok());
   }
 
-  /// Optimizes `id` once (fixed plan), then executes it under `params`.
+  /// Optimizes `id` once (fixed plan), then executes it under `knobs`.
   /// Keeping the plan fixed isolates the executor: any difference between
   /// configurations is an executor bug, not a placement change. `cold`
   /// empties the buffer pool first, so page reads are comparable.
-  RunOutcome Execute(const std::string& id, const exec::ExecParams& params,
+  RunOutcome Execute(const std::string& id, const Knobs& knobs,
                      Algorithm algorithm = Algorithm::kMigration,
                      bool cold = false) {
     auto spec = workload::GetBenchmarkQuery(db_, config_, id);
@@ -107,7 +113,8 @@ class ParallelExecTest : public ::testing::Test {
 
     exec::ExecContext ctx;
     ctx.catalog = &db_.catalog();
-    ctx.params = params;
+    ctx.params = knobs.params;
+    ctx.cost_params = knobs.cost_params;
     for (const plan::TableRef& ref : spec->tables) {
       ctx.binding[ref.alias] = *db_.catalog().GetTable(ref.table_name);
     }
@@ -122,11 +129,11 @@ class ParallelExecTest : public ::testing::Test {
     return out;
   }
 
-  exec::ExecParams Params(size_t workers, size_t batch) {
-    exec::ExecParams params;
-    params.parallel_workers = workers;
-    params.batch_size = batch;
-    return params;
+  Knobs Params(int workers, size_t batch) {
+    Knobs knobs;
+    knobs.cost_params.parallel_workers = workers;
+    knobs.params.batch_size = batch;
+    return knobs;
   }
 
   workload::Database db_;
@@ -172,10 +179,10 @@ TEST_F(ParallelExecTest, DegenerateBatchesStillCorrect) {
 }
 
 TEST_F(ParallelExecTest, ParallelWithoutCachingMatchesSerial) {
-  exec::ExecParams serial_params = Params(1, 1024);
-  serial_params.predicate_caching = false;
-  exec::ExecParams parallel_params = Params(4, 256);
-  parallel_params.predicate_caching = false;
+  Knobs serial_params = Params(1, 1024);
+  serial_params.cost_params.predicate_caching = false;
+  Knobs parallel_params = Params(4, 256);
+  parallel_params.cost_params.predicate_caching = false;
   EXPECT_EQ(Execute("Q1", parallel_params), Execute("Q1", serial_params));
 }
 

@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exec/executor.h"
@@ -21,6 +22,7 @@
 #include "obs/profiler.h"
 #include "obs/query_log.h"
 #include "optimizer/optimizer.h"
+#include "parser/binder.h"
 #include "parser/normalize.h"
 #include "serve/plan_cache.h"
 #include "serve/session.h"
@@ -143,12 +145,39 @@ TEST(PlanCacheKeyTest, PlacementKnobsChangeParamsHash) {
   cost::CostParams base;
   const uint64_t h = serve::PlacementParamsHash(base, "migration");
   EXPECT_NE(h, serve::PlacementParamsHash(base, "pushdown"));
-  cost::CostParams caching_off = base;
-  caching_off.predicate_caching = false;
-  EXPECT_NE(h, serve::PlacementParamsHash(caching_off, "migration"));
-  cost::CostParams workers = base;
-  workers.parallel_workers = 4;
-  EXPECT_NE(h, serve::PlacementParamsHash(workers, "migration"));
+  // Every CostParams field, toggled alone, moves the key: the key is the
+  // only thing that keeps a cached plan from running under knobs (model or
+  // executor) it was not optimized for.
+  const std::vector<std::pair<const char*, void (*)(cost::CostParams*)>>
+      toggles = {
+          {"seq_page_io", [](cost::CostParams* p) { p->seq_page_io = 2.0; }},
+          {"rand_page_io", [](cost::CostParams* p) { p->rand_page_io = 2.0; }},
+          {"index_probe_ios",
+           [](cost::CostParams* p) { p->index_probe_ios = 4.0; }},
+          {"buffer_pages", [](cost::CostParams* p) { p->buffer_pages = 512; }},
+          {"sort_fanout", [](cost::CostParams* p) { p->sort_fanout = 16; }},
+          {"per_input_selectivity",
+           [](cost::CostParams* p) { p->per_input_selectivity = false; }},
+          {"predicate_caching",
+           [](cost::CostParams* p) { p->predicate_caching = false; }},
+          {"parallel_workers",
+           [](cost::CostParams* p) { p->parallel_workers = 4; }},
+          {"current_cardinality_estimate",
+           [](cost::CostParams* p) {
+             p->current_cardinality_estimate = false;
+           }},
+          {"use_feedback", [](cost::CostParams* p) { p->use_feedback = true; }},
+          {"use_collected_stats",
+           [](cost::CostParams* p) { p->use_collected_stats = false; }},
+          {"predicate_transfer",
+           [](cost::CostParams* p) { p->predicate_transfer = true; }},
+      };
+  for (const auto& [field, toggle] : toggles) {
+    cost::CostParams changed = base;
+    toggle(&changed);
+    EXPECT_FALSE(changed == base) << field;
+    EXPECT_NE(h, serve::PlacementParamsHash(changed, "migration")) << field;
+  }
   EXPECT_EQ(h, serve::PlacementParamsHash(base, "migration"));
 }
 
@@ -364,7 +393,6 @@ TEST_F(ServeTest, DifferentCostParamsGetDifferentSlots) {
   auto a = manager.CreateSession();
   serve::SessionOptions options;
   options.cost_params.predicate_caching = false;
-  options.exec_params.predicate_caching = false;
   auto b = manager.CreateSession(options);
   const std::string sql = QueryTexts()[0];
   ASSERT_TRUE(a->Execute(sql).ok());
@@ -482,7 +510,7 @@ TEST_F(ServeTest, KnobChangeBetweenExecutesMovesToANewSlot) {
   const size_t entries = manager.plan_cache().entries();
 
   // The params-hash memo must notice a knob set through options().
-  session->options().cost_params.cpu_tuple_cost = 0.25;
+  session->options().cost_params.rand_page_io = 2.0;
   auto moved = session->Execute("EXECUTE k(5)");
   ASSERT_TRUE(moved.ok());
   EXPECT_FALSE(moved->plan_cache_hit);
@@ -492,7 +520,7 @@ TEST_F(ServeTest, KnobChangeBetweenExecutesMovesToANewSlot) {
   EXPECT_TRUE(again->plan_cache_hit);
 
   // Back to the defaults: the original slot serves again.
-  session->options().cost_params.cpu_tuple_cost = 0.0;
+  session->options().cost_params.rand_page_io = 1.0;
   auto back = session->Execute("EXECUTE k(5)");
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(back->plan_cache_hit);
@@ -501,6 +529,120 @@ TEST_F(ServeTest, KnobChangeBetweenExecutesMovesToANewSlot) {
   auto algo = session->Execute("EXECUTE k(5)");
   ASSERT_TRUE(algo.ok());
   EXPECT_FALSE(algo->plan_cache_hit);
+}
+
+/// Runs the one-slot statement `body` through every way a session obtains
+/// a plan — a cold EXECUTE compile, a generic (family) EXECUTE, an
+/// exact-hit EXECUTE and a plain QUERY — and calls `check` after each with
+/// the concrete SQL that ran.
+void OnEveryPlanPath(
+    serve::Session* session, const std::string& body,
+    const std::function<void(const std::string& path, const std::string& sql,
+                             const std::function<void()>& run)>& check) {
+  ASSERT_TRUE(session->Execute("PREPARE p AS " + body).ok());
+  const auto concrete = [&](const std::string& literal) {
+    std::string sql = body;
+    sql.replace(sql.find("$1"), 2, literal);
+    return sql;
+  };
+  const struct {
+    const char* path;
+    std::string statement;
+    std::string literal;
+    bool hit;
+    bool generic;
+  } kSteps[] = {
+      {"cold EXECUTE", "EXECUTE p(10)", "10", false, false},
+      {"generic EXECUTE", "EXECUTE p(15)", "15", true, true},
+      {"exact-hit EXECUTE", "EXECUTE p(10)", "10", true, false},
+      {"QUERY", concrete("20"), "20", false, false},
+  };
+  for (const auto& step : kSteps) {
+    check(step.path, concrete(step.literal), [&] {
+      auto r = session->Execute(step.statement);
+      ASSERT_TRUE(r.ok()) << step.path << ": " << r.status();
+      EXPECT_EQ(r->plan_cache_hit, step.hit) << step.path;
+      EXPECT_EQ(r->generic_plan, step.generic) << step.path;
+    });
+  }
+}
+
+TEST_F(ServeTest, OneCostParamsKnobGovernsPlanAndExecutionOnEveryPath) {
+  // Each knob the optimizer shares with the executor is set once, on
+  // SessionOptions::cost_params only; execution must follow it however
+  // the session obtained its plan.
+  obs::PredicateProfiler::Global().Reset();
+  const std::string udf_body =
+      "SELECT t3.a FROM t3 WHERE t3.ua < $1 AND costly1(t3.u100)";
+
+  // predicate_caching off: every path invokes the UDF exactly as often as
+  // an uncached RunWithAlgorithm run of the same SQL (and more often than
+  // a cached one, so the knob is visible).
+  {
+    serve::SessionManager manager(&db_);
+    auto session = manager.CreateSession();
+    session->options().cost_params.predicate_caching = false;
+    OnEveryPlanPath(
+        session.get(), udf_body,
+        [&](const std::string& path, const std::string& sql,
+            const std::function<void()>& run) {
+          auto spec = parser::ParseAndBind(sql, db_.catalog());
+          ASSERT_TRUE(spec.ok()) << spec.status();
+          const auto invocations = [&](const cost::CostParams& knobs) {
+            auto m = workload::RunWithAlgorithm(
+                &db_, *spec, optimizer::Algorithm::kMigration, knobs,
+                exec::ExecParams{});
+            EXPECT_TRUE(m.ok()) << m.status();
+            return m.ok() ? m->invocations["costly1"] : 0;
+          };
+          const uint64_t cached = invocations(cost::CostParams{});
+          const uint64_t uncached =
+              invocations(session->options().cost_params);
+          ASSERT_GT(uncached, cached) << path;
+          run();
+          const std::vector<obs::QueryLogRecord> tail =
+              obs::QueryLog::Global().Tail(1);
+          ASSERT_EQ(tail.size(), 1u) << path;
+          EXPECT_EQ(tail[0].udf_invocations, uncached) << path;
+        });
+  }
+
+  // parallel_workers = 4: the expensive filter fans out on every path.
+  {
+    obs::Counter* batches =
+        obs::MetricsRegistry::Global().GetCounter("exec.parallel.batches");
+    serve::SessionManager manager(&db_);
+    auto session = manager.CreateSession();
+    session->options().cost_params.parallel_workers = 4;
+    OnEveryPlanPath(session.get(), udf_body,
+                    [&](const std::string& path, const std::string&,
+                        const std::function<void()>& run) {
+                      const uint64_t before = batches->value();
+                      run();
+                      EXPECT_GT(batches->value(), before) << path;
+                    });
+  }
+
+  // predicate_transfer on, over Q4's hash join: every path probes a Bloom
+  // filter.
+  {
+    obs::Counter* probed =
+        obs::MetricsRegistry::Global().GetCounter("exec.transfer.probed");
+    serve::SessionManager manager(&db_);
+    auto session = manager.CreateSession();
+    session->options().cost_params.predicate_transfer = true;
+    OnEveryPlanPath(
+        session.get(),
+        "SELECT * FROM t3, t6, t10 WHERE t3.a10 = t6.a10 AND "
+        "t6.ua = t10.ua1 AND t10.u10 < $1 AND costly100(t3.ua)",
+        [&](const std::string& path, const std::string&,
+            const std::function<void()>& run) {
+          const uint64_t before = probed->value();
+          run();
+          EXPECT_GT(probed->value(), before) << path;
+        });
+  }
+  obs::PredicateProfiler::Global().Reset();
 }
 
 TEST_F(ServeTest, ByteBoundedLruEviction) {

@@ -262,13 +262,12 @@ TEST_F(TracedQueryTest, BenchmarkSuiteEmitsValidChromeTrace) {
   TracerGuard guard;
   cost::CostParams cost_params;
   cost_params.parallel_workers = 2;
-  const exec::ExecParams exec_params = workload::ExecParamsFor(cost_params);
   for (const char* id : {"Q1", "Q2", "Q3", "Q4", "Q5"}) {
     auto spec = workload::GetBenchmarkQuery(db_, config_, id);
     ASSERT_TRUE(spec.ok()) << spec.status();
     auto m = workload::RunWithAlgorithm(&db_, *spec,
                                         optimizer::Algorithm::kMigration,
-                                        cost_params, exec_params);
+                                        cost_params, exec::ExecParams{});
     ASSERT_TRUE(m.ok()) << m.status();
   }
 
@@ -321,9 +320,9 @@ TEST_F(TracedQueryTest, ParallelWorkerSpansLandOnPoolThreads) {
   cost_params.parallel_workers = 3;
   exec::ExecContext ctx;
   ctx.catalog = &db_.catalog();
-  ctx.params = workload::ExecParamsFor(cost_params);
+  ctx.cost_params = cost_params;
   ctx.thread_pool = std::make_shared<common::ThreadPool>(
-      ctx.params.parallel_workers - 1);
+      ctx.cost_params.parallel_workers - 1);
 
   // The tid universe: the pool's threads plus this (coordinator) thread.
   // Tasks sleep long enough that no thread can drain the queue alone, so
@@ -337,7 +336,8 @@ TEST_F(TracedQueryTest, ParallelWorkerSpansLandOnPoolThreads) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   });
-  ASSERT_EQ(known_tids.size(), ctx.params.parallel_workers);
+  ASSERT_EQ(known_tids.size(),
+            static_cast<size_t>(ctx.cost_params.parallel_workers));
 
   auto spec = parser::ParseAndBind("SELECT * FROM t3 WHERE spanslow(t3.ua)",
                                    db_.catalog());

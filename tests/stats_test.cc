@@ -566,7 +566,7 @@ class StatsInvarianceTest : public ::testing::Test {
   }
 
   std::vector<std::string> ResultsOf(const plan::QuerySpec& spec,
-                                     bool use_stats, double workers) {
+                                     bool use_stats, int workers) {
     cost::CostParams cost_params;
     cost_params.use_collected_stats = use_stats;
     cost_params.parallel_workers = workers;
@@ -576,7 +576,7 @@ class StatsInvarianceTest : public ::testing::Test {
 
     exec::ExecContext ctx;
     ctx.catalog = &db_.catalog();
-    ctx.params = workload::ExecParamsFor(cost_params);
+    ctx.cost_params = cost_params;
     for (const plan::TableRef& ref : spec.tables) {
       ctx.binding[ref.alias] = *db_.catalog().GetTable(ref.table_name);
     }

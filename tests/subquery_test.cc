@@ -149,7 +149,7 @@ TEST_F(SubqueryTest, PredicateCacheKeyedOnOuterBindings) {
 
   exec::ExecContext ctx;
   ctx.catalog = &catalog_;
-  ctx.params.predicate_caching = true;
+  ctx.cost_params.predicate_caching = true;
   ctx.binding = {{"student", *catalog_.GetTable("student")}};
   exec::ExecStats stats;
   ASSERT_TRUE(exec::ExecutePlan(*result->plan, &ctx, &stats).ok());

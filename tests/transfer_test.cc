@@ -84,13 +84,15 @@ class TransferExecTest : public ::testing::Test {
         Analyze(Eq(Col("r", "key"), Col(build_side, "key"))));
   }
 
-  std::vector<Tuple> Run(const plan::PlanNode& plan, const ExecParams& params,
-                         ExecStats* stats,
-                         std::unique_ptr<exec::Operator>* root = nullptr) {
+  std::vector<Tuple> Run(const plan::PlanNode& plan,
+                         const cost::CostParams& knobs, ExecStats* stats,
+                         std::unique_ptr<exec::Operator>* root = nullptr,
+                         const ExecParams& params = {}) {
     exec::ExecContext ctx;
     ctx.catalog = &catalog_;
     ctx.binding = binding_;
     ctx.params = params;
+    ctx.cost_params = knobs;
     auto rows = exec::ExecutePlan(plan, &ctx, stats, nullptr, root);
     EXPECT_TRUE(rows.ok()) << rows.status();
     return std::move(rows).value();
@@ -113,13 +115,13 @@ std::vector<std::string> Canon(const std::vector<Tuple>& rows) {
 TEST_F(TransferExecTest, StarvesProbeSideUdfOfDoomedTuples) {
   plan::PlanPtr plan = ProbeSideUdfPlan("s");
 
-  ExecParams off;
+  cost::CostParams off;
   off.predicate_caching = false;
   ExecStats off_stats;
   const std::vector<Tuple> off_rows = Run(*plan, off, &off_stats);
   EXPECT_EQ(off_stats.invocations.at("costly"), 200u);
 
-  ExecParams on = off;
+  cost::CostParams on = off;
   on.predicate_transfer = true;
   ExecStats on_stats;
   std::unique_ptr<exec::Operator> root;
@@ -144,11 +146,11 @@ TEST_F(TransferExecTest, StarvesProbeSideUdfOfDoomedTuples) {
 
 TEST_F(TransferExecTest, ResultsIdenticalAcrossWorkers) {
   plan::PlanPtr plan = ProbeSideUdfPlan("s");
-  ExecParams reference_params;
+  cost::CostParams reference_params;
   ExecStats reference_stats;
   const auto reference = Canon(Run(*plan, reference_params, &reference_stats));
-  for (const size_t workers : {size_t{1}, size_t{4}}) {
-    ExecParams params;
+  for (const int workers : {1, 4}) {
+    cost::CostParams params;
     params.predicate_transfer = true;
     params.parallel_workers = workers;
     ExecStats stats;
@@ -157,9 +159,9 @@ TEST_F(TransferExecTest, ResultsIdenticalAcrossWorkers) {
   }
   // Counters agree exactly between worker counts (pruning and caching are
   // both deterministic).
-  ExecParams w1;
+  cost::CostParams w1;
   w1.predicate_transfer = true;
-  ExecParams w4 = w1;
+  cost::CostParams w4 = w1;
   w4.parallel_workers = 4;
   ExecStats s1;
   ExecStats s4;
@@ -173,16 +175,17 @@ TEST_F(TransferExecTest, KillSwitchDisablesUselessFilter) {
   // so after transfer_min_probes rows the kill switch must fire.
   plan::PlanPtr plan = ProbeSideUdfPlan("big");
 
-  ExecParams off;
+  cost::CostParams off;
   ExecStats off_stats;
   const auto reference = Canon(Run(*plan, off, &off_stats));
 
-  ExecParams on;
+  cost::CostParams on;
   on.predicate_transfer = true;
-  on.transfer_min_probes = 50;
+  ExecParams params;
+  params.transfer_min_probes = 50;
   ExecStats on_stats;
   std::unique_ptr<exec::Operator> root;
-  const auto rows = Canon(Run(*plan, on, &on_stats, &root));
+  const auto rows = Canon(Run(*plan, on, &on_stats, &root, params));
   EXPECT_EQ(rows, reference);
   // Nothing was prunable, so the UDF bill is unchanged.
   EXPECT_EQ(on_stats.invocations.at("costly"),
@@ -235,7 +238,7 @@ TEST_F(TransferExecTest, BatchProbeKeepsSurvivingTuplesIntact) {
 TEST_F(TransferExecTest, TransferStatsReachProfiler) {
   obs::PredicateProfiler::Global().Reset();
   plan::PlanPtr plan = ProbeSideUdfPlan("s");
-  ExecParams on;
+  cost::CostParams on;
   on.predicate_transfer = true;
   ExecStats stats;
   Run(*plan, on, &stats);
@@ -285,9 +288,9 @@ class TransferBenchmarkTest : public ::testing::Test {
     EXPECT_TRUE(workload::RegisterBenchmarkFunctions(&db_).ok());
   }
 
-  /// Optimizes `id` once with `cost_params`, executes under `params`.
+  /// Optimizes `id` once with `cost_params`, executes under `knobs`.
   RunOutcome Execute(const std::string& id, const cost::CostParams& cost_params,
-                     const ExecParams& params) {
+                     const cost::CostParams& knobs) {
     auto spec = workload::GetBenchmarkQuery(db_, config_, id);
     EXPECT_TRUE(spec.ok()) << spec.status();
     optimizer::Optimizer opt(&db_.catalog(), cost_params);
@@ -296,7 +299,7 @@ class TransferBenchmarkTest : public ::testing::Test {
 
     exec::ExecContext ctx;
     ctx.catalog = &db_.catalog();
-    ctx.params = params;
+    ctx.cost_params = knobs;
     for (const plan::TableRef& ref : spec->tables) {
       ctx.binding[ref.alias] = *db_.catalog().GetTable(ref.table_name);
     }
@@ -317,12 +320,11 @@ class TransferBenchmarkTest : public ::testing::Test {
 TEST_F(TransferBenchmarkTest, TransferNeverChangesResults) {
   for (const char* id : {"Q1", "Q2", "Q3", "Q4", "Q5"}) {
     const cost::CostParams cost_off;
-    ExecParams off;
-    const RunOutcome reference = Execute(id, cost_off, off);
+    const RunOutcome reference = Execute(id, cost_off, cost_off);
     EXPECT_FALSE(reference.rows.empty()) << id;
 
-    for (const size_t workers : {size_t{1}, size_t{4}}) {
-      ExecParams on;
+    for (const int workers : {1, 4}) {
+      cost::CostParams on;
       on.predicate_transfer = true;
       on.parallel_workers = workers;
       const RunOutcome outcome = Execute(id, cost_off, on);
@@ -341,9 +343,9 @@ TEST_F(TransferBenchmarkTest, TransferNeverChangesResults) {
 TEST_F(TransferBenchmarkTest, TransferCountersIdenticalAcrossWorkers) {
   for (const char* id : {"Q2", "Q4"}) {
     const cost::CostParams cost_off;
-    ExecParams w1;
+    cost::CostParams w1;
     w1.predicate_transfer = true;
-    ExecParams w4 = w1;
+    cost::CostParams w4 = w1;
     w4.parallel_workers = 4;
     const RunOutcome a = Execute(id, cost_off, w1);
     const RunOutcome b = Execute(id, cost_off, w4);
@@ -354,17 +356,15 @@ TEST_F(TransferBenchmarkTest, TransferCountersIdenticalAcrossWorkers) {
 
 TEST_F(TransferBenchmarkTest, TransferAwareOptimizerStaysCorrect) {
   // With the cost model told about transfer (post-transfer cardinalities),
-  // plans may change — results must not. ExecParamsFor keeps the executor
-  // in lockstep with the model.
+  // plans may change — results must not. The executor reads the same
+  // predicate_transfer field the model does.
   for (const char* id : {"Q1", "Q2", "Q3", "Q4", "Q5"}) {
     const cost::CostParams cost_off;
-    const RunOutcome reference = Execute(id, cost_off, ExecParams{});
+    const RunOutcome reference = Execute(id, cost_off, cost_off);
 
     cost::CostParams cost_on;
     cost_on.predicate_transfer = true;
-    const ExecParams exec_on = workload::ExecParamsFor(cost_on);
-    EXPECT_TRUE(exec_on.predicate_transfer);
-    EXPECT_EQ(Execute(id, cost_on, exec_on).rows, reference.rows) << id;
+    EXPECT_EQ(Execute(id, cost_on, cost_on).rows, reference.rows) << id;
   }
 }
 

@@ -389,11 +389,13 @@ class VectorExecTest : public ::testing::Test {
 
   std::vector<Tuple> Run(const plan::PlanNode& plan, const ExecParams& params,
                          ExecStats* stats,
-                         std::unique_ptr<exec::Operator>* root = nullptr) {
+                         std::unique_ptr<exec::Operator>* root = nullptr,
+                         const cost::CostParams& knobs = {}) {
     exec::ExecContext ctx;
     ctx.catalog = &catalog_;
     ctx.binding = binding_;
     ctx.params = params;
+    ctx.cost_params = knobs;
     auto rows = exec::ExecutePlan(plan, &ctx, stats, nullptr, root);
     EXPECT_TRUE(rows.ok()) << rows.status();
     return std::move(rows).value();
@@ -442,13 +444,13 @@ TEST_F(VectorExecTest, SplitEngagesOnlyWhenSafe) {
   }
 
   // Mixed conjunction with caching off: cheap prefix splits off.
-  ExecParams caching_off;
+  cost::CostParams caching_off;
   caching_off.predicate_caching = false;
   {
     plan::PlanPtr plan = plan::MakeFilter(plan::MakeSeqScan("t", "t"),
                                           Analyze(mixed));
     ExecStats stats;
-    Run(*plan, caching_off, &stats, &root);
+    Run(*plan, ExecParams{}, &stats, &root, caching_off);
     auto* filter = dynamic_cast<exec::FilterOp*>(root.get());
     ASSERT_NE(filter, nullptr);
     EXPECT_EQ(filter->vectorized_conjuncts(), 1u);
@@ -463,7 +465,7 @@ TEST_F(VectorExecTest, SplitEngagesOnlyWhenSafe) {
     plan::PlanPtr plan = plan::MakeFilter(plan::MakeSeqScan("t", "t"),
                                           Analyze(udf_first));
     ExecStats stats;
-    Run(*plan, caching_off, &stats, &root);
+    Run(*plan, ExecParams{}, &stats, &root, caching_off);
     auto* filter = dynamic_cast<exec::FilterOp*>(root.get());
     ASSERT_NE(filter, nullptr);
     EXPECT_EQ(filter->vectorized_conjuncts(), 0u);
@@ -522,18 +524,19 @@ TEST_F(VectorExecTest, MixedSplitKeepsExactInvocationCounts) {
                                   Call("costly", {Col("t", "key")}));
   plan::PlanPtr plan = plan::MakeFilter(plan::MakeSeqScan("t", "t"),
                                         Analyze(mixed));
-  for (size_t workers : {size_t{1}, size_t{4}}) {
+  for (int workers : {1, 4}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
+    cost::CostParams knobs;
+    knobs.predicate_caching = false;
+    knobs.parallel_workers = workers;
     ExecParams off;
-    off.predicate_caching = false;
     off.vectorized = false;
-    off.parallel_workers = workers;
     ExecParams on = off;
     on.vectorized = true;
 
     ExecStats s_off, s_on;
-    const auto rows_off = Run(*plan, off, &s_off);
-    const auto rows_on = Run(*plan, on, &s_on);
+    const auto rows_off = Run(*plan, off, &s_off, nullptr, knobs);
+    const auto rows_on = Run(*plan, on, &s_on, nullptr, knobs);
 
     EXPECT_EQ(Canon(rows_on), Canon(rows_off));
     ASSERT_TRUE(s_off.invocations.count("costly"));
@@ -624,7 +627,7 @@ TEST(VectorTransferTest, ColumnarProbeHashMatchesValueHash) {
     exec::ExecContext ctx;
     ctx.catalog = &catalog;
     ctx.binding = binding;
-    ctx.params.predicate_transfer = true;
+    ctx.cost_params.predicate_transfer = true;
     ctx.params.vectorized = vectorized;
     ExecStats stats;
     auto rows = exec::ExecutePlan(*plan, &ctx, &stats);
@@ -656,17 +659,19 @@ class VectorParityTest : public ::testing::Test {
   };
 
   /// Optimizes (kPushDown — vectorization must not depend on placement)
-  /// and executes `spec` under `cost_params`, returning canonical rows and
-  /// the exact UDF invocation counters.
+  /// and executes `spec` under `cost_params` and `params`, returning
+  /// canonical rows and the exact UDF invocation counters.
   RunResult Execute(const plan::QuerySpec& spec,
-                    const cost::CostParams& cost_params) {
+                    const cost::CostParams& cost_params,
+                    const ExecParams& params) {
     optimizer::Optimizer opt(&db_.catalog(), cost_params);
     auto result = opt.Optimize(spec, Algorithm::kPushDown);
     EXPECT_TRUE(result.ok()) << result.status();
 
     exec::ExecContext ctx;
     ctx.catalog = &db_.catalog();
-    ctx.params = workload::ExecParamsFor(cost_params);
+    ctx.params = params;
+    ctx.cost_params = cost_params;
     for (const plan::TableRef& ref : spec.tables) {
       ctx.binding[ref.alias] = *db_.catalog().GetTable(ref.table_name);
     }
@@ -686,18 +691,19 @@ TEST_F(VectorParityTest, QueriesMatchAcrossVectorWorkersTransfer) {
     auto spec = workload::GetBenchmarkQuery(db_, config_, id);
     ASSERT_TRUE(spec.ok()) << spec.status();
     for (bool transfer : {false, true}) {
-      for (double workers : {1.0, 4.0}) {
+      for (int workers : {1, 4}) {
         SCOPED_TRACE(id + " transfer=" + std::to_string(transfer) +
-                     " workers=" + std::to_string(static_cast<int>(workers)));
-        cost::CostParams off_params;
-        off_params.predicate_transfer = transfer;
-        off_params.parallel_workers = workers;
+                     " workers=" + std::to_string(workers));
+        cost::CostParams cost_params;
+        cost_params.predicate_transfer = transfer;
+        cost_params.parallel_workers = workers;
+        ExecParams off_params;
         off_params.vectorized = false;
-        cost::CostParams on_params = off_params;
+        ExecParams on_params = off_params;
         on_params.vectorized = true;
 
-        const RunResult off = Execute(*spec, off_params);
-        const RunResult on = Execute(*spec, on_params);
+        const RunResult off = Execute(*spec, cost_params, off_params);
+        const RunResult on = Execute(*spec, cost_params, on_params);
 
         // Byte-identical result sets and exact-equal invocation counters.
         EXPECT_EQ(on.rows, off.rows);
