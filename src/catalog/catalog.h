@@ -74,8 +74,6 @@ class Catalog {
   FunctionRegistry& functions() { return functions_; }
   const FunctionRegistry& functions() const { return functions_; }
 
-  storage::BufferPool* buffer_pool() const { return pool_; }
-
  private:
   /// Wires the per-table stats-changed callback to NotifyStatsChanged.
   void HookTable(Table* table);

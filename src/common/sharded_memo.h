@@ -28,10 +28,9 @@ namespace ppp::common {
 /// variable instead of recomputing. With one worker this degrades to
 /// exactly the serial probe/compute/insert sequence.
 ///
-/// Replacement is FIFO per shard by default (the paper: "function or
-/// predicate caches can be limited in size, using any of a variety of
-/// replacement schemes"); `lru` recency-orders entries instead, so hot
-/// bindings survive a bound. Bounds come in two flavours that compose:
+/// Replacement is FIFO per shard (the paper: "function or predicate caches
+/// can be limited in size, using any of a variety of replacement
+/// schemes"). Bounds come in two flavours that compose:
 /// `max_entries` (count) and `max_bytes` (approximate memory — key bytes
 /// plus a fixed per-entry overhead). The adaptive self-disable ("planned
 /// for Montage but not implemented", §5.1) is detected online: zero hits
@@ -41,7 +40,7 @@ namespace ppp::common {
 /// (the unbounded default stays exact).
 ///
 /// Shard count: bounds and eviction order are per shard, so a bounded memo
-/// reproduces the single-table FIFO/LRU order only with one shard. An
+/// reproduces the single-table FIFO order only with one shard. An
 /// unbounded memo never evicts, so its shard count cannot change any
 /// verdict or count and callers may shard it freely (see
 /// exec::ShardedPredicateCache::ShardsFor).
@@ -59,9 +58,6 @@ class ShardedMemo {
     /// Total (approximate) byte bound across all shards; 0 = unbounded.
     /// Each entry is charged its key size plus kEntryOverhead.
     size_t max_bytes = 0;
-    /// Replacement order for bounded memos: FIFO by default, LRU when set
-    /// (hits move the entry to the back of the eviction queue).
-    bool lru = false;
     size_t shards = 1;
     /// Online self-disable when the first `probe_window` probes all miss.
     bool adaptive = false;
@@ -144,10 +140,6 @@ class ShardedMemo {
       if (listener_.on_hit) listener_.on_hit();
       if (outcome != nullptr) outcome->hit = true;
       Entry& entry = *it->second;
-      if (options_.lru && entry.in_order) {
-        // Recency-order: a hit moves the entry to the back of the queue.
-        shard.order.splice(shard.order.end(), shard.order, entry.order_it);
-      }
       if (entry.ready) return entry.value;
       // Pending entry: another worker is computing this key right now.
       // Waiting (instead of recomputing) is what keeps invocation counts
@@ -172,10 +164,10 @@ class ShardedMemo {
       return compute();
     }
 
-    // Evict from the front (FIFO order, or least-recent under lru) until
-    // both bounds admit the new entry. The victim may itself be pending;
-    // evicting it is safe (waiters and the computing worker hold the entry
-    // via shared_ptr) but a concurrent re-probe of that key recomputes —
+    // Evict from the front (FIFO order) until both bounds admit the new
+    // entry. The victim may itself be pending; evicting it is safe
+    // (waiters and the computing worker hold the entry via shared_ptr)
+    // but a concurrent re-probe of that key recomputes —
     // bounded caches trade exactness for memory, exactly like the serial
     // FIFO thrash.
     const size_t new_bytes = key.size() + kEntryOverhead;
@@ -194,8 +186,6 @@ class ShardedMemo {
     auto entry = std::make_shared<Entry>();
     shard.map.emplace(key, entry);
     shard.order.push_back(key);
-    entry->order_it = std::prev(shard.order.end());
-    entry->in_order = true;
     shard.bytes += new_bytes;
     lock.unlock();
 
@@ -251,11 +241,6 @@ class ShardedMemo {
   struct Entry {
     V value{};
     bool ready = false;  // Guarded by the owning shard's mutex.
-    /// Position in the shard's eviction queue, valid while in_order (both
-    /// guarded by the shard's mutex; an evicted entry is unreachable via
-    /// the map, so its stale iterator is never dereferenced).
-    typename std::list<std::string>::iterator order_it;
-    bool in_order = false;
   };
 
   /// Cache-line aligned so neighbouring shards' mutexes and counters
@@ -264,8 +249,7 @@ class ShardedMemo {
     mutable std::mutex mu;
     std::condition_variable cv;
     std::unordered_map<std::string, std::shared_ptr<Entry>> map;
-    /// Eviction queue, front = next victim (insertion order, refreshed on
-    /// hit under lru).
+    /// Eviction queue, front = next victim (insertion order).
     std::list<std::string> order;
     /// Approximate bytes charged for the current entries.
     size_t bytes = 0;

@@ -475,8 +475,7 @@ std::string ExecStats::ToString() const {
 common::Result<std::vector<types::Tuple>> ExecutePlan(
     const plan::PlanNode& plan, ExecContext* ctx, ExecStats* stats,
     types::RowSchema* out_schema, std::unique_ptr<Operator>* root_out) {
-  storage::BufferPool* pool = ctx->catalog->buffer_pool();
-  const storage::IoStats before = pool->stats();
+  const storage::IoStats io_before = storage::ThreadIo();
   // batch_size == 0 is invalid; clamp once here so every consumer (drain
   // loop, SetBatchSize, operators) sees a sane value.
   if (ctx->params.batch_size == 0) ctx->params.batch_size = 1;
@@ -488,8 +487,8 @@ common::Result<std::vector<types::Tuple>> ExecutePlan(
   // logging is off) and the execute-phase clock. The id scope outlives the
   // spans below, so every span recorded during this execution carries the
   // query id and (when the serving layer set one) the session id. Counters
-  // for the log record come from this context, not global-registry deltas,
-  // so they stay exact when other sessions execute concurrently.
+  // for the log record come from this context, so they stay exact when
+  // other sessions execute concurrently.
   obs::QueryLog& query_log = obs::QueryLog::Global();
   const uint64_t query_id = query_log.NextQueryId();
   obs::QueryIdScope query_scope(query_id, ctx->log_hints.session_id);
@@ -531,7 +530,6 @@ common::Result<std::vector<types::Tuple>> ExecutePlan(
 
   PPP_ASSIGN_OR_RETURN(std::unique_ptr<Operator> root,
                        BuildExecutor(plan, ctx));
-  root->AttachPool(pool);
   root->SetBatchSize(ctx->params.batch_size);
   if (out_schema != nullptr) *out_schema = root->schema();
   PPP_RETURN_IF_ERROR(root->Open());
@@ -570,13 +568,8 @@ common::Result<std::vector<types::Tuple>> ExecutePlan(
   }
 
   if (stats != nullptr) {
-    const storage::IoStats after = pool->stats();
     stats->output_rows = out.size();
-    stats->io.sequential_reads =
-        after.sequential_reads - before.sequential_reads;
-    stats->io.random_reads = after.random_reads - before.random_reads;
-    stats->io.writes = after.writes - before.writes;
-    stats->io.buffer_hits = after.buffer_hits - before.buffer_hits;
+    stats->io = storage::ThreadIo() - io_before;
     stats->invocations = ctx->eval.invocation_counts;
   }
 
@@ -600,8 +593,7 @@ common::Result<std::vector<types::Tuple>> ExecutePlan(
 
   // Plan history: fold this execution into the (text_hash, fingerprint)
   // aggregate and learn whether the plan changed or regressed. The UDF
-  // total comes from this context's tallies (not the root operator's
-  // global-counter delta), so it stays exact under concurrent sessions.
+  // total comes from this context's tallies.
   uint64_t ctx_udf_invocations = 0;
   for (const auto& [name, count] : ctx->eval.invocation_counts) {
     ctx_udf_invocations += count;
@@ -642,9 +634,7 @@ common::Result<std::vector<types::Tuple>> ExecutePlan(
         record.optimize_seconds + record.execute_seconds;
     record.rows_in = SumLeafRows(*root);
     record.rows_out = out.size();
-    // Per-context exact counters (identical to the historical global
-    // registry deltas when one query runs, and still exact under
-    // concurrent sessions): invocations from this context's tallies,
+    // Per-context exact counters: invocations from this context's tallies,
     // cache hits from both memoization layers (the per-context function
     // cache's delta plus the operators' predicate memos), pruned rows
     // from this execution's transfers.

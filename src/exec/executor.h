@@ -27,7 +27,8 @@ common::Result<std::unique_ptr<Operator>> BuildExecutor(
 obs::StatsTier WeakestStatsTier(const plan::PlanNode& plan);
 
 /// What one execution cost, in the paper's measurement currency: physical
-/// page I/O (from the buffer pool) plus per-function invocation counts.
+/// page I/O (the delta of the calling thread's storage::ThreadIo()) plus
+/// per-function invocation counts.
 /// The harness converts these to "charged time" with the function costs,
 /// exactly as §2 describes.
 struct ExecStats {

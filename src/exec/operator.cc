@@ -17,23 +17,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-void AccumulateDelta(storage::IoStats* io, const storage::IoStats& before,
-                     const storage::IoStats& after) {
-  io->sequential_reads += after.sequential_reads - before.sequential_reads;
-  io->random_reads += after.random_reads - before.random_reads;
-  io->writes += after.writes - before.writes;
-  io->buffer_hits += after.buffer_hits - before.buffer_hits;
-}
-
-/// The evaluator's global invocation counter, sampled before/after each
-/// wrapper call to attribute UDF work to the operator subtree (same
-/// inclusive-delta scheme as the buffer-pool I/O above).
-uint64_t UdfInvocations() {
-  static obs::Counter* counter =
-      obs::MetricsRegistry::Global().GetCounter("expr.udf.invocations");
-  return counter->value();
-}
-
 }  // namespace
 
 template <typename Body>
@@ -43,14 +26,13 @@ common::Status Operator::Instrumented(const char* phase, double* seconds,
   if (obs::SpanTracer::Global().enabled()) {
     span.emplace("exec", phase + Describe());
   }
-  const storage::IoStats before =
-      pool_ != nullptr ? pool_->stats() : storage::IoStats();
-  const uint64_t udf_before = UdfInvocations();
+  const storage::IoStats io_before = storage::ThreadIo();
+  const uint64_t udf_before = expr::ThreadUdfCalls();
   const auto start = std::chrono::steady_clock::now();
   common::Status status = body(span.has_value() ? &*span : nullptr);
   *seconds += SecondsSince(start);
-  stats_.udf_invocations += UdfInvocations() - udf_before;
-  if (pool_ != nullptr) AccumulateDelta(&stats_.io, before, pool_->stats());
+  stats_.udf_invocations += expr::ThreadUdfCalls() - udf_before;
+  stats_.io += storage::ThreadIo() - io_before;
   return status;
 }
 
@@ -134,11 +116,6 @@ std::vector<const Operator*> Operator::Children() const {
   return {mutable_children.begin(), mutable_children.end()};
 }
 
-void Operator::AttachPool(const storage::BufferPool* pool) {
-  pool_ = pool;
-  for (Operator* child : Children()) child->AttachPool(pool);
-}
-
 void Operator::SetBatchSize(size_t batch_size) {
   batch_size_ = batch_size == 0 ? 1 : batch_size;
   for (Operator* child : Children()) child->SetBatchSize(batch_size);
@@ -215,7 +192,6 @@ common::Result<CachedPredicate> CachedPredicate::Bind(
     out.cache_enabled_ = true;
     options.max_entries = params.cache_max_entries;
     options.max_bytes = params.cache_max_bytes;
-    options.lru = params.cache_lru;
     options.shards = ShardedPredicateCache::ShardsFor(
         ctx.cost_params.parallel_workers,
         params.cache_max_entries > 0 || params.cache_max_bytes > 0);

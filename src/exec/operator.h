@@ -16,7 +16,6 @@
 #include "expr/evaluator.h"
 #include "expr/predicate.h"
 #include "obs/query_log.h"
-#include "storage/buffer_pool.h"
 #include "storage/io_stats.h"
 #include "types/column_batch.h"
 #include "types/row_schema.h"
@@ -55,11 +54,6 @@ struct ExecParams {
   /// per-entry overhead); 0 = unbounded. Evictions count into the
   /// exec.pred_cache.evictions counter.
   size_t cache_max_bytes = 0;
-
-  /// Replacement scheme for bounded caches: false keeps the historical
-  /// FIFO order, true recency-orders entries (LRU) so hot bindings survive
-  /// the memory bound.
-  bool cache_lru = false;
 
   /// The optimization "planned for Montage but not implemented" (§5.1):
   /// stop caching a predicate whose inputs never repeat. Implemented
@@ -164,8 +158,10 @@ struct ExecContext {
 /// NextColumnBatch() wrappers across the operator's whole lifetime
 /// (rescans included).
 ///
-/// `io` is *inclusive*: the pool delta across this operator's calls covers
-/// its entire subtree, because child calls nest inside the parent's.
+/// `io` is *inclusive*: the delta of the calling thread's
+/// storage::ThreadIo() across this operator's calls covers its entire
+/// subtree, because child calls nest inside the parent's (a nested
+/// subquery execution runs on the same thread, so its pages count too).
 /// EXPLAIN ANALYZE derives the self share as inclusive minus the children's
 /// inclusive totals. Wall-clock fields are diagnostic only — the paper's
 /// charged time is computed from counters, never from these timers.
@@ -177,12 +173,11 @@ struct OperatorStats {
   double next_seconds = 0.0;
   storage::IoStats io;
 
-  /// Inclusive UDF invocations: the delta of the global
-  /// expr.udf.invocations counter across this operator's calls, which — like
-  /// `io` — covers the whole subtree because child calls nest inside the
-  /// parent's. Exact under parallel workers too (they run inside the
-  /// coordinator's blocking call window), but like the query log's registry
-  /// deltas it assumes one query executes at a time per engine.
+  /// Inclusive UDF invocations: the delta of expr::ThreadUdfCalls() across
+  /// this operator's calls, covering the subtree like `io`. Calls the
+  /// parallel evaluator's pool threads make are credited to the
+  /// coordinator, and other sessions' calls never count, so the figure is
+  /// exact under concurrency.
   uint64_t udf_invocations = 0;
 
   /// Predicate-cache view (operators owning a CachedPredicate only).
@@ -212,8 +207,8 @@ struct OperatorStats {
 /// consume their input row by row read it through a RowCursor, so
 /// batch_size=1 reproduces tuple-at-a-time pulls. The public Open(),
 /// NextBatch() and NextColumnBatch() are non-virtual wrappers sharing one
-/// instrumentation helper (span, wall time, inclusive I/O and UDF deltas
-/// against the attached buffer pool).
+/// instrumentation helper (span, wall time, and the inclusive deltas of the
+/// calling thread's I/O and UDF counters).
 class Operator {
  public:
   virtual ~Operator() = default;
@@ -255,10 +250,6 @@ class Operator {
   virtual std::vector<Operator*> Children() { return {}; }
   std::vector<const Operator*> Children() const;
 
-  /// Attaches the buffer pool whose stats() deltas attribute I/O to this
-  /// subtree, recursively. Without a pool the I/O fields stay zero.
-  void AttachPool(const storage::BufferPool* pool);
-
   /// Sets the batch size this subtree uses when pulling from its children
   /// (pipeline breakers draining on Open, row cursors), recursively.
   void SetBatchSize(size_t batch_size);
@@ -286,13 +277,12 @@ class Operator {
 
   types::RowSchema schema_;
   mutable OperatorStats stats_;
-  const storage::BufferPool* pool_ = nullptr;
   size_t batch_size_ = 1024;
 
  private:
   /// The instrumentation shared by every public entry point: runs
   /// `body(span)` inside an optional "<phase><Describe()>" span, adds its
-  /// wall time to *seconds and its inclusive pool and UDF deltas to
+  /// wall time to *seconds and its inclusive thread I/O and UDF deltas to
   /// stats_. `span` is null when tracing is off. Defined (and only
   /// instantiated) in operator.cc.
   template <typename Body>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
+#include <thread>
 
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -37,6 +38,7 @@ void ParallelPredicateEvaluator::EvalBatch(CachedPredicate* pred,
   // immutable or internally synchronized.
   std::vector<expr::EvalContext> worker_ctx(workers);
   std::vector<double> busy_seconds(workers, 0.0);
+  std::vector<uint64_t> pool_thread_calls(workers, 0);
   for (expr::EvalContext& wc : worker_ctx) {
     wc.function_cache = ctx->eval.function_cache;
   }
@@ -46,6 +48,7 @@ void ParallelPredicateEvaluator::EvalBatch(CachedPredicate* pred,
   // inherit the coordinator's ids explicitly.
   const uint64_t query_id = obs::SpanTracer::current_query_id();
   const uint64_t session_id = obs::SpanTracer::current_session_id();
+  const std::thread::id coordinator = std::this_thread::get_id();
   const auto eval_slice = [&](size_t w) {
     obs::QueryIdScope id_scope(query_id, session_id);
     // The span is created on the executing thread, so its tid is the
@@ -57,10 +60,14 @@ void ParallelPredicateEvaluator::EvalBatch(CachedPredicate* pred,
       span->AddArg("slice", std::to_string(w));
     }
     const auto start = std::chrono::steady_clock::now();
+    const uint64_t calls_before = expr::ThreadUdfCalls();
     const size_t begin = w * slice;
     const size_t end = std::min(batch.size(), begin + slice);
     for (size_t i = begin; i < end; ++i) {
       (*keep)[i] = pred->Eval(batch.tuples[i], &worker_ctx[w]) ? 1 : 0;
+    }
+    if (std::this_thread::get_id() != coordinator) {
+      pool_thread_calls[w] = expr::ThreadUdfCalls() - calls_before;
     }
     busy_seconds[w] =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -78,11 +85,14 @@ void ParallelPredicateEvaluator::EvalBatch(CachedPredicate* pred,
           .count();
 
   // Merge in slice order: sums are order-independent, so totals match a
-  // serial evaluation exactly.
-  for (const expr::EvalContext& wc : worker_ctx) {
-    for (const auto& [name, count] : wc.invocation_counts) {
+  // serial evaluation exactly. Slices run on pool threads counted their
+  // calls there; credit them to the coordinator's thread, whose enclosing
+  // operators attribute UDF work by its ThreadUdfCalls() delta.
+  for (size_t w = 0; w < workers; ++w) {
+    for (const auto& [name, count] : worker_ctx[w].invocation_counts) {
       ctx->eval.invocation_counts[name] += count;
     }
+    expr::ThreadUdfCalls() += pool_thread_calls[w];
   }
 
   batch_counter->Increment();

@@ -24,6 +24,9 @@ namespace ppp::exec {
 ///    in a run-dependent order).
 ///  - Only predicates whose functions are all parallel_safe are fanned out
 ///    (FilterOp gates on CachedPredicate::parallel_safe()).
+///  - UDF calls a pool thread makes are credited to the coordinator's
+///    expr::ThreadUdfCalls() after the join, so the enclosing operators'
+///    inclusive figures match a serial run.
 ///
 /// The speedup on expensive predicates comes from overlapping their
 /// latency: the paper charges them in random-I/O units, i.e. they model

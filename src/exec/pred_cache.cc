@@ -13,7 +13,6 @@ common::ShardedMemo<bool>::Options MemoOptions(
   common::ShardedMemo<bool>::Options memo;
   memo.max_entries = options.max_entries;
   memo.max_bytes = options.max_bytes;
-  memo.lru = options.lru;
   memo.shards = options.shards;
   memo.adaptive = options.adaptive;
   memo.probe_window = options.probe_window;

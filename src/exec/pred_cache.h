@@ -23,9 +23,6 @@ class ShardedPredicateCache {
     /// 0 = unbounded. Evictions under either bound also count into the
     /// exec.pred_cache.evictions metric.
     size_t max_bytes = 0;
-    /// Replacement order for bounded caches: FIFO (false, the historical
-    /// default) or LRU (true).
-    bool lru = false;
     size_t shards = 1;
     /// §5.1 adaptive self-disable: give up after `probe_window` probes with
     /// zero hits.
@@ -42,7 +39,7 @@ class ShardedPredicateCache {
   /// verdict or a count: it always gets kUnboundedShards, which keeps
   /// concurrent sessions probing one engine-wide cache (each running
   /// serially) off a single mutex. A bounded cache evicts per shard, so it
-  /// gets 1 shard when serial (the exact single-table FIFO/LRU order, and
+  /// gets 1 shard when serial (the exact single-table FIFO order, and
   /// therefore bit-identical serial behaviour) and several per worker
   /// otherwise.
   static size_t ShardsFor(int parallel_workers, bool bounded);

@@ -56,8 +56,6 @@ std::string BuildSharedCacheKey(
   key += std::to_string(options.max_entries);
   key += ",b=";
   key += std::to_string(options.max_bytes);
-  key += ",lru=";
-  key += options.lru ? '1' : '0';
   key += ",s=";
   key += std::to_string(options.shards);
   key += ",a=";

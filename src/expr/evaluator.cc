@@ -172,6 +172,7 @@ types::Value BoundExpr::Eval(const types::Tuple& tuple,
           ++ctx->invocation_counts[function_->name];
         }
         invocation_counter->Increment();
+        ++ThreadUdfCalls();
         obs::PredicateProfiler& profiler = obs::PredicateProfiler::Global();
         const bool spans_on = obs::SpanTracer::Global().enabled() &&
                               function_->cost_per_call > 0;

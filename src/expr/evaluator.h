@@ -76,6 +76,14 @@ struct EvalContext {
   }
 };
 
+/// UDF invocations the calling thread made, counted next to the global
+/// expr.udf.invocations counter. An execution's calls are the delta of
+/// this across its own calls, so concurrent sessions never leak into it.
+inline uint64_t& ThreadUdfCalls() {
+  thread_local uint64_t calls = 0;
+  return calls;
+}
+
 /// An expression compiled against a RowSchema: column references are
 /// resolved to tuple indexes and function names to FunctionDef pointers, so
 /// evaluation does no lookups.

@@ -207,7 +207,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 void MetricsRegistry::ResetAll() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c.Reset();
-  for (auto& [name, g] : gauges_) g.Reset();
   for (auto& [name, h] : histograms_) h.Reset();
 }
 

@@ -152,13 +152,15 @@ class MetricsRegistry {
 
   MetricsSnapshot Snapshot() const;
 
-  /// Counters only, skipping the per-histogram percentile sorts. Cheap
-  /// enough to take twice around every query: the query log's exact
-  /// per-query counts are deltas of two of these.
+  /// Counters only, skipping the per-histogram percentile sorts. Callers
+  /// diff two of these for process-wide deltas (perfbench's per-run
+  /// counts); per-execution figures come from thread and context tallies.
   std::map<std::string, uint64_t> SnapshotCounters() const;
 
-  /// Zeroes every metric (keeps registrations, so cached pointers stay
-  /// valid). Benches call this between phases to get per-phase deltas.
+  /// Zeroes every counter and histogram (keeps registrations, so cached
+  /// pointers stay valid). Benches call this between phases to get
+  /// per-phase deltas. Gauges hold current state (e.g. open sessions), not
+  /// accumulated work, so they keep their values.
   void ResetAll();
 
  private:

@@ -39,8 +39,9 @@ struct OperatorAuditRecord {
   double qerror = 0.0;
   /// Inclusive wall time of the operator's subtree (open + next), seconds.
   double inclusive_seconds = 0.0;
-  /// Inclusive UDF invocations of the operator's subtree (delta of the
-  /// global expr.udf.invocations counter around this operator's calls).
+  /// Inclusive UDF invocations of the operator's subtree, counted on the
+  /// executing thread (exec::OperatorStats::udf_invocations), so exact
+  /// under concurrent sessions.
   uint64_t udf_invocations = 0;
 };
 

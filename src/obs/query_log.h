@@ -27,9 +27,9 @@ enum class StatsTier : int {
 const char* StatsTierName(StatsTier tier);
 
 /// One completed query, recorded at executor close time. Counter-valued
-/// fields are exact per-query deltas of the global MetricsRegistry taken
-/// around execution (see DESIGN §7), so concurrent instrumentation in the
-/// same process never bleeds across records within one single-query engine.
+/// fields come from the execution's own ExecContext and operators (see
+/// DESIGN §7), so they stay exact while other sessions execute
+/// concurrently.
 struct QueryLogRecord {
   uint64_t query_id = 0;
   /// Serving-layer session that ran the query (0 outside the serve layer,
@@ -47,9 +47,13 @@ struct QueryLogRecord {
   double execute_seconds = 0.0;
   uint64_t rows_in = 0;   // Tuples produced by leaf scans.
   uint64_t rows_out = 0;  // Tuples returned to the caller.
-  uint64_t udf_invocations = 0;    // expr.udf.invocations delta.
-  uint64_t cache_hits = 0;         // expr.function_cache.hits delta.
-  uint64_t transfer_pruned = 0;    // exec.transfer.pruned delta.
+  /// UDF calls tallied in the execution's EvalContext.
+  uint64_t udf_invocations = 0;
+  /// Hits of the execution's function cache plus its predicate memos'
+  /// per-bind hits.
+  uint64_t cache_hits = 0;
+  /// Rows the execution's Bloom transfers pruned.
+  uint64_t transfer_pruned = 0;
   /// Predicates whose observed rank drifted past the profiler threshold.
   uint64_t drift_flags = 0;
   StatsTier stats_tier = StatsTier::kDeclared;

@@ -6,8 +6,8 @@
 namespace ppp::storage {
 
 namespace {
-// Process-wide I/O-class counters, mirroring the per-pool stats_ so a
-// metrics snapshot sees all pools at once. Pointers from the registry are
+// Process-wide I/O-class counters, so a metrics snapshot sees all pools
+// and threads at once. Pointers from the registry are
 // stable for the process lifetime.
 obs::Counter* HitCounter() {
   static obs::Counter* c =
@@ -47,7 +47,7 @@ Page* BufferPool::FetchPage(PageId page_id) {
     Frame& frame = frames_[it->second];
     ++frame.pin_count;
     frame.lru_tick = tick_;
-    ++stats_.buffer_hits;
+    ++ThreadIo().buffer_hits;
     HitCounter()->Increment();
     return &frame.page;
   }
@@ -96,7 +96,7 @@ void BufferPool::FlushAll() {
     if (frame.page_id != kInvalidPageId && frame.dirty) {
       disk_->WritePage(frame.page_id, frame.page);
       frame.dirty = false;
-      ++stats_.writes;
+      ++ThreadIo().writes;
       WriteCounter()->Increment();
     }
   }
@@ -108,7 +108,7 @@ void BufferPool::EvictAll() {
     if (frame.page_id == kInvalidPageId || frame.pin_count > 0) continue;
     if (frame.dirty) {
       disk_->WritePage(frame.page_id, frame.page);
-      ++stats_.writes;
+      ++ThreadIo().writes;
       WriteCounter()->Increment();
     }
     page_table_.erase(frame.page_id);
@@ -133,7 +133,7 @@ size_t BufferPool::FindVictim() {
   Frame& frame = frames_[victim];
   if (frame.dirty) {
     disk_->WritePage(frame.page_id, frame.page);
-    ++stats_.writes;
+    ++ThreadIo().writes;
     WriteCounter()->Increment();
   }
   page_table_.erase(frame.page_id);
@@ -144,10 +144,10 @@ size_t BufferPool::FindVictim() {
 void BufferPool::RecordMissRead(PageId page_id) {
   if (last_missed_page_ != kInvalidPageId &&
       page_id == last_missed_page_ + 1) {
-    ++stats_.sequential_reads;
+    ++ThreadIo().sequential_reads;
     SeqReadCounter()->Increment();
   } else {
-    ++stats_.random_reads;
+    ++ThreadIo().random_reads;
     RandReadCounter()->Increment();
   }
   last_missed_page_ = page_id;

@@ -16,11 +16,12 @@ namespace ppp::storage {
 /// A fixed-capacity LRU buffer pool over a DiskManager.
 ///
 /// All page access in the engine goes through FetchPage/UnpinPage, so the
-/// pool's IoStats are a complete record of physical page traffic. Misses
+/// pool counts all physical page traffic: into the calling thread's
+/// ThreadIo() and the process-wide storage.buffer_pool.* counters. Misses
 /// are classified sequential vs random by adjacency to the previous missed
 /// page, mirroring how a disk arm would behave for a table scan.
 ///
-/// Thread-safe: a single mutex guards the page table, frames, and stats,
+/// Thread-safe: a single mutex guards the page table and frames,
 /// so a background ANALYZE can scan a table while queries run. Pinned
 /// page *contents* are not further synchronized — the engine only writes
 /// pages single-threaded (loads, index builds), and concurrent readers of
@@ -56,17 +57,6 @@ class BufferPool {
   /// single-query measurements would.
   void EvictAll();
 
-  /// Snapshot of the I/O counters (copied under the pool mutex so a
-  /// concurrent fetch can't tear it).
-  IoStats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-  }
-  void ResetStats() {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.Reset();
-  }
-
   size_t capacity() const { return frames_.size(); }
 
  private:
@@ -85,11 +75,10 @@ class BufferPool {
   /// Caller holds mu_.
   void RecordMissRead(PageId page_id);
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   DiskManager* disk_;
   std::vector<Frame> frames_;
   std::unordered_map<PageId, size_t> page_table_;
-  IoStats stats_;
   uint64_t tick_ = 0;
   PageId last_missed_page_ = kInvalidPageId;
 };

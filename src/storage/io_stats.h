@@ -20,6 +20,21 @@ struct IoStats {
 
   uint64_t TotalReads() const { return sequential_reads + random_reads; }
 
+  /// Field-wise difference against an earlier snapshot of the same
+  /// counters.
+  IoStats operator-(const IoStats& earlier) const {
+    return {sequential_reads - earlier.sequential_reads,
+            random_reads - earlier.random_reads, writes - earlier.writes,
+            buffer_hits - earlier.buffer_hits};
+  }
+  IoStats& operator+=(const IoStats& other) {
+    sequential_reads += other.sequential_reads;
+    random_reads += other.random_reads;
+    writes += other.writes;
+    buffer_hits += other.buffer_hits;
+    return *this;
+  }
+
   void Reset() { *this = IoStats(); }
 
   std::string ToString() const {
@@ -29,6 +44,16 @@ struct IoStats {
            " hits=" + std::to_string(buffer_hits);
   }
 };
+
+/// The page traffic the calling thread caused, across every BufferPool.
+/// An execution's I/O is the delta of this across its own calls, so work
+/// other threads do concurrently never leaks into it. Which of two
+/// concurrent misses counts as sequential still follows the pool-wide
+/// last missed page.
+inline IoStats& ThreadIo() {
+  thread_local IoStats io;
+  return io;
+}
 
 }  // namespace ppp::storage
 

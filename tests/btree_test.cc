@@ -163,11 +163,11 @@ TEST(BTreeIoTest, LookupsCostFewPages) {
     tree.Insert(i, {static_cast<PageId>(i), 0});
   }
   pool.EvictAll();
-  pool.ResetStats();
+  ThreadIo().Reset();
   tree.Lookup(25000);
   // One descent: height pages (~3), all cold.
-  EXPECT_LE(pool.stats().TotalReads(), 4u);
-  EXPECT_GE(pool.stats().TotalReads(), 2u);
+  EXPECT_LE(ThreadIo().TotalReads(), 4u);
+  EXPECT_GE(ThreadIo().TotalReads(), 2u);
 }
 
 }  // namespace

@@ -266,29 +266,6 @@ TEST_F(CacheTest, CachedPredicateAccessors) {
   EXPECT_EQ(eval.InvocationsOf("f"), 1u);
 }
 
-TEST_F(CacheTest, LruKeepsHotKeysWhereFifoEvictsThem) {
-  // Probe pattern: one hot key touched between every pair of cold keys.
-  // FIFO evicts by insertion order, so the hot key ages out and recomputes;
-  // LRU refreshes it on every hit, so it is computed exactly once.
-  const auto run = [](bool lru) {
-    common::ShardedMemo<bool>::Options options;
-    options.max_entries = 4;
-    options.lru = lru;
-    common::ShardedMemo<bool> memo(options);
-    size_t hot_computes = 0;
-    for (int i = 0; i < 64; ++i) {
-      memo.GetOrCompute("hot", [&] {
-        ++hot_computes;
-        return true;
-      });
-      memo.GetOrCompute("cold" + std::to_string(i), [] { return false; });
-    }
-    return hot_computes;
-  };
-  EXPECT_EQ(run(/*lru=*/true), 1u);
-  EXPECT_GT(run(/*lru=*/false), 1u);
-}
-
 TEST_F(CacheTest, ByteBoundTriggersEvictions) {
   common::ShardedMemo<bool>::Options options;
   // Room for roughly four entries of ~(key + overhead) bytes.
@@ -314,20 +291,6 @@ TEST_F(CacheTest, ByteBoundedPredicateCacheEndToEnd) {
   const ExecStats bounded = RunFilter("grp", params);
   EXPECT_EQ(bounded.output_rows, RunFilter("grp", ExecParams{}).output_rows);
   EXPECT_GT(evictions->value(), before);
-}
-
-TEST_F(CacheTest, LruPredicateCacheEndToEnd) {
-  // LRU with a bound below the distinct-binding count stays correct; with
-  // a bound above it, LRU and FIFO behave identically (no evictions).
-  ExecParams lru;
-  lru.cache_mode = CacheMode::kPredicate;
-  lru.cache_max_entries = 8;
-  lru.cache_lru = true;
-  const ExecStats bounded = RunFilter("grp", lru);
-  EXPECT_EQ(bounded.output_rows, RunFilter("grp", ExecParams{}).output_rows);
-
-  lru.cache_max_entries = 64;
-  EXPECT_EQ(RunFilter("grp", lru).invocations.at("f"), 20u);
 }
 
 TEST_F(CacheTest, CheapPredicateNotCached) {

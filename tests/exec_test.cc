@@ -205,16 +205,11 @@ TEST_F(ExecTest, RowSeqScanPinsEachPageOncePerBatch) {
     pool_.FlushAll();
     pool_.EvictAll();
     SeqScanOp scan(s, "s");
-    scan.AttachPool(&pool_);
-    const storage::IoStats before = pool_.stats();
+    const storage::IoStats before = storage::ThreadIo();
     std::vector<Tuple> rows;
     ASSERT_TRUE(Drain(&scan, batch_size, &rows).ok());
     EXPECT_EQ(rows.size(), 500u) << batch_size;
-    const storage::IoStats after = pool_.stats();
-    storage::IoStats io;
-    io.sequential_reads = after.sequential_reads - before.sequential_reads;
-    io.random_reads = after.random_reads - before.random_reads;
-    io.buffer_hits = after.buffer_hits - before.buffer_hits;
+    const storage::IoStats io = storage::ThreadIo() - before;
     if (batch_size == 1024) {
       EXPECT_EQ(io.TotalReads() + io.buffer_hits, pages);
     }

@@ -181,8 +181,12 @@ TEST(MetricsRegistryTest, ResetAllKeepsRegistrations) {
   MetricsRegistry registry;
   Counter* c = registry.GetCounter("test.count");
   c->Increment(9);
+  Gauge* g = registry.GetGauge("test.state");
+  g->Set(2.0);
   registry.ResetAll();
   EXPECT_EQ(c->value(), 0u);
+  // Gauges are state, not accumulated work: a reset leaves them alone.
+  EXPECT_DOUBLE_EQ(g->value(), 2.0);
   // The same pointer keeps working after a reset.
   c->Increment();
   EXPECT_EQ(registry.Snapshot().counters.at("test.count"), 1u);

@@ -19,6 +19,7 @@
 #include "exec/executor.h"
 #include "exec/shared_caches.h"
 #include "obs/metrics.h"
+#include "obs/plan_audit.h"
 #include "obs/profiler.h"
 #include "obs/query_log.h"
 #include "optimizer/optimizer.h"
@@ -835,6 +836,103 @@ TEST_F(ServeTest, ConcurrentSessionsAreByteIdenticalWithExactUdfParity) {
     // them deterministic under concurrency via pending-entry dedup).
     EXPECT_EQ(with_cache, without_cache) << n << " sessions";
     EXPECT_GT(with_cache, 0u);
+  }
+}
+
+
+TEST_F(ServeTest, ConcurrentAccountingMatchesTheSerialRun) {
+  // Every execution's root audit row (the operators' inclusive UDF count)
+  // must equal its query-log record (the context's own tallies), also
+  // while other sessions probe the same shared caches.
+  const std::vector<std::string> queries = QueryTexts();
+  for (const size_t n_sessions : {1u, 4u, 8u}) {
+    obs::QueryLog::Global().Clear();
+    obs::PlanAudit::Global().Clear();
+    serve::SessionManager manager(&db_);
+    std::vector<std::unique_ptr<serve::Session>> sessions;
+    for (size_t i = 0; i < n_sessions; ++i) {
+      sessions.push_back(manager.CreateSession());
+    }
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < n_sessions; ++i) {
+      threads.emplace_back([&, i] {
+        for (int rep = 0; rep < 2; ++rep) {
+          for (const std::string& sql : queries) {
+            EXPECT_TRUE(sessions[i]->Execute(sql).ok()) << sql;
+          }
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+
+    std::map<uint64_t, uint64_t> root_udf;
+    for (const obs::OperatorAuditRecord& r :
+         obs::PlanAudit::Global().Snapshot()) {
+      if (r.path == "0") root_udf[r.query_id] = r.udf_invocations;
+    }
+    const std::vector<obs::QueryLogRecord> log =
+        obs::QueryLog::Global().Snapshot();
+    ASSERT_EQ(log.size(), n_sessions * queries.size() * 2);
+    size_t mismatches = 0;
+    uint64_t logged_udf = 0;
+    for (const obs::QueryLogRecord& r : log) {
+      const auto it = root_udf.find(r.query_id);
+      ASSERT_NE(it, root_udf.end()) << r.query_id;
+      if (it->second != r.udf_invocations) ++mismatches;
+      logged_udf += r.udf_invocations;
+    }
+    EXPECT_EQ(mismatches, 0u) << n_sessions << " sessions";
+    EXPECT_GT(logged_udf, 0u);
+  }
+
+  // One plan's per-operator page pins and UDF calls, and its ExecStats pin
+  // total, do not depend on what other threads execute, with or without
+  // parallel workers. Pins are compared as reads + hits because which miss
+  // counts as sequential follows the pool-wide last missed page.
+  const auto figures_of = [&](const plan::PlanNode& plan,
+                              const expr::TableBinding& binding,
+                              int workers) {
+    exec::ExecContext ctx;
+    ctx.catalog = &db_.catalog();
+    ctx.binding = binding;
+    ctx.cost_params.parallel_workers = workers;
+    exec::ExecStats stats;
+    std::unique_ptr<exec::Operator> root;
+    const auto rows = exec::ExecutePlan(plan, &ctx, &stats, nullptr, &root);
+    EXPECT_TRUE(rows.ok()) << rows.status();
+    std::vector<uint64_t> figures = {stats.io.TotalReads() +
+                                     stats.io.buffer_hits};
+    if (root == nullptr) return figures;
+    ForEachOperator(*root, [&](const exec::Operator& op) {
+      figures.push_back(op.stats().io.TotalReads() +
+                        op.stats().io.buffer_hits);
+      figures.push_back(op.stats().udf_invocations);
+    });
+    return figures;
+  };
+  for (const char* id : {"Q1", "Q4", "Q5"}) {
+    const plan::PlanPtr plan = PlanFor(id, optimizer::Algorithm::kMigration);
+    auto spec = workload::GetBenchmarkQuery(db_, config_, id);
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    expr::TableBinding binding;
+    for (const plan::TableRef& ref : spec->tables) {
+      binding[ref.alias] = *db_.catalog().GetTable(ref.table_name);
+    }
+    for (const int workers : {1, 4}) {
+      const std::vector<uint64_t> serial =
+          figures_of(*plan, binding, workers);
+      std::vector<std::vector<uint64_t>> concurrent(4);
+      std::vector<std::thread> threads;
+      for (size_t t = 0; t < concurrent.size(); ++t) {
+        threads.emplace_back([&, t] {
+          concurrent[t] = figures_of(*plan, binding, workers);
+        });
+      }
+      for (std::thread& t : threads) t.join();
+      for (const std::vector<uint64_t>& figures : concurrent) {
+        EXPECT_EQ(figures, serial) << id << " workers=" << workers;
+      }
+    }
   }
 }
 

@@ -30,16 +30,17 @@ TEST(DiskManagerTest, AllocateAndRoundTrip) {
 TEST(BufferPoolTest, HitDoesNotReRead) {
   DiskManager disk;
   BufferPool pool(&disk, 4);
+  ThreadIo().Reset();
   Page* page = nullptr;
   const PageId id = pool.NewPage(&page);
   pool.UnpinPage(id, true);
   pool.FlushAll();
 
-  EXPECT_EQ(pool.stats().TotalReads(), 0u);
+  EXPECT_EQ(ThreadIo().TotalReads(), 0u);
   pool.FetchPage(id);
   pool.UnpinPage(id, false);
-  EXPECT_EQ(pool.stats().buffer_hits, 1u);  // Still resident.
-  EXPECT_EQ(pool.stats().TotalReads(), 0u);
+  EXPECT_EQ(ThreadIo().buffer_hits, 1u);  // Still resident.
+  EXPECT_EQ(ThreadIo().TotalReads(), 0u);
 }
 
 TEST(BufferPoolTest, EvictionWritesBackDirtyPages) {
@@ -61,11 +62,11 @@ TEST(BufferPoolTest, EvictionWritesBackDirtyPages) {
   EXPECT_EQ(read.bytes()[0], 0x42);
 
   // Re-fetch is a miss now.
-  const uint64_t reads_before = pool.stats().TotalReads();
+  const uint64_t reads_before = ThreadIo().TotalReads();
   Page* back = pool.FetchPage(a);
   EXPECT_EQ(back->bytes()[0], 0x42);
   pool.UnpinPage(a, false);
-  EXPECT_EQ(pool.stats().TotalReads(), reads_before + 1);
+  EXPECT_EQ(ThreadIo().TotalReads(), reads_before + 1);
 }
 
 TEST(BufferPoolTest, SequentialVsRandomClassification) {
@@ -78,25 +79,25 @@ TEST(BufferPoolTest, SequentialVsRandomClassification) {
     pool.UnpinPage(ids.back(), false);
   }
   pool.EvictAll();
-  pool.ResetStats();
+  ThreadIo().Reset();
 
   // Forward scan: first read random, rest sequential.
   for (const PageId id : ids) {
     pool.FetchPage(id);
     pool.UnpinPage(id, false);
   }
-  EXPECT_EQ(pool.stats().random_reads, 1u);
-  EXPECT_EQ(pool.stats().sequential_reads, 9u);
+  EXPECT_EQ(ThreadIo().random_reads, 1u);
+  EXPECT_EQ(ThreadIo().sequential_reads, 9u);
 
   pool.EvictAll();
-  pool.ResetStats();
+  ThreadIo().Reset();
   // Backward scan: all random.
   for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
     pool.FetchPage(*it);
     pool.UnpinPage(*it, false);
   }
-  EXPECT_EQ(pool.stats().random_reads, 10u);
-  EXPECT_EQ(pool.stats().sequential_reads, 0u);
+  EXPECT_EQ(ThreadIo().random_reads, 10u);
+  EXPECT_EQ(ThreadIo().sequential_reads, 0u);
 }
 
 TEST(BufferPoolTest, EvictAllSkipsPinnedPages) {
@@ -109,11 +110,11 @@ TEST(BufferPoolTest, EvictAllSkipsPinnedPages) {
   pool.UnpinPage(unpinned, false);
 
   pool.EvictAll();
-  pool.ResetStats();
+  ThreadIo().Reset();
   pool.FetchPage(pinned);  // Still resident: hit.
-  EXPECT_EQ(pool.stats().buffer_hits, 1u);
+  EXPECT_EQ(ThreadIo().buffer_hits, 1u);
   pool.FetchPage(unpinned);  // Evicted: miss.
-  EXPECT_EQ(pool.stats().TotalReads(), 1u);
+  EXPECT_EQ(ThreadIo().TotalReads(), 1u);
   pool.UnpinPage(pinned, false);
   pool.UnpinPage(pinned, false);
   pool.UnpinPage(unpinned, false);
@@ -237,14 +238,14 @@ TEST_F(HeapFileTest, NextViewFetchesOncePerPage) {
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(file_.Insert(record).ok());
   }
-  pool_.ResetStats();
+  ThreadIo().Reset();
   HeapFile::Iterator it = file_.Scan();
   RecordId rid;
   std::string_view view;
   while (it.NextView(&rid, &view)) {
   }
   // One pin per page, not per record.
-  EXPECT_EQ(pool_.stats().buffer_hits + pool_.stats().TotalReads(),
+  EXPECT_EQ(ThreadIo().buffer_hits + ThreadIo().TotalReads(),
             file_.NumPages());
 }
 
