@@ -21,6 +21,7 @@ int main() {
   cost::CostParams cache_off;
   cache_off.predicate_caching = false;
 
+  std::vector<workload::Measurement> rows;
   for (const char* id : {"Q1", "Q2", "Q3"}) {
     std::printf("\n%s:\n", id);
     std::vector<workload::Measurement> bars;
@@ -37,10 +38,15 @@ int main() {
       bars.push_back(std::move(off));
     }
     bench::PrintFigure("", bars);
+    for (workload::Measurement& m : bars) {
+      m.algorithm = std::string(id) + "/" + m.algorithm;
+      rows.push_back(std::move(m));
+    }
   }
   std::printf("\npaper: 'join selectivities greater than 1 ... can be "
               "avoided by using function caching' (§4.2); under caching a "
               "join 'cannot produce more than 100%% of the values from "
               "each input' (§5.1).\n");
+  bench::MaybeWriteBenchJson("ablation_caching", rows);
   return 0;
 }

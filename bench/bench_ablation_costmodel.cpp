@@ -24,6 +24,7 @@ int main() {
   cost::CostParams global;
   global.per_input_selectivity = false;
 
+  std::vector<workload::Measurement> rows;
   for (const char* id : {"Q1", "Q2"}) {
     std::printf("\n%s:\n", id);
     std::vector<workload::Measurement> bars;
@@ -40,9 +41,14 @@ int main() {
       bars.push_back(std::move(b));
     }
     bench::PrintFigure("", bars);
+    for (workload::Measurement& m : bars) {
+      m.algorithm = std::string(id) + "/" + m.algorithm;
+      rows.push_back(std::move(m));
+    }
   }
   std::printf("\npaper: the global model 'proved to be inaccurate at "
               "modelling query plans in practice, and was discarded in "
               "Montage'.\n");
+  bench::MaybeWriteBenchJson("ablation_costmodel", rows);
   return 0;
 }

@@ -25,6 +25,7 @@ int main() {
   cost::CostParams pessimistic;
   pessimistic.current_cardinality_estimate = false;
 
+  std::vector<workload::Measurement> rows;
   for (const char* id : {"Q1", "Q2", "Q4"}) {
     std::printf("\n%s:\n", id);
     std::vector<workload::Measurement> bars;
@@ -41,9 +42,14 @@ int main() {
       bars.push_back(std::move(b));
     }
     bench::PrintFigure("", bars);
+    for (workload::Measurement& m : bars) {
+      m.algorithm = std::string(id) + "/" + m.algorithm;
+      rows.push_back(std::move(m));
+    }
   }
   std::printf("\npaper: 'it was decided that estimates resulting in "
               "somewhat over-eager pullup are preferable to estimates "
               "resulting in under-eager pullup' (§5.2).\n");
+  bench::MaybeWriteBenchJson("ablation_estimate", rows);
   return 0;
 }

@@ -380,11 +380,14 @@ PPP_SCALE=40 PPP_BENCH_JSON=1 "$BUILD_DIR/bench/bench_server"
   echo "missing BENCH_server.json" >&2; exit 1;
 }
 
-# Paper-figure smoke: the Q1-Q5 figure benches at a small scale. Their
-# baselines pin every algorithm's result rows, invocation map and charged
-# time, so the regression gate below catches any executor change that
-# alters what the paper's measurements bill.
-for FIG in fig3_query1 fig4_query2 fig5_query3 fig8_query4 fig9_query5; do
+# Paper-figure smoke: the Q1-Q5 figure benches, Table 1 and the
+# ablations A1, A2, A4 and A5 at a small scale. Their baselines pin every
+# algorithm's (or variant's) result rows, invocation map and charged time,
+# so the regression gate below catches any executor change that alters
+# what the paper's measurements bill.
+for FIG in fig3_query1 fig4_query2 fig5_query3 fig8_query4 fig9_query5 \
+    table1_summary ablation_costmodel ablation_caching ablation_estimate \
+    ablation_cacheimpl; do
   rm -f "BENCH_$FIG.json"
   PPP_SCALE=40 PPP_BENCH_JSON=1 "$BUILD_DIR/bench/bench_$FIG" >/dev/null
   [[ -s "BENCH_$FIG.json" ]] || {
