@@ -76,14 +76,15 @@ int main() {
   profiler.set_seconds_per_io(1e-4);
   obs::PredicateFeedbackStore::Global().Clear();
 
-  auto spec = parser::ParseAndBind(
-      "SELECT * FROM t WHERE looks_cheap(t.k) AND looks_pricey(t.k)",
-      db.catalog());
+  const std::string sql =
+      "SELECT * FROM t WHERE looks_cheap(t.k) AND looks_pricey(t.k)";
+  auto spec = parser::ParseAndBind(sql, db.catalog());
   PPP_CHECK(spec.ok()) << spec.status().ToString();
 
-  const optimizer::Algorithm algorithm = optimizer::Algorithm::kMigration;
-  cost::CostParams cost_params;
-  const exec::ExecParams exec_params;
+  serve::SessionManager manager(&db);
+  const std::unique_ptr<serve::Session> session = manager.CreateSession();
+  const optimizer::Algorithm algorithm = session->options().algorithm;
+  cost::CostParams& cost_params = session->options().cost_params;
 
   bench::PrintHeader(
       "Feedback calibration (" + std::to_string(rows) +
@@ -91,10 +92,8 @@ int main() {
 
   // Run 1: static estimates. looks_cheap (rank -0.8) runs first on every
   // row; looks_pricey only on the 90% that pass. The profiler watches.
-  auto before = workload::RunWithAlgorithm(&db, *spec, algorithm,
-                                           cost_params, exec_params,
-                                           /*execute=*/true,
-                                           /*collect_explain=*/true);
+  auto before =
+      workload::Measure(&db, session.get(), "EXPLAIN ANALYZE " + sql);
   PPP_CHECK(before.ok()) << before.status().ToString();
   before->algorithm = "before";
   PPP_CHECK(before->invocations.at("looks_cheap") ==
@@ -127,9 +126,8 @@ int main() {
   // Run 2: with feedback. looks_pricey (truly cheap and selective) runs
   // first; looks_cheap only on the 10% that pass.
   cost_params.use_feedback = true;
-  auto after = workload::RunWithAlgorithm(&db, *spec, algorithm, cost_params,
-                                          exec_params, /*execute=*/true,
-                                          /*collect_explain=*/true);
+  auto after =
+      workload::Measure(&db, session.get(), "EXPLAIN ANALYZE " + sql);
   PPP_CHECK(after.ok()) << after.status().ToString();
   after->algorithm = "after";
   PPP_CHECK(after->invocations.at("looks_pricey") ==

@@ -25,7 +25,6 @@ int main() {
   for (const optimizer::Algorithm algorithm : bench::kAllAlgorithms) {
     obs::OptTrace trace;
     bars.push_back(bench::RunQuery(db.get(), config, "Q1", algorithm, {},
-                                   /*execute=*/true,
                                    tracing ? &trace : nullptr));
     if (tracing && !trace.empty()) {
       std::printf("--- optimizer trace: %s ---\n%s",

@@ -27,27 +27,29 @@
 #include "obs/plan_audit.h"
 #include "obs/plan_history.h"
 #include "obs/query_log.h"
-#include "parser/binder.h"
 #include "serve/session.h"
 
 namespace {
 
-/// One full pass over the paper's query mix; returns the summed
-/// measurements as a single bar named `label`.
+/// One full pass over the paper's query mix, each query an EXPLAIN ANALYZE
+/// on `session`; returns the summed measurements as a single bar named
+/// `label`.
 ppp::workload::Measurement RunMix(ppp::workload::Database* db,
+                                  ppp::serve::Session* session,
                                   const ppp::workload::BenchmarkConfig& config,
                                   const std::string& label) {
   ppp::workload::Measurement total;
   total.algorithm = label;
-  for (const char* id : {"Q1", "Q2", "Q3", "Q4", "Q5"}) {
-    const ppp::workload::Measurement m = ppp::bench::RunQuery(
-        db, config, id, ppp::optimizer::Algorithm::kMigration);
-    total.wall_seconds += m.wall_seconds;
-    total.charged_time += m.charged_time;
-    total.charged_io += m.charged_io;
-    total.charged_udf += m.charged_udf;
-    total.output_rows += m.output_rows;
-    for (const auto& [fn, count] : m.invocations) {
+  for (const ppp::workload::BenchmarkQuery& q :
+       ppp::workload::BenchmarkQueries(config)) {
+    auto m = ppp::workload::Measure(db, session, "EXPLAIN ANALYZE " + q.sql);
+    PPP_CHECK(m.ok()) << m.status().ToString();
+    total.wall_seconds += m->wall_seconds;
+    total.charged_time += m->charged_time;
+    total.charged_io += m->charged_io;
+    total.charged_udf += m->charged_udf;
+    total.output_rows += m->output_rows;
+    for (const auto& [fn, count] : m->invocations) {
       total.invocations[fn] += count;
     }
   }
@@ -93,19 +95,26 @@ int main() {
   bench::PrintHeader("Introspection overhead (scale " +
                      std::to_string(scale) + ")");
 
+  // One session for every phase: the mix and the analytical join run as
+  // EXPLAIN ANALYZE (planned fresh, measured cold), the point phase as
+  // EXECUTEs through the plan cache.
+  serve::SessionManager manager(db.get());
+  std::unique_ptr<serve::Session> session = manager.CreateSession();
+
   obs::QueryLog& log = obs::QueryLog::Global();
   constexpr int kTrials = 3;
 
   // Warm-up pass so first-touch costs (lazy counters, plan caches) hit
   // neither phase.
   log.set_enabled(false);
-  RunMix(db.get(), config, "warmup");
+  RunMix(db.get(), session.get(), config, "warmup");
 
   // Min-of-N per phase: on a shared machine the minimum is the least noisy
   // estimate of the true cost.
   workload::Measurement off;
   for (int trial = 0; trial < kTrials; ++trial) {
-    workload::Measurement m = RunMix(db.get(), config, "logging_off");
+    workload::Measurement m =
+        RunMix(db.get(), session.get(), config, "logging_off");
     if (trial == 0 || m.wall_seconds < off.wall_seconds) off = std::move(m);
   }
 
@@ -113,7 +122,8 @@ int main() {
   log.Clear();
   workload::Measurement on;
   for (int trial = 0; trial < kTrials; ++trial) {
-    workload::Measurement m = RunMix(db.get(), config, "logging_on");
+    workload::Measurement m =
+        RunMix(db.get(), session.get(), config, "logging_on");
     if (trial == 0 || m.wall_seconds < on.wall_seconds) on = std::move(m);
   }
 
@@ -148,21 +158,16 @@ int main() {
   // plan's history and grouping by the 1 s bucket gives, per second, the
   // queries run, their wall and UDF totals, and how established their
   // plans were.
-  auto spec = parser::ParseAndBind(
-      "SELECT ppp_query_log.bucket, count(*), "
+  auto join = workload::Measure(
+      db.get(), session.get(),
+      "EXPLAIN ANALYZE SELECT ppp_query_log.bucket, count(*), "
       "sum(ppp_query_log.wall_seconds), sum(ppp_query_log.udf_invocations), "
       "sum(ppp_plan_history.executions) "
       "FROM ppp_query_log, ppp_plan_history "
       "WHERE ppp_query_log.text_hash = ppp_plan_history.text_hash "
       "AND ppp_query_log.plan_fingerprint = "
       "ppp_plan_history.plan_fingerprint "
-      "GROUP BY ppp_query_log.bucket",
-      db->catalog());
-  PPP_CHECK(spec.ok()) << spec.status().ToString();
-  auto join = workload::RunWithAlgorithm(
-      db.get(), *spec, optimizer::Algorithm::kMigration, {}, {},
-      /*execute=*/true,
-      /*collect_explain=*/true);
+      "GROUP BY ppp_query_log.bucket");
   PPP_CHECK(join.ok()) << join.status().ToString();
   PPP_CHECK(join->output_rows >= 1)
       << "the logged mix must land in at least one bucket";
@@ -177,8 +182,6 @@ int main() {
   // share. The first block warms the plan cache and the shared §5.1
   // caches; later blocks alternate stores off/on so host drift hits both
   // sides alike.
-  serve::SessionManager manager(db.get());
-  std::unique_ptr<serve::Session> session = manager.CreateSession();
   PPP_CHECK(session
                 ->Prepare("point",
                           "SELECT t3.a, t3.u10, t10.a, t10.u100 FROM t3, t10 "

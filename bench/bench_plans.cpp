@@ -33,7 +33,6 @@
 #include "obs/plan_audit.h"
 #include "obs/plan_history.h"
 #include "obs/query_log.h"
-#include "parser/binder.h"
 #include "stats/collector.h"
 
 namespace {
@@ -182,10 +181,14 @@ int main() {
   PPP_CHECK(
       flip_db.catalog().functions().Register(std::move(expensive)).ok());
 
-  auto spec = parser::ParseAndBind(
-      "SELECT * FROM r, s WHERE r.k = s.k AND expensive(r.v)",
-      flip_db.catalog());
-  PPP_CHECK(spec.ok()) << spec.status().ToString();
+  // Default session knobs: PredicateMigration, use_collected_stats on.
+  serve::SessionManager manager(&flip_db);
+  const std::unique_ptr<serve::Session> session = manager.CreateSession();
+  const auto measure = [&](const std::string& sql) {
+    auto m = workload::Measure(&flip_db, session.get(), sql);
+    PPP_CHECK(m.ok()) << m.status().ToString();
+    return *m;
+  };
 
   obs::PlanHistory& history = obs::PlanHistory::Global();
   SetLifecycle(true);
@@ -198,17 +201,12 @@ int main() {
   const uint64_t changed_before = changed_counter->value();
   const uint64_t regressed_before = regressed_counter->value();
 
-  const optimizer::Algorithm algorithm = optimizer::Algorithm::kMigration;
-  cost::CostParams cost_params;
-  const exec::ExecParams exec_params;
   const auto run_once = [&](const std::string& label) {
-    auto m = workload::RunWithAlgorithm(&flip_db, *spec, algorithm,
-                                        cost_params, exec_params,
-                                        /*execute=*/true,
-                                        /*collect_explain=*/false);
-    PPP_CHECK(m.ok()) << m.status().ToString();
-    m->algorithm = label;
-    return *m;
+    workload::Measurement m = measure(
+        "EXPLAIN ANALYZE SELECT * FROM r, s WHERE r.k = s.k "
+        "AND expensive(r.v)");
+    m.algorithm = label;
+    return m;
   };
 
   // Enough declared-plan executions to establish a mean (>= warmup), then
@@ -268,30 +266,15 @@ int main() {
       << flagged;
 
   // Both lifecycle tables answer through the ordinary SQL path.
-  auto sql = parser::ParseAndBind(
-      "SELECT ppp_plan_history.plan_fingerprint, "
+  const workload::Measurement rows = measure(
+      "EXPLAIN ANALYZE SELECT ppp_plan_history.plan_fingerprint, "
       "ppp_plan_history.executions, ppp_plan_history.plan_changed "
-      "FROM ppp_plan_history", flip_db.catalog());
-  PPP_CHECK(sql.ok()) << sql.status().ToString();
-  auto rows = workload::RunWithAlgorithm(&flip_db, *sql, algorithm,
-                                         cost_params, exec_params,
-                                         /*execute=*/true,
-                                         /*collect_explain=*/false);
-  PPP_CHECK(rows.ok()) << rows.status().ToString();
-  PPP_CHECK(rows->output_rows >= 2)
-      << "ppp_plan_history must expose both plans, got "
-      << rows->output_rows;
-  auto audit_sql = parser::ParseAndBind(
-      "SELECT count(*) FROM ppp_operator_audit "
-      "WHERE ppp_operator_audit.udf_invocations > 0",
-      flip_db.catalog());
-  PPP_CHECK(audit_sql.ok()) << audit_sql.status().ToString();
-  auto audit_rows = workload::RunWithAlgorithm(&flip_db, *audit_sql,
-                                               algorithm, cost_params,
-                                               exec_params,
-                                               /*execute=*/true,
-                                               /*collect_explain=*/false);
-  PPP_CHECK(audit_rows.ok()) << audit_rows.status().ToString();
+      "FROM ppp_plan_history");
+  PPP_CHECK(rows.output_rows >= 2)
+      << "ppp_plan_history must expose both plans, got " << rows.output_rows;
+  measure(
+      "EXPLAIN ANALYZE SELECT count(*) FROM ppp_operator_audit "
+      "WHERE ppp_operator_audit.udf_invocations > 0");
 
   std::printf("%-10s %12s %14s %12s\n", "config", "wall (s)",
               "invocations", "rows");

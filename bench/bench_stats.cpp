@@ -25,7 +25,6 @@
 #include "bench/bench_util.h"
 #include "common/logging.h"
 #include "obs/profiler.h"
-#include "parser/binder.h"
 #include "stats/collector.h"
 
 int main() {
@@ -80,14 +79,11 @@ int main() {
   // No runtime feedback anywhere: the flip must come from ANALYZE alone.
   obs::PredicateFeedbackStore::Global().Clear();
 
-  auto spec = parser::ParseAndBind(
-      "SELECT * FROM r, s WHERE r.k = s.k AND expensive(r.v)",
-      db.catalog());
-  PPP_CHECK(spec.ok()) << spec.status().ToString();
-
-  const optimizer::Algorithm algorithm = optimizer::Algorithm::kMigration;
-  cost::CostParams cost_params;  // use_collected_stats defaults to true.
-  const exec::ExecParams exec_params;
+  // Default session knobs: PredicateMigration, use_collected_stats on.
+  serve::SessionManager manager(&db);
+  const std::unique_ptr<serve::Session> session = manager.CreateSession();
+  const std::string sql =
+      "EXPLAIN ANALYZE SELECT * FROM r, s WHERE r.k = s.k AND expensive(r.v)";
 
   bench::PrintHeader(
       "ANALYZE-driven placement (" + std::to_string(rows_r) + " x " +
@@ -97,10 +93,7 @@ int main() {
   // Run 1: declared stats only (no ANALYZE has happened). The join looks
   // reducing, so the expensive predicate is evaluated above it — once per
   // joined row.
-  auto before = workload::RunWithAlgorithm(&db, *spec, algorithm,
-                                           cost_params, exec_params,
-                                           /*execute=*/true,
-                                           /*collect_explain=*/true);
+  auto before = workload::Measure(&db, session.get(), sql);
   PPP_CHECK(before.ok()) << before.status().ToString();
   before->algorithm = "declared";
   PPP_CHECK(before->plan_text.find("~decl") != std::string::npos &&
@@ -124,10 +117,7 @@ int main() {
   // Run 2: collected stats. NDV sketches expose the duplicate keys, the
   // join's per-input selectivity exceeds 1, and the predicate stays below
   // it — once per r row, 8x fewer.
-  auto after = workload::RunWithAlgorithm(&db, *spec, algorithm,
-                                          cost_params, exec_params,
-                                          /*execute=*/true,
-                                          /*collect_explain=*/true);
+  auto after = workload::Measure(&db, session.get(), sql);
   PPP_CHECK(after.ok()) << after.status().ToString();
   after->algorithm = "analyzed";
   PPP_CHECK(after->plan_text.find("~stats") != std::string::npos)

@@ -52,25 +52,26 @@ workload::Measurement RunQuery(workload::Database* db,
                                const workload::BenchmarkConfig& config,
                                const std::string& id,
                                optimizer::Algorithm algorithm,
-                               cost::CostParams cost_params, bool execute,
+                               cost::CostParams cost_params,
                                obs::OptTrace* trace) {
-  auto spec = workload::GetBenchmarkQuery(*db, config, id);
-  PPP_CHECK(spec.ok()) << spec.status().ToString();
-  auto m = workload::RunWithAlgorithm(db, *spec, algorithm, cost_params,
-                                      exec::ExecParams{}, execute,
-                                      /*collect_explain=*/false, trace);
+  auto sql = workload::BenchmarkSql(config, id);
+  PPP_CHECK(sql.ok()) << sql.status().ToString();
+  serve::SessionManager manager(db);
+  serve::SessionOptions options;
+  options.algorithm = algorithm;
+  options.cost_params = cost_params;
+  const std::unique_ptr<serve::Session> session =
+      manager.CreateSession(options);
+  const std::string statement = "EXPLAIN ANALYZE " + *sql;
+  auto m = workload::Measure(db, session.get(), statement, trace);
   PPP_CHECK(m.ok()) << m.status().ToString();
   workload::Measurement best = *m;
-  if (execute) {
-    // Reruns keep the min-wall measurement whole (counters and wall from
-    // the same run); the optimizer trace comes from the first run only.
-    for (size_t i = 1; i < BenchRepeat(); ++i) {
-      auto rerun = workload::RunWithAlgorithm(
-          db, *spec, algorithm, cost_params, exec::ExecParams{}, execute,
-          /*collect_explain=*/false, /*trace=*/nullptr);
-      PPP_CHECK(rerun.ok()) << rerun.status().ToString();
-      if (rerun->wall_seconds < best.wall_seconds) best = *rerun;
-    }
+  // Reruns keep the min-wall measurement whole (counters and wall from the
+  // same run); the optimizer trace comes from the first run only.
+  for (size_t i = 1; i < BenchRepeat(); ++i) {
+    auto rerun = workload::Measure(db, session.get(), statement);
+    PPP_CHECK(rerun.ok()) << rerun.status().ToString();
+    if (rerun->wall_seconds < best.wall_seconds) best = *rerun;
   }
   return best;
 }

@@ -27,15 +27,17 @@ int64_t BenchScale(int64_t default_scale = 400);
 std::unique_ptr<workload::Database> MakeBenchDatabase(
     int64_t scale, const std::vector<int>& tables = {1, 3, 6, 7, 9, 10});
 
-/// Runs `id` (Q1..Q5) under `algorithm` and returns the measurement.
-/// Aborts on failure. `trace`, when non-null, records the optimizer's
-/// decisions for that run (observability only; charged time is unchanged).
+/// Runs `EXPLAIN ANALYZE` of `id` (Q1..Q5) under `algorithm` on a
+/// throwaway session over `db` and returns the measurement. Aborts on
+/// failure. `trace`, when non-null, records the optimizer's decisions for
+/// that run (observability only; charged time is unchanged). Never call it
+/// while another SessionManager serves `db`: a second manager takes over
+/// the ppp_plan_cache / ppp_sessions tables and empties them on exit.
 workload::Measurement RunQuery(workload::Database* db,
                                const workload::BenchmarkConfig& config,
                                const std::string& id,
                                optimizer::Algorithm algorithm,
                                cost::CostParams cost_params = {},
-                               bool execute = true,
                                obs::OptTrace* trace = nullptr);
 
 /// True when PPP_TRACE is set to a non-empty value other than "0":

@@ -11,7 +11,7 @@
 
 #include "common/logging.h"
 #include "optimizer/optimizer.h"
-#include "parser/binder.h"
+#include "serve/session.h"
 #include "workload/database.h"
 #include "workload/measurement.h"
 #include "workload/queries.h"
@@ -52,8 +52,11 @@ int main() {
   // A small modeled working memory makes the join spill, giving it a real
   // per-tuple cost — below some predicate cost, filtering first is the
   // better deal and the optimizer's crossover becomes visible.
-  cost::CostParams params;
-  params.buffer_pages = 16;
+  serve::SessionManager manager(&db);
+  serve::SessionOptions options;
+  options.cost_params.buffer_pages = 16;
+  const std::unique_ptr<serve::Session> session =
+      manager.CreateSession(options);
 
   const double costs[] = {0.001, 0.01, 0.05, 0.1, 0.5, 1,
                           2,     5,    10,   50,  100, 1000};
@@ -65,27 +68,24 @@ int main() {
     const std::string sql =
         "SELECT * FROM t3, t10 WHERE t3.ua = t10.ua1 AND " + fn +
         "(t10.ua)";
-    auto spec = parser::ParseAndBind(sql, db.catalog());
-    PPP_CHECK(spec.ok()) << spec.status().ToString();
-
     double measured[3];
     std::string placement;
     const optimizer::Algorithm algorithms[] = {
         optimizer::Algorithm::kPushDown, optimizer::Algorithm::kPullUp,
         optimizer::Algorithm::kMigration};
     for (int i = 0; i < 3; ++i) {
-      auto m = workload::RunWithAlgorithm(&db, *spec, algorithms[i], params, {});
+      session->options().algorithm = algorithms[i];
+      auto m =
+          workload::Measure(&db, session.get(), "EXPLAIN ANALYZE " + sql);
       PPP_CHECK(m.ok()) << m.status().ToString();
       measured[i] = m->charged_time;
-      if (i == 2) {
-        optimizer::Optimizer opt(&db.catalog(), params);
-        auto result = opt.Optimize(*spec, algorithms[i]);
-        PPP_CHECK(result.ok());
-        const int depth = FilterDepth(*result->plan);
-        placement = depth == 0 ? "above the join"
-                               : (depth > 0 ? "below the join" : "absorbed");
-      }
     }
+    // Where Migration (the session's algorithm now) places f.
+    auto migrated = session->Execute("EXPLAIN " + sql);
+    PPP_CHECK(migrated.ok()) << migrated.status().ToString();
+    const int depth = FilterDepth(*migrated->plan);
+    placement = depth == 0 ? "above the join"
+                           : (depth > 0 ? "below the join" : "absorbed");
     std::printf("%10.4g %12.6g %12.6g %12.6g %18s\n", cost, measured[0],
                 measured[1], measured[2], placement.c_str());
   }

@@ -12,7 +12,7 @@
 #include "common/random.h"
 #include "exec/executor.h"
 #include "optimizer/optimizer.h"
-#include "parser/binder.h"
+#include "serve/session.h"
 #include "workload/database.h"
 #include "workload/measurement.h"
 
@@ -75,15 +75,12 @@ int main() {
       "AND dept.budget = 1 AND has_red_beard(emp.picture)";
   std::printf("query: %s\n\n", sql.c_str());
 
-  auto spec = parser::ParseAndBind(sql, db.catalog());
-  if (!spec.ok()) {
-    std::fprintf(stderr, "bind: %s\n", spec.status().ToString().c_str());
-    return 1;
-  }
-
+  serve::SessionManager manager(&db);
+  const std::unique_ptr<serve::Session> session = manager.CreateSession();
   for (const optimizer::Algorithm algorithm :
        {optimizer::Algorithm::kPushDown, optimizer::Algorithm::kMigration}) {
-    auto m = workload::RunWithAlgorithm(&db, *spec, algorithm, {}, {});
+    session->options().algorithm = algorithm;
+    auto m = workload::Measure(&db, session.get(), "EXPLAIN ANALYZE " + sql);
     if (!m.ok()) {
       std::fprintf(stderr, "%s\n", m.status().ToString().c_str());
       return 1;

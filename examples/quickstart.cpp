@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "optimizer/algorithm.h"
-#include "parser/binder.h"
+#include "serve/session.h"
 #include "workload/database.h"
 #include "workload/measurement.h"
 #include "workload/queries.h"
@@ -44,25 +44,18 @@ int main() {
       "WHERE t3.ua = t10.ua1 AND costly100(t10.ua)";
   std::printf("query: %s\n\n", sql.c_str());
 
-  auto spec = parser::ParseAndBind(sql, db.catalog());
-  if (!spec.ok()) {
-    std::fprintf(stderr, "bind failed: %s\n",
-                 spec.status().ToString().c_str());
-    return 1;
-  }
-
   const optimizer::Algorithm algorithms[] = {
       optimizer::Algorithm::kPushDown,  optimizer::Algorithm::kPullUp,
       optimizer::Algorithm::kPullRank,  optimizer::Algorithm::kMigration,
       optimizer::Algorithm::kLdl,       optimizer::Algorithm::kExhaustive,
   };
 
-  cost::CostParams cost_params;
-  exec::ExecParams exec_params;
-
+  // EXPLAIN ANALYZE on a session measures each placement cold and alone.
+  serve::SessionManager manager(&db);
+  const std::unique_ptr<serve::Session> session = manager.CreateSession();
   for (const optimizer::Algorithm algorithm : algorithms) {
-    auto m = workload::RunWithAlgorithm(&db, *spec, algorithm, cost_params,
-                                        exec_params);
+    session->options().algorithm = algorithm;
+    auto m = workload::Measure(&db, session.get(), "EXPLAIN ANALYZE " + sql);
     if (!m.ok()) {
       std::fprintf(stderr, "%s failed: %s\n",
                    optimizer::AlgorithmName(algorithm),

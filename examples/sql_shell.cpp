@@ -65,7 +65,6 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 
@@ -80,7 +79,6 @@
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 #include "optimizer/optimizer.h"
-#include "parser/binder.h"
 #include "parser/parser.h"
 #include "serve/session.h"
 #include "stats/collector.h"
@@ -153,10 +151,10 @@ int main() {
   bool tracing = false;
   std::string last_body;  // Last SELECT body, parsed on demand by \calibrate.
 
-  // The serving layer: plain SELECTs run through a session so repeats hit
-  // the shared plan cache; EXPLAIN variants keep the direct path (they want
-  // a fresh optimization trace, not a cached plan). Every knob — algorithm,
-  // cost and executor params — lives in the current session's options().
+  // The serving layer: every statement runs through a session, so repeated
+  // SELECTs hit the shared plan cache while EXPLAIN variants plan fresh.
+  // Every knob — algorithm, cost and executor params — lives in the
+  // current session's options().
   serve::SessionManager manager(&db);
   std::map<uint64_t, std::unique_ptr<serve::Session>> sessions;
   serve::Session* session = nullptr;
@@ -571,19 +569,29 @@ int main() {
       continue;
     }
 
-    // PREPARE/EXECUTE go straight through the session, which owns the
-    // statement-name registry and the family-keyed plan acquisition.
-    if (FirstWordIs(sql, "PREPARE") || FirstWordIs(sql, "EXECUTE")) {
-      auto r = session->Execute(sql);
-      if (!r.ok()) {
-        std::printf("error: %s\n", r.status().ToString().c_str());
-        continue;
-      }
-      if (!r->prepared_name.empty()) {
-        std::printf("prepared %s (family %016llx)\n",
-                    r->prepared_name.c_str(),
-                    static_cast<unsigned long long>(r->family_hash));
-        continue;
+    // SELECT, PREPARE/EXECUTE and EXPLAIN [ANALYZE] all run through the
+    // serving session, which owns the statement-name registry and the plan
+    // cache. Repeats of a SELECT or EXECUTE (same knobs, same statistics)
+    // skip parse/bind/optimize; EXPLAIN variants show a fresh optimization
+    // and return the plan's lines as rows.
+    std::string body;
+    const parser::StatementKind kind = parser::StripExplain(sql, &body);
+    const bool prepared =
+        FirstWordIs(sql, "PREPARE") || FirstWordIs(sql, "EXECUTE");
+    auto r = session->Execute(sql);
+    if (!r.ok()) {
+      std::printf("error: %s\n", r.status().ToString().c_str());
+      continue;
+    }
+    if (!r->prepared_name.empty()) {
+      std::printf("prepared %s (family %016llx)\n", r->prepared_name.c_str(),
+                  static_cast<unsigned long long>(r->family_hash));
+      continue;
+    }
+    if (!prepared) last_body = body;
+    if (kind == parser::StatementKind::kSelect) {
+      if (explain && !prepared && r->plan != nullptr) {
+        std::printf("%s", r->plan->ToString().c_str());
       }
       std::printf("%llu rows; plan cache %s%s; optimize %.3f ms, execute "
                   "%.3f ms\n",
@@ -594,67 +602,22 @@ int main() {
       continue;
     }
 
-    // Peel off a leading EXPLAIN [ANALYZE] lexically so the remaining
-    // statement still goes through the full parse/bind/rewrite pipeline.
-    std::string body;
-    const parser::StatementKind kind = parser::StripExplain(sql, &body);
-    const bool execute = kind != parser::StatementKind::kExplain;
-    const bool collect_explain = kind != parser::StatementKind::kSelect;
-
-    // Plain SELECTs run through the serving session: repeats of the same
-    // statement (same knobs, same statistics) skip parse/bind/optimize via
-    // the shared plan cache. EXPLAIN variants take the direct path below —
-    // they exist to show a fresh optimization, not a cached one.
-    if (kind == parser::StatementKind::kSelect) {
-      auto r = session->Execute(body);
-      if (!r.ok()) {
-        std::printf("error: %s\n", r.status().ToString().c_str());
-        continue;
-      }
-      last_body = body;
-      if (explain && r->plan != nullptr) {
-        std::printf("%s", r->plan->ToString().c_str());
-      }
-      std::printf("%llu rows; plan cache %s; optimize %.3f ms, execute "
-                  "%.3f ms\n",
-                  static_cast<unsigned long long>(r->rows.size()),
-                  r->plan_cache_hit ? "HIT" : "miss",
-                  r->optimize_seconds * 1e3, r->execute_seconds * 1e3);
-      continue;
+    for (const types::Tuple& line : r->rows) {
+      std::printf("%s\n", line.Get(0).AsString().c_str());
     }
-
-    auto spec = subquery::ParseBindRewrite(body, &db.catalog());
-    if (!spec.ok()) {
-      std::printf("error: %s\n", spec.status().ToString().c_str());
-      continue;
+    if (tracing && !r->trace.empty()) {
+      std::printf("optimizer trace:\n%s", r->trace.ToText().c_str());
+      std::printf("dp stats: %s\n", r->dp_stats.ToString().c_str());
     }
-    last_body = body;
-    obs::OptTrace trace;
-    // The session's knobs, minus the cross-query Bloom kill memory: an
-    // EXPLAIN shows what this query does on its own.
-    const serve::SessionOptions& options = session->options();
-    exec::ExecParams exec_params = options.exec_params;
-    exec_params.transfer_cross_query_kill = false;
-    auto m = workload::RunWithAlgorithm(
-        &db, *spec, options.algorithm, options.cost_params, exec_params,
-        execute, collect_explain, tracing ? &trace : nullptr);
-    if (!m.ok()) {
-      std::printf("error: %s\n", m.status().ToString().c_str());
-      continue;
-    }
-    if (collect_explain) {
-      std::printf("%s", m->explain_text.c_str());
-    } else if (explain) {
-      std::printf("%s", m->plan_text.c_str());
-    }
-    if (tracing && !trace.empty()) {
-      std::printf("optimizer trace:\n%s", trace.ToText().c_str());
-      std::printf("dp stats: %s\n", m->dp_stats.ToString().c_str());
-    }
-    if (execute) {
+    if (kind == parser::StatementKind::kExplainAnalyze) {
+      double io = 0.0;
+      double udf = 0.0;
+      const double charged =
+          workload::ChargedTime(r->stats, db.catalog().functions(),
+                                session->options().cost_params, &io, &udf);
       std::printf("%llu rows; charged time %.6g (io %.6g + udf %.6g)\n",
-                  static_cast<unsigned long long>(m->output_rows),
-                  m->charged_time, m->charged_io, m->charged_udf);
+                  static_cast<unsigned long long>(r->stats.output_rows),
+                  charged, io, udf);
     }
   }
   std::printf("\nbye\n");

@@ -463,15 +463,6 @@ common::Result<std::unique_ptr<Operator>> BuildExecutor(
   return common::Status::Internal("unknown plan node kind");
 }
 
-std::string ExecStats::ToString() const {
-  std::string out = "rows=" + std::to_string(output_rows) + " " +
-                    io.ToString();
-  for (const auto& [name, count] : invocations) {
-    out += " " + name + "×" + std::to_string(count);
-  }
-  return out;
-}
-
 common::Result<std::vector<types::Tuple>> ExecutePlan(
     const plan::PlanNode& plan, ExecContext* ctx, ExecStats* stats,
     types::RowSchema* out_schema, std::unique_ptr<Operator>* root_out) {

@@ -35,8 +35,6 @@ struct ExecStats {
   uint64_t output_rows = 0;
   storage::IoStats io;
   std::unordered_map<std::string, uint64_t> invocations;
-
-  std::string ToString() const;
 };
 
 /// Executes `plan` to completion, returning all output tuples. I/O deltas

@@ -136,11 +136,10 @@ struct ExecContext {
   SharedPredicateCacheRegistry* shared_caches = nullptr;
 
   /// Optimizer-side facts for the ppp_query_log record ExecutePlan appends
-  /// at close. workload::RunWithAlgorithm and serve::Session fill these;
-  /// direct ExecutePlan callers leave the zeroes and the record simply
-  /// lacks them.
+  /// at close. serve::Session fills these; direct ExecutePlan callers leave
+  /// the zeroes and the record simply lacks them.
   struct QueryLogHints {
-    uint64_t text_hash = 0;       ///< Fnv1aHash of the bound spec's text.
+    uint64_t text_hash = 0;       ///< Hash of the normalized statement.
     std::string algorithm;        ///< Placement algorithm that planned it.
     double optimize_seconds = 0.0;
     uint64_t session_id = 0;      ///< Serving-layer session (0 = none).

@@ -52,7 +52,10 @@ PlanOutcome PlanHistory::Record(uint64_t text_hash, uint64_t plan_fingerprint,
   } else {
     by_last_use_.erase({entry.row.last_query_id, key});
   }
-  by_last_use_.emplace(query_id, key);
+  // A late writer may carry an older id than the entry already saw; the
+  // last use stays the newest, so eviction order never runs backwards.
+  entry.row.last_query_id = std::max(entry.row.last_query_id, query_id);
+  by_last_use_.emplace(entry.row.last_query_id, key);
   if (changed) {
     outcome.plan_changed = true;
     changed_total_.fetch_add(1, std::memory_order_relaxed);
@@ -73,7 +76,6 @@ PlanOutcome PlanHistory::Record(uint64_t text_hash, uint64_t plan_fingerprint,
   }
   entry.row.total_invocations += udf_invocations;
   entry.row.max_qerror = std::max(entry.row.max_qerror, max_qerror);
-  entry.row.last_query_id = query_id;
 
   if (!entry.row.regressed && entry.displaced_fingerprint != 0 &&
       entry.row.executions >= warmup_executions_) {

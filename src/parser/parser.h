@@ -73,7 +73,7 @@ struct ParsedStatement {
 /// Strips a leading `EXPLAIN [ANALYZE]` prefix (case-insensitive) from
 /// `sql`, storing the remaining statement in `*rest` and returning the
 /// statement kind. Purely lexical, so callers that bind and rewrite SQL
-/// themselves (the shell) can reuse their pipeline on `*rest`.
+/// themselves (serve::Session) can reuse their pipeline on `*rest`.
 StatementKind StripExplain(const std::string& sql, std::string* rest);
 
 /// ParseSelect plus the EXPLAIN / EXPLAIN ANALYZE prefix.

@@ -11,6 +11,7 @@
 
 #include "catalog/system_tables.h"
 #include "common/string_util.h"
+#include "exec/explain.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "optimizer/algorithm.h"
@@ -319,7 +320,6 @@ SessionManager::~SessionManager() {
 
 std::unique_ptr<Session> SessionManager::CreateSession() {
   SessionOptions defaults;
-  defaults.use_plan_cache = true;
   // Serve sessions opt into the cross-query Bloom kill memory: the whole
   // point of the layer is amortizing decisions across the workload.
   defaults.exec_params.transfer_cross_query_kill = true;
@@ -417,16 +417,15 @@ common::Result<QueryResult> Session::ExecuteAnalyze(const std::string& sql) {
     PPP_RETURN_IF_ERROR(stats::AnalyzeTable(table, options));
     ++result.analyzed_tables;
   }
-  UpdateRow(result);
+  UpdateRow(result, /*planned=*/false);
   return result;
 }
 
 common::Result<QueryResult> Session::ExecuteSelect(const std::string& sql) {
   catalog::Catalog& catalog = state_->db->catalog();
 
-  // Root lifecycle span, as in workload::RunWithAlgorithm: probe/optimize
-  // and execute (with their own child spans) nest under it, tagged with the
-  // owning session.
+  // Root lifecycle span: probe/optimize and execute (with their own child
+  // spans) nest under it, tagged with the owning session.
   std::optional<obs::Span> span;
   if (obs::SpanTracer::Global().enabled()) {
     span.emplace("query", "query");
@@ -436,76 +435,149 @@ common::Result<QueryResult> Session::ExecuteSelect(const std::string& sql) {
 
   const auto plan_start = std::chrono::steady_clock::now();
 
-  // EXPLAIN prefixes run like plain SELECTs here; sessions return rows,
-  // the shell renders plans.
   std::string rest;
-  parser::StripExplain(sql, &rest);
+  const parser::StatementKind kind = parser::StripExplain(sql, &rest);
 
   PPP_ASSIGN_OR_RETURN(parser::NormalizedQuery norm,
                        parser::NormalizeSql(rest));
-  const std::string algorithm_name =
-      optimizer::AlgorithmName(options_.algorithm);
-  const bool use_cache =
-      state_->plan_cache_enabled && options_.use_plan_cache;
-  PlanCacheKey key;
-  key.text_hash = norm.text_hash;
-  key.params_hash = ParamsHash();
-
   QueryResult result;
   result.text_hash = norm.text_hash;
+  if (kind != parser::StatementKind::kSelect) {
+    return Explain(rest, kind == parser::StatementKind::kExplainAnalyze,
+                   std::move(result), plan_start);
+  }
 
-  std::shared_ptr<const plan::PlanNode> plan;
-  obs::StatsTier stats_tier = obs::StatsTier::kDeclared;
+  const bool use_cache =
+      state_->plan_cache_enabled && options_.use_plan_cache;
+  PlanFill fill;
+  fill.exact.text_hash = norm.text_hash;
+  fill.exact.params_hash = ParamsHash();
+  fill.family_hash = norm.family_hash;
+
   std::shared_ptr<const CachedPlan> cached;
-  if (use_cache) cached = state_->plan_cache.Probe(key, catalog);
+  if (use_cache) cached = state_->plan_cache.Probe(fill.exact, catalog);
 
   if (cached != nullptr) {
     // Hit: rebuild bindings from the entry; no parse, no optimize.
-    ctx_.binding.clear();
-    for (const auto& [alias, table_name] : cached->bindings) {
-      PPP_ASSIGN_OR_RETURN(catalog::Table * table,
-                           catalog.GetTable(table_name));
-      ctx_.binding[alias] = table;
-    }
-    plan = cached->plan;
+    PPP_RETURN_IF_ERROR(BindFromEntry(*cached));
     result.plan_cache_hit = true;
     result.plan_fingerprint = cached->plan_fingerprint;
-    stats_tier = cached->stats_tier;
-  } else {
-    PPP_ASSIGN_OR_RETURN(plan::QuerySpec spec,
-                         subquery::ParseBindRewrite(rest, &catalog));
-    // Capture bindings and stats epochs *before* optimizing: if an ANALYZE
-    // lands mid-optimization the entry's epochs are already stale and the
-    // next probe re-plans (the safe direction).
-    CachedPlan entry;
-    ctx_.binding.clear();
-    for (const plan::TableRef& ref : spec.tables) {
-      PPP_ASSIGN_OR_RETURN(catalog::Table * table,
-                           catalog.GetTable(ref.table_name));
-      ctx_.binding[ref.alias] = table;
-      entry.bindings.emplace_back(ref.alias, ref.table_name);
-      entry.stats_epochs.push_back(table->stats_epoch());
-    }
-    optimizer::Optimizer opt(&catalog, options_.cost_params);
-    PPP_ASSIGN_OR_RETURN(optimizer::OptimizeResult optimized,
-                         opt.Optimize(spec, options_.algorithm));
-    plan = std::shared_ptr<const plan::PlanNode>(std::move(optimized.plan));
-    result.plan_fingerprint = plan->Fingerprint();
-    stats_tier = exec::WeakestStatsTier(*plan);
-    if (use_cache) {
-      entry.plan = plan;
-      entry.text_hash = norm.text_hash;
-      entry.family_hash = norm.family_hash;
-      entry.plan_fingerprint = result.plan_fingerprint;
-      entry.stats_tier = stats_tier;
-      entry.algorithm = algorithm_name;
-      entry.est_cost = optimized.est_cost;
-      entry.optimize_seconds = SecondsSince(plan_start);
-      state_->plan_cache.Insert(key, std::move(entry));
-    }
+    result.plan = cached->plan;
+    return RunPlan(std::move(result), cached->stats_tier, plan_start);
   }
-  return RunPlan(std::move(plan), std::move(result), stats_tier,
-                 algorithm_name, plan_start);
+  PPP_ASSIGN_OR_RETURN(
+      const obs::StatsTier stats_tier,
+      CompileAndFill(rest, /*params=*/nullptr, use_cache ? &fill : nullptr,
+                     plan_start, &ctx_, &result, /*trace=*/nullptr));
+  return RunPlan(std::move(result), stats_tier, plan_start);
+}
+
+common::Result<QueryResult> Session::Explain(
+    const std::string& sql, bool analyze, QueryResult result,
+    std::chrono::steady_clock::time_point plan_start) {
+  // EXPLAIN shows a fresh optimization: no plan-cache probe, no fill. The
+  // statement-private context gives EXPLAIN ANALYZE a fresh §5.1 function
+  // cache, no shared caches and no cross-query Bloom kill memory.
+  exec::ExecContext ctx;
+  PPP_ASSIGN_OR_RETURN(
+      const obs::StatsTier stats_tier,
+      CompileAndFill(sql, /*params=*/nullptr, /*fill=*/nullptr, plan_start,
+                     &ctx, &result, &result.trace));
+  std::string text;
+  if (analyze) {
+    ctx.catalog = &state_->db->catalog();
+    ctx.params = options_.exec_params;
+    ctx.params.transfer_cross_query_kill = false;
+    ctx.cost_params = options_.cost_params;
+    std::unique_ptr<exec::Operator> root;
+    PPP_RETURN_IF_ERROR(
+        ExecuteOn(&ctx, stats_tier, plan_start, &result, &root));
+    text = exec::RenderExplainAnalyze(*result.plan, *root,
+                                      &ctx.catalog->functions());
+  } else {
+    result.optimize_seconds = SecondsSince(plan_start);
+    text = exec::RenderExplain(*result.plan);
+  }
+  result.schema = types::RowSchema(
+      {types::ColumnInfo{"", "plan", types::TypeId::kString}});
+  std::vector<std::string> lines = common::Split(text, '\n');
+  if (lines.back().empty()) lines.pop_back();  // The trailing newline.
+  result.rows.clear();
+  for (std::string& line : lines) {
+    result.rows.emplace_back(
+        std::vector<types::Value>{types::Value(std::move(line))});
+  }
+  UpdateRow(result, /*planned=*/false);
+  return result;
+}
+
+common::Status Session::BindFromEntry(const CachedPlan& entry) {
+  ctx_.binding.clear();
+  for (const auto& [alias, table_name] : entry.bindings) {
+    PPP_ASSIGN_OR_RETURN(catalog::Table * table,
+                         state_->db->catalog().GetTable(table_name));
+    ctx_.binding[alias] = table;
+  }
+  return common::Status::OK();
+}
+
+common::Result<obs::StatsTier> Session::CompileAndFill(
+    const std::string& sql, const std::vector<types::Value>* params,
+    const PlanFill* fill, std::chrono::steady_clock::time_point plan_start,
+    exec::ExecContext* ctx, QueryResult* result, obs::OptTrace* trace) {
+  catalog::Catalog& catalog = state_->db->catalog();
+  PPP_ASSIGN_OR_RETURN(
+      plan::QuerySpec spec,
+      params == nullptr
+          ? subquery::ParseBindRewrite(sql, &catalog)
+          : subquery::ParseBindRewrite(sql, *params, &catalog));
+  // Capture bindings and stats epochs *before* optimizing: if an ANALYZE
+  // lands mid-optimization the entry's epochs are already stale and the
+  // next probe re-plans (the safe direction).
+  CachedPlan entry;
+  ctx->binding.clear();
+  for (const plan::TableRef& ref : spec.tables) {
+    PPP_ASSIGN_OR_RETURN(catalog::Table * table,
+                         catalog.GetTable(ref.table_name));
+    ctx->binding[ref.alias] = table;
+    entry.bindings.emplace_back(ref.alias, ref.table_name);
+    entry.stats_epochs.push_back(table->stats_epoch());
+  }
+  optimizer::Optimizer opt(&catalog, options_.cost_params);
+  PPP_ASSIGN_OR_RETURN(optimizer::OptimizeResult optimized,
+                       opt.Optimize(spec, options_.algorithm, trace));
+  result->plan =
+      std::shared_ptr<const plan::PlanNode>(std::move(optimized.plan));
+  result->plan_fingerprint = result->plan->Fingerprint();
+  result->est_cost = optimized.est_cost;
+  result->plans_retained = optimized.plans_retained;
+  result->dp_stats = optimized.dp_stats;
+  const obs::StatsTier stats_tier = exec::WeakestStatsTier(*result->plan);
+  if (fill == nullptr) return stats_tier;
+
+  entry.plan = result->plan;
+  entry.text_hash = fill->exact.text_hash;
+  entry.family_hash = fill->family_hash;
+  entry.plan_fingerprint = result->plan_fingerprint;
+  entry.stats_tier = stats_tier;
+  entry.algorithm = optimizer::AlgorithmName(options_.algorithm);
+  entry.est_cost = optimized.est_cost;
+  entry.optimize_seconds = SecondsSince(plan_start);
+  // A prepared statement's constants carry their slots, so its plan is
+  // also the family's generic-plan template as long as no slot got baked
+  // into an index probe or subquery closure.
+  if (params != nullptr &&
+      plan::PlanIsParameterizable(*entry.plan, params->size())) {
+    CachedPlan family_entry = entry;
+    family_entry.text_hash = fill->family_hash;
+    family_entry.num_params = params->size();
+    state_->plan_cache.Insert(
+        PlanCacheKey{fill->family_hash, fill->exact.params_hash,
+                     /*family=*/true},
+        std::move(family_entry));
+  }
+  state_->plan_cache.Insert(fill->exact, std::move(entry));
+  return stats_tier;
 }
 
 uint64_t Session::ParamsHash() {
@@ -520,13 +592,29 @@ uint64_t Session::ParamsHash() {
   return params_hash_memo_->hash;
 }
 
-common::Result<QueryResult> Session::RunPlan(
-    std::shared_ptr<const plan::PlanNode> plan, QueryResult result,
-    obs::StatsTier stats_tier, const std::string& algorithm_name,
-    std::chrono::steady_clock::time_point plan_start) {
-  result.optimize_seconds = SecondsSince(plan_start);
-  result.plan = plan;
+common::Status Session::ExecuteOn(
+    exec::ExecContext* ctx, obs::StatsTier stats_tier,
+    std::chrono::steady_clock::time_point plan_start, QueryResult* result,
+    std::unique_ptr<exec::Operator>* root) {
+  result->optimize_seconds = SecondsSince(plan_start);
+  ctx->log_hints.text_hash = result->text_hash;
+  ctx->log_hints.algorithm = optimizer::AlgorithmName(options_.algorithm);
+  ctx->log_hints.optimize_seconds = result->optimize_seconds;
+  ctx->log_hints.session_id = id_;
+  ctx->log_hints.plan_fingerprint = result->plan_fingerprint;
+  ctx->log_hints.stats_tier = stats_tier;
 
+  const auto exec_start = std::chrono::steady_clock::now();
+  PPP_ASSIGN_OR_RETURN(result->rows,
+                       exec::ExecutePlan(*result->plan, ctx, &result->stats,
+                                         &result->schema, root));
+  result->execute_seconds = SecondsSince(exec_start);
+  return common::Status::OK();
+}
+
+common::Result<QueryResult> Session::RunPlan(
+    QueryResult result, obs::StatsTier stats_tier,
+    std::chrono::steady_clock::time_point plan_start) {
   // Execute on the session's persistent context. Shared engine stores are
   // wired per query (cheap pointer writes) so manager-level toggles apply
   // immediately.
@@ -534,23 +622,10 @@ common::Result<QueryResult> Session::RunPlan(
   ctx_.cost_params = options_.cost_params;
   ctx_.shared_caches =
       state_->share_predicate_caches ? &state_->shared_caches : nullptr;
-  ctx_.log_hints.text_hash = result.text_hash;
-  ctx_.log_hints.algorithm = algorithm_name;
-  ctx_.log_hints.optimize_seconds = result.optimize_seconds;
-  ctx_.log_hints.session_id = id_;
-  ctx_.log_hints.plan_fingerprint = result.plan_fingerprint;
-  ctx_.log_hints.stats_tier = stats_tier;
+  PPP_RETURN_IF_ERROR(
+      ExecuteOn(&ctx_, stats_tier, plan_start, &result, /*root=*/nullptr));
 
-  const auto exec_start = std::chrono::steady_clock::now();
-  exec::ExecStats stats;
-  PPP_ASSIGN_OR_RETURN(
-      result.rows,
-      exec::ExecutePlan(*plan, &ctx_, &stats, &result.schema, nullptr));
-  result.execute_seconds = SecondsSince(exec_start);
-
-  ++queries_;
-  if (result.plan_cache_hit) ++cache_hits_;
-  UpdateRow(result);
+  UpdateRow(result, /*planned=*/true);
   return result;
 }
 
@@ -580,15 +655,12 @@ common::Result<QueryResult> Session::Prepare(const std::string& name,
         state_->prepared_families.emplace(norm.family_hash, shared);
     if (!inserted) shared = it->second;
   }
-  if (prepared_.find(name) == prepared_.end()) {
-    prepared_order_.push_back(name);
-  }
   prepared_[name] = shared;
 
   QueryResult result;
   result.family_hash = norm.family_hash;
   result.prepared_name = name;
-  UpdateRow(result);
+  UpdateRow(result, /*planned=*/false);
   return result;
 }
 
@@ -612,38 +684,29 @@ common::Result<QueryResult> Session::ExecutePrepared(
   }
 
   const auto plan_start = std::chrono::steady_clock::now();
-  const uint64_t text_hash =
-      common::Fnv1aHash(RenderConcreteText(*family, bound));
-  const std::string algorithm_name =
-      optimizer::AlgorithmName(options_.algorithm);
-  const uint64_t params_hash = ParamsHash();
   const bool use_cache =
       state_->plan_cache_enabled && options_.use_plan_cache;
+  PlanFill fill;
+  fill.exact = PlanCacheKey{
+      common::Fnv1aHash(RenderConcreteText(*family, bound)), ParamsHash(),
+      /*family=*/false};
+  fill.family_hash = family->family_hash;
+  const PlanCacheKey family_key{family->family_hash, fill.exact.params_hash,
+                                /*family=*/true};
 
   QueryResult result;
-  result.text_hash = text_hash;
+  result.text_hash = fill.exact.text_hash;
   result.family_hash = family->family_hash;
-
-  PlanCacheKey exact_key{text_hash, params_hash, /*family=*/false};
-  PlanCacheKey family_key{family->family_hash, params_hash,
-                          /*family=*/true};
-
-  std::shared_ptr<const plan::PlanNode> plan;
 
   // Fastest path: this exact literal combination already has a plan.
   std::shared_ptr<const CachedPlan> cached;
-  if (use_cache) cached = state_->plan_cache.Probe(exact_key, catalog);
+  if (use_cache) cached = state_->plan_cache.Probe(fill.exact, catalog);
   if (cached != nullptr) {
-    ctx_.binding.clear();
-    for (const auto& [alias, table_name] : cached->bindings) {
-      PPP_ASSIGN_OR_RETURN(catalog::Table * table,
-                           catalog.GetTable(table_name));
-      ctx_.binding[alias] = table;
-    }
+    PPP_RETURN_IF_ERROR(BindFromEntry(*cached));
     result.plan_cache_hit = true;
     result.plan_fingerprint = cached->plan_fingerprint;
-    return RunPlan(cached->plan, std::move(result), cached->stats_tier,
-                   algorithm_name, plan_start);
+    result.plan = cached->plan;
+    return RunPlan(std::move(result), cached->stats_tier, plan_start);
   }
 
   // Generic-plan path: substitute fresh values into the family's plan —
@@ -653,85 +716,41 @@ common::Result<QueryResult> Session::ExecutePrepared(
   if (generic != nullptr) {
     plan::PlanPtr substituted = plan::CloneWithParams(*generic->plan, bound);
     if (substituted != nullptr) {
-      plan = std::shared_ptr<const plan::PlanNode>(std::move(substituted));
-      ctx_.binding.clear();
-      for (const auto& [alias, table_name] : generic->bindings) {
-        PPP_ASSIGN_OR_RETURN(catalog::Table * table,
-                             catalog.GetTable(table_name));
-        ctx_.binding[alias] = table;
-      }
+      PPP_RETURN_IF_ERROR(BindFromEntry(*generic));
+      result.plan =
+          std::shared_ptr<const plan::PlanNode>(std::move(substituted));
       result.plan_cache_hit = true;
       result.generic_plan = true;
-      result.plan_fingerprint = plan->Fingerprint();
+      result.plan_fingerprint = result.plan->Fingerprint();
       // Promote into the exact level so a repeat of these literals skips
       // even the substitution. Epochs were just validated by the probe.
       // Substitution swaps constants only, so the estimate provenance is
       // the family plan's.
       CachedPlan entry;
-      entry.plan = plan;
+      entry.plan = result.plan;
       entry.bindings = generic->bindings;
       entry.stats_epochs = generic->stats_epochs;
-      entry.text_hash = text_hash;
+      entry.text_hash = fill.exact.text_hash;
       entry.family_hash = family->family_hash;
       entry.plan_fingerprint = result.plan_fingerprint;
       entry.stats_tier = generic->stats_tier;
-      entry.algorithm = algorithm_name;
+      entry.algorithm = optimizer::AlgorithmName(options_.algorithm);
       entry.est_cost = generic->est_cost;
       entry.optimize_seconds = SecondsSince(plan_start);
-      state_->plan_cache.Insert(exact_key, std::move(entry));
-      return RunPlan(std::move(plan), std::move(result), generic->stats_tier,
-                     algorithm_name, plan_start);
+      state_->plan_cache.Insert(fill.exact, std::move(entry));
+      return RunPlan(std::move(result), generic->stats_tier, plan_start);
     }
   }
 
-  // Cold path: full parameterized compile. The spec's constants carry
-  // their slots, so the optimized plan is a generic-plan template as long
-  // as no slot got baked into an index probe or subquery closure.
+  // Cold path: full parameterized compile, filling both cache levels.
   PPP_ASSIGN_OR_RETURN(
-      plan::QuerySpec spec,
-      subquery::ParseBindRewrite(family->family_text, bound, &catalog));
-  CachedPlan entry;
-  ctx_.binding.clear();
-  for (const plan::TableRef& ref : spec.tables) {
-    PPP_ASSIGN_OR_RETURN(catalog::Table * table,
-                         catalog.GetTable(ref.table_name));
-    ctx_.binding[ref.alias] = table;
-    entry.bindings.emplace_back(ref.alias, ref.table_name);
-    entry.stats_epochs.push_back(table->stats_epoch());
-  }
-  optimizer::Optimizer opt(&catalog, options_.cost_params);
-  PPP_ASSIGN_OR_RETURN(optimizer::OptimizeResult optimized,
-                       opt.Optimize(spec, options_.algorithm));
-  plan = std::shared_ptr<const plan::PlanNode>(std::move(optimized.plan));
-  result.plan_fingerprint = plan->Fingerprint();
-  const obs::StatsTier stats_tier = exec::WeakestStatsTier(*plan);
-  if (use_cache) {
-    entry.plan = plan;
-    entry.text_hash = text_hash;
-    entry.family_hash = family->family_hash;
-    entry.plan_fingerprint = result.plan_fingerprint;
-    entry.stats_tier = stats_tier;
-    entry.algorithm = algorithm_name;
-    entry.est_cost = optimized.est_cost;
-    entry.optimize_seconds = SecondsSince(plan_start);
-    entry.num_params = family->num_params;
-    if (plan::PlanIsParameterizable(*plan, family->num_params)) {
-      CachedPlan family_entry = entry;
-      family_entry.text_hash = family->family_hash;
-      state_->plan_cache.Insert(family_key, std::move(family_entry));
-    }
-    entry.num_params = 0;
-    state_->plan_cache.Insert(exact_key, std::move(entry));
-  }
-  return RunPlan(std::move(plan), std::move(result), stats_tier,
-                 algorithm_name, plan_start);
+      const obs::StatsTier stats_tier,
+      CompileAndFill(family->family_text, &bound, use_cache ? &fill : nullptr,
+                     plan_start, &ctx_, &result, /*trace=*/nullptr));
+  return RunPlan(std::move(result), stats_tier, plan_start);
 }
 
-std::vector<std::string> Session::PreparedNames() const {
-  return prepared_order_;
-}
-
-void Session::UpdateRow(const QueryResult& result) {
+void Session::UpdateRow(const QueryResult& result, bool planned) {
   std::lock_guard<std::mutex> lock(state_->mu);
   auto it = state_->sessions.find(id_);
   if (it == state_->sessions.end()) return;
@@ -739,7 +758,7 @@ void Session::UpdateRow(const QueryResult& result) {
   row.queries += 1;
   if (result.plan_cache_hit) {
     row.plan_cache_hits += 1;
-  } else if (result.analyzed_tables == 0 && result.prepared_name.empty()) {
+  } else if (planned) {
     row.plan_cache_misses += 1;
   }
   row.rows_returned += result.rows.size();

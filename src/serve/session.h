@@ -16,6 +16,7 @@
 #include "exec/operator.h"
 #include "exec/shared_caches.h"
 #include "obs/query_log.h"
+#include "obs/trace.h"
 #include "optimizer/optimizer.h"
 #include "parser/normalize.h"
 #include "serve/plan_cache.h"
@@ -58,18 +59,32 @@ struct PreparedFamily {
 
 /// Outcome of one Session::Execute call.
 struct QueryResult {
+  /// The query's rows; for EXPLAIN [ANALYZE], the plan's lines, one per
+  /// row in a single string column `plan`.
   std::vector<types::Tuple> rows;
   types::RowSchema schema;
   /// The executed plan (shared with the cache on a hit) for printing and
   /// inspection; null for ANALYZE and PREPARE statements.
   std::shared_ptr<const plan::PlanNode> plan;
-  /// Seconds spent producing an executable plan: parse+bind+optimize on a
-  /// miss, cache probe on a hit — the quantity the plan cache amortizes.
+  /// Seconds spent producing an executable plan: normalize+parse+bind+
+  /// optimize on a miss, cache probe on a hit — the quantity the plan
+  /// cache amortizes.
   double optimize_seconds = 0.0;
   double execute_seconds = 0.0;
   bool plan_cache_hit = false;
   uint64_t text_hash = 0;
   uint64_t plan_fingerprint = 0;
+  /// What the execution cost in the paper's currency: page I/O, output
+  /// rows and per-function invocations. Zero when nothing executed
+  /// (EXPLAIN, ANALYZE, PREPARE).
+  exec::ExecStats stats;
+  /// The optimizer's figures when this statement optimized (a plan-cache
+  /// miss or an EXPLAIN); zero on a hit.
+  double est_cost = 0.0;
+  size_t plans_retained = 0;
+  optimizer::DpStats dp_stats;
+  /// EXPLAIN [ANALYZE] only: the optimizer's decision trace.
+  obs::OptTrace trace;
   /// For ANALYZE statements: tables analyzed (rows/schema stay empty).
   size_t analyzed_tables = 0;
   /// PREPARE/EXECUTE: the statement's family hash (0 for plain queries).
@@ -138,10 +153,15 @@ class Session {
 
   /// Runs one statement. SELECTs go through the plan cache (when enabled
   /// for both manager and session): normalize → probe → on miss
-  /// parse/bind/rewrite/optimize and fill. ANALYZE statements collect
-  /// statistics and, via the catalog's stats listener, invalidate every
-  /// cached plan that binds the analyzed tables. PREPARE/EXECUTE route to
-  /// Prepare / ExecutePrepared.
+  /// parse/bind/rewrite/optimize and fill. `EXPLAIN <select>` always plans
+  /// fresh (no probe, no fill) and stops after optimize; `EXPLAIN ANALYZE
+  /// <select>` also executes, on a statement-private context — a fresh
+  /// §5.1 function cache, no shared caches, no cross-query Bloom kill — so
+  /// the query is measured on its own, as the paper measures it. Both
+  /// return the plan's lines as rows and fill `trace`. ANALYZE statements
+  /// collect statistics and, via the catalog's stats listener, invalidate
+  /// every cached plan that binds the analyzed tables. PREPARE/EXECUTE
+  /// route to Prepare / ExecutePrepared.
   common::Result<QueryResult> Execute(const std::string& sql);
 
   /// Registers `name` for the SELECT body (which may mix literals and $n
@@ -159,9 +179,6 @@ class Session {
   common::Result<QueryResult> ExecutePrepared(
       const std::string& name, const std::vector<types::Value>& values);
 
-  /// Names this session has PREPAREd, in registration order.
-  std::vector<std::string> PreparedNames() const;
-
   SessionOptions& options() { return options_; }
   const SessionOptions& options() const { return options_; }
 
@@ -169,21 +186,47 @@ class Session {
   void set_plan_cache_enabled(bool on);
   bool plan_cache_enabled() const { return options_.use_plan_cache; }
 
-  uint64_t queries() const { return queries_; }
-  uint64_t plan_cache_hits() const { return cache_hits_; }
-
  private:
   friend class SessionManager;
   Session(std::shared_ptr<internal::ServeState> state, uint64_t id,
           SessionOptions options);
 
+  /// Where CompileAndFill files a fresh plan: under its exact key, and a
+  /// prepared statement's plan also under the family key when it takes
+  /// fresh values.
+  struct PlanFill {
+    PlanCacheKey exact;
+    uint64_t family_hash = 0;
+  };
+
   common::Result<QueryResult> ExecuteSelect(const std::string& sql);
   common::Result<QueryResult> ExecuteAnalyze(const std::string& sql);
-  common::Result<QueryResult> RunPlan(
-      std::shared_ptr<const plan::PlanNode> plan, QueryResult result,
-      obs::StatsTier stats_tier, const std::string& algorithm_name,
+  common::Result<QueryResult> Explain(
+      const std::string& sql, bool analyze, QueryResult result,
       std::chrono::steady_clock::time_point plan_start);
-  void UpdateRow(const QueryResult& result);
+  /// Points ctx_ at the tables a cached plan was bound to.
+  common::Status BindFromEntry(const CachedPlan& entry);
+  /// The miss path: parse/bind/rewrite `sql` ($n slots bound to *params),
+  /// bind its tables into `ctx`, optimize into result->plan (tracing into
+  /// `trace`), and with a `fill` insert the plan into the plan cache.
+  /// Returns the plan's weakest statistics tier.
+  common::Result<obs::StatsTier> CompileAndFill(
+      const std::string& sql, const std::vector<types::Value>* params,
+      const PlanFill* fill, std::chrono::steady_clock::time_point plan_start,
+      exec::ExecContext* ctx, QueryResult* result, obs::OptTrace* trace);
+  /// Executes result->plan on `ctx` (knobs already wired) into result;
+  /// `root`, when non-null, receives the operator tree.
+  common::Status ExecuteOn(exec::ExecContext* ctx, obs::StatsTier stats_tier,
+                           std::chrono::steady_clock::time_point plan_start,
+                           QueryResult* result,
+                           std::unique_ptr<exec::Operator>* root);
+  /// Executes result.plan on the session's persistent context.
+  common::Result<QueryResult> RunPlan(
+      QueryResult result, obs::StatsTier stats_tier,
+      std::chrono::steady_clock::time_point plan_start);
+  /// Folds one statement into the ppp_sessions row; `planned` marks a
+  /// SELECT or EXECUTE, whose plan either hit the cache or missed it.
+  void UpdateRow(const QueryResult& result, bool planned);
   /// PlacementParamsHash of the session's current knobs, recomputed only
   /// when options_.cost_params or options_.algorithm moved since the last
   /// statement (options() hands out a mutable reference).
@@ -203,9 +246,6 @@ class Session {
   exec::ExecContext ctx_;
   /// This session's statement-name → shared family bindings.
   std::map<std::string, std::shared_ptr<const PreparedFamily>> prepared_;
-  std::vector<std::string> prepared_order_;
-  uint64_t queries_ = 0;
-  uint64_t cache_hits_ = 0;
   std::optional<ParamsHashMemo> params_hash_memo_;
 };
 
@@ -221,8 +261,6 @@ class SessionManager {
     bool plan_cache_enabled = true;
     /// Cross-session §5.1 predicate-cache sharing.
     bool share_predicate_caches = true;
-    /// Default configuration handed to new sessions.
-    SessionOptions session_defaults;
   };
 
   explicit SessionManager(workload::Database* db)
@@ -233,9 +271,10 @@ class SessionManager {
   SessionManager(const SessionManager&) = delete;
   SessionManager& operator=(const SessionManager&) = delete;
 
-  /// Creates a session with the manager's default options (or an explicit
-  /// override). Sessions may outlive the manager but are usually closed
-  /// first; each close retires its ppp_sessions row to inactive.
+  /// Creates a session with the serving defaults (plan cache on, the
+  /// cross-query Bloom kill on) or with explicit `options`. Sessions may
+  /// outlive the manager but are usually closed first; each close retires
+  /// its ppp_sessions row to inactive.
   std::unique_ptr<Session> CreateSession();
   std::unique_ptr<Session> CreateSession(const SessionOptions& options);
 

@@ -1,17 +1,13 @@
 #include "workload/measurement.h"
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
-#include <optional>
 
 #include "common/string_util.h"
 #include "cost/cost_model.h"
-#include "exec/explain.h"
-#include "exec/operator.h"
 #include "obs/profiler.h"
-#include "obs/span.h"
 #include "optimizer/optimizer.h"
+#include "parser/parser.h"
 
 namespace ppp::workload {
 
@@ -118,81 +114,42 @@ double ChargedTime(const exec::ExecStats& stats,
   return io + udf;
 }
 
-common::Result<Measurement> RunWithAlgorithm(
-    Database* db, const plan::QuerySpec& spec,
-    optimizer::Algorithm algorithm, const cost::CostParams& cost_params,
-    const exec::ExecParams& exec_params, bool execute, bool collect_explain,
-    obs::OptTrace* trace) {
-  // Root lifecycle span: optimize and execute (with their own child spans)
-  // nest under it in the exported trace.
-  std::optional<obs::Span> span;
-  if (obs::SpanTracer::Global().enabled()) {
-    span.emplace("query", "query");
-    span->AddArg("algorithm", optimizer::AlgorithmName(algorithm));
+common::Result<Measurement> Measure(Database* db, serve::Session* session,
+                                    const std::string& sql,
+                                    obs::OptTrace* trace) {
+  std::string rest;
+  const parser::StatementKind kind = parser::StripExplain(sql, &rest);
+  if (kind == parser::StatementKind::kSelect) {
+    return common::Status::InvalidArgument(
+        "Measure takes EXPLAIN [ANALYZE] statements");
   }
+  if (kind == parser::StatementKind::kExplainAnalyze) {
+    // Cold start: nothing of the previous run survives in the pool.
+    db->pool().FlushAll();
+    db->pool().EvictAll();
+  }
+  PPP_ASSIGN_OR_RETURN(serve::QueryResult r, session->Execute(sql));
 
   Measurement m;
-  m.algorithm = optimizer::AlgorithmName(algorithm);
-
-  optimizer::Optimizer opt(&db->catalog(), cost_params);
-  const auto started = std::chrono::steady_clock::now();
-  PPP_ASSIGN_OR_RETURN(optimizer::OptimizeResult result,
-                       opt.Optimize(spec, algorithm, trace));
-  m.optimize_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started)
-          .count();
-  m.est_cost = result.est_cost;
-  m.plans_retained = result.plans_retained;
-  m.plan_text = result.plan->ToString();
-  m.dp_stats = result.dp_stats;
-
-  if (!execute) {
-    if (collect_explain) m.explain_text = exec::RenderExplain(*result.plan);
-    return m;
+  m.algorithm = optimizer::AlgorithmName(session->options().algorithm);
+  m.est_cost = r.est_cost;
+  m.plans_retained = r.plans_retained;
+  m.plan_text = r.plan->ToString();
+  m.dp_stats = r.dp_stats;
+  m.optimize_seconds = r.optimize_seconds;
+  m.wall_seconds = r.execute_seconds;
+  m.output_rows = r.stats.output_rows;
+  m.invocations = r.stats.invocations;
+  m.io = r.stats.io;
+  m.charged_time =
+      ChargedTime(r.stats, db->catalog().functions(),
+                  session->options().cost_params, &m.charged_io,
+                  &m.charged_udf);
+  for (const types::Tuple& line : r.rows) {
+    m.explain_text += line.Get(0).AsString();
+    m.explain_text += '\n';
   }
-
-  // Cold start: nothing of the previous run survives in the pool.
-  db->pool().FlushAll();
-  db->pool().EvictAll();
-
-  exec::ExecContext ctx;
-  ctx.catalog = &db->catalog();
-  ctx.params = exec_params;
-  ctx.cost_params = cost_params;
-  // The query log's normalized text is the bound spec's canonical
-  // rendering — stable across whitespace/literal formatting of the
-  // original SQL, distinct across constants.
-  ctx.log_hints.text_hash = common::Fnv1aHash(spec.ToString());
-  ctx.log_hints.algorithm = m.algorithm;
-  ctx.log_hints.optimize_seconds = m.optimize_seconds;
-  for (const plan::TableRef& ref : spec.tables) {
-    PPP_ASSIGN_OR_RETURN(catalog::Table * table,
-                         db->catalog().GetTable(ref.table_name));
-    ctx.binding[ref.alias] = table;
-  }
-
-  exec::ExecStats stats;
-  std::unique_ptr<exec::Operator> root;
-  const auto exec_started = std::chrono::steady_clock::now();
-  PPP_ASSIGN_OR_RETURN(
-      std::vector<types::Tuple> rows,
-      exec::ExecutePlan(*result.plan, &ctx, &stats, nullptr,
-                        collect_explain ? &root : nullptr));
-  m.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    exec_started)
-          .count();
-  m.output_rows = stats.output_rows;
-  m.invocations = stats.invocations;
-  m.io = stats.io;
-  m.charged_time = ChargedTime(stats, db->catalog().functions(), cost_params,
-                               &m.charged_io, &m.charged_udf);
-  if (collect_explain && root != nullptr) {
-    m.explain_text = exec::RenderExplainAnalyze(*result.plan, *root,
-                                                &db->catalog().functions());
-  }
-  (void)rows;
+  if (trace != nullptr) *trace = std::move(r.trace);
   return m;
 }
 

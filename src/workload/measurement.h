@@ -11,12 +11,13 @@
 #include "obs/trace.h"
 #include "optimizer/algorithm.h"
 #include "plan/query_spec.h"
+#include "serve/session.h"
 #include "storage/io_stats.h"
 #include "workload/database.h"
 
 namespace ppp::workload {
 
-/// One optimize-then-execute run of a query under one placement algorithm,
+/// One EXPLAIN [ANALYZE] of a query under one placement algorithm,
 /// measured the way the paper measures (§2): physical I/O counts plus
 /// `invocations × declared cost` per expensive function, all in random-I/O
 /// units. Numbers are relative, never wall-clock.
@@ -28,6 +29,7 @@ struct Measurement {
   double charged_udf = 0.0;    // Function share of charged_time.
   uint64_t output_rows = 0;
   std::unordered_map<std::string, uint64_t> invocations;
+  /// Normalize, parse, bind and optimize.
   double optimize_seconds = 0.0;
   size_t plans_retained = 0;
   std::string plan_text;
@@ -35,7 +37,7 @@ struct Measurement {
   storage::IoStats io;
   /// DP enumeration counters of the optimize step.
   optimizer::DpStats dp_stats;
-  /// EXPLAIN [ANALYZE] rendering; filled when collect_explain is set.
+  /// The statement's EXPLAIN [ANALYZE] rendering.
   std::string explain_text;
   /// Wall-clock of the execute phase. Diagnostic only (the parallel bench
   /// reports speedups from it); charged_time stays the paper's currency.
@@ -59,19 +61,15 @@ double ChargedTime(const exec::ExecStats& stats,
                    const cost::CostParams& params, double* io_part,
                    double* udf_part);
 
-/// Optimizes `spec` with `algorithm`, evicts the buffer pool (cold start,
-/// as the paper's one-query-at-a-time measurements imply), executes under
-/// `cost_params` (the knobs it shares with the optimizer) and
-/// `exec_params`, and measures. `execute` false skips execution (for
-/// optimize-time studies).
-/// `collect_explain` fills Measurement::explain_text — EXPLAIN ANALYZE of
-/// the executed operator tree when executing, plain EXPLAIN otherwise.
-/// `trace`, when non-null, records the optimizer's decisions.
-common::Result<Measurement> RunWithAlgorithm(
-    Database* db, const plan::QuerySpec& spec,
-    optimizer::Algorithm algorithm, const cost::CostParams& cost_params,
-    const exec::ExecParams& exec_params, bool execute = true,
-    bool collect_explain = false, obs::OptTrace* trace = nullptr);
+/// Runs `sql` — `EXPLAIN <select>` to optimize only, `EXPLAIN ANALYZE
+/// <select>` to also execute — on `session`, under its algorithm and knobs,
+/// and measures it. Before an EXPLAIN ANALYZE the pool of `db` (the
+/// session's database) is flushed and evicted: a cold start, as the paper's
+/// one-query-at-a-time measurements imply. `trace`, when non-null,
+/// receives the optimizer's decisions.
+common::Result<Measurement> Measure(Database* db, serve::Session* session,
+                                    const std::string& sql,
+                                    obs::OptTrace* trace = nullptr);
 
 /// Result of re-running predicate placement with observed (profiled)
 /// costs and selectivities in place of the catalog's static guesses.

@@ -59,15 +59,19 @@ std::vector<BenchmarkQuery> BenchmarkQueries(const BenchmarkConfig& config) {
   return out;
 }
 
+common::Result<std::string> BenchmarkSql(const BenchmarkConfig& config,
+                                         const std::string& id) {
+  for (const BenchmarkQuery& q : BenchmarkQueries(config)) {
+    if (q.id == id) return q.sql;
+  }
+  return common::Status::NotFound("no benchmark query named " + id);
+}
+
 common::Result<plan::QuerySpec> GetBenchmarkQuery(const Database& db,
                                                   const BenchmarkConfig& config,
                                                   const std::string& id) {
-  for (const BenchmarkQuery& q : BenchmarkQueries(config)) {
-    if (q.id == id) {
-      return parser::ParseAndBind(q.sql, db.catalog());
-    }
-  }
-  return common::Status::NotFound("no benchmark query named " + id);
+  PPP_ASSIGN_OR_RETURN(const std::string sql, BenchmarkSql(config, id));
+  return parser::ParseAndBind(sql, db.catalog());
 }
 
 }  // namespace ppp::workload

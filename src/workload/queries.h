@@ -24,6 +24,10 @@ struct BenchmarkQuery {
 /// All five queries for a database generated with `config`.
 std::vector<BenchmarkQuery> BenchmarkQueries(const BenchmarkConfig& config);
 
+/// The SQL text of query `id` ("Q1".."Q5").
+common::Result<std::string> BenchmarkSql(const BenchmarkConfig& config,
+                                         const std::string& id);
+
 /// Returns query `id` ("Q1".."Q5"), parsed and bound against `db`.
 common::Result<plan::QuerySpec> GetBenchmarkQuery(
     const Database& db, const BenchmarkConfig& config, const std::string& id);

@@ -11,6 +11,7 @@
 #include "optimizer/optimizer.h"
 #include "parser/binder.h"
 #include "parser/parser.h"
+#include "serve/session.h"
 #include "stats/collector.h"
 #include "workload/database.h"
 #include "workload/measurement.h"
@@ -41,14 +42,27 @@ class ExplainTest : public ::testing::Test {
     EXPECT_TRUE(workload::RegisterBenchmarkFunctions(&db_).ok());
   }
 
+  /// Measures `statement`, an EXPLAIN [ANALYZE], on a fresh session.
+  workload::Measurement MeasureOn(
+      const std::string& statement,
+      optimizer::Algorithm algorithm = optimizer::Algorithm::kMigration,
+      const cost::CostParams& cost_params = {}) {
+    serve::SessionManager manager(&db_);
+    serve::SessionOptions options;
+    options.algorithm = algorithm;
+    options.cost_params = cost_params;
+    auto session = manager.CreateSession(options);
+    auto m = workload::Measure(&db_, session.get(), statement);
+    EXPECT_TRUE(m.ok()) << m.status();
+    return m.ok() ? *m : workload::Measurement{};
+  }
+
   workload::Measurement Run(const std::string& id,
                             optimizer::Algorithm algorithm, bool execute) {
-    auto spec = workload::GetBenchmarkQuery(db_, config_, id);
-    EXPECT_TRUE(spec.ok()) << spec.status();
-    auto m = workload::RunWithAlgorithm(&db_, *spec, algorithm, {}, {},
-                                        execute, /*collect_explain=*/true);
-    EXPECT_TRUE(m.ok()) << m.status();
-    return *m;
+    auto sql = workload::BenchmarkSql(config_, id);
+    EXPECT_TRUE(sql.ok()) << sql.status();
+    return MeasureOn((execute ? "EXPLAIN ANALYZE " : "EXPLAIN ") + *sql,
+                     algorithm);
   }
 
   workload::Database db_;
@@ -99,15 +113,26 @@ TEST_F(ExplainTest, ExpensiveFilterReportsCacheStats) {
 }
 
 TEST_F(ExplainTest, AnalyzeDoesNotChangeChargedResults) {
-  const workload::Measurement plain =
+  const workload::Measurement analyzed =
       Run("Q1", optimizer::Algorithm::kMigration, /*execute=*/true);
-  auto spec = workload::GetBenchmarkQuery(db_, config_, "Q1");
-  ASSERT_TRUE(spec.ok());
-  auto bare = workload::RunWithAlgorithm(
-      &db_, *spec, optimizer::Algorithm::kMigration, {}, {});
-  ASSERT_TRUE(bare.ok());
-  EXPECT_EQ(plain.output_rows, bare->output_rows);
-  EXPECT_DOUBLE_EQ(plain.charged_time, bare->charged_time);
+  // The same query as a plain SELECT — no operator tree kept, nothing
+  // rendered — on a cold pool and a fresh session with private caches.
+  auto sql = workload::BenchmarkSql(config_, "Q1");
+  ASSERT_TRUE(sql.ok());
+  serve::SessionManager::Options options;
+  options.share_predicate_caches = false;
+  serve::SessionManager manager(&db_, options);
+  auto session = manager.CreateSession();
+  db_.pool().FlushAll();
+  db_.pool().EvictAll();
+  auto bare = session->Execute(*sql);
+  ASSERT_TRUE(bare.ok()) << bare.status();
+  EXPECT_EQ(analyzed.output_rows, bare->rows.size());
+  EXPECT_EQ(analyzed.output_rows, bare->stats.output_rows);
+  EXPECT_DOUBLE_EQ(analyzed.charged_time,
+                   workload::ChargedTime(bare->stats, db_.catalog().functions(),
+                                         session->options().cost_params,
+                                         nullptr, nullptr));
 }
 
 // ---- Rank-drift annotation (runtime profiler feedback) -------------------
@@ -127,13 +152,7 @@ class RankDriftTest : public ExplainTest {
   }
 
   workload::Measurement RunSql(const std::string& sql) {
-    auto spec = parser::ParseAndBind(sql, db_.catalog());
-    EXPECT_TRUE(spec.ok()) << spec.status();
-    auto m = workload::RunWithAlgorithm(
-        &db_, *spec, optimizer::Algorithm::kMigration, {}, {},
-        /*execute=*/true, /*collect_explain=*/true);
-    EXPECT_TRUE(m.ok()) << m.status();
-    return *m;
+    return MeasureOn("EXPLAIN ANALYZE " + sql);
   }
 };
 
@@ -204,13 +223,9 @@ class ProvenanceTest : public ExplainTest {
 
   std::string Explain(const std::string& sql,
                       const cost::CostParams& cost_params) {
-    auto spec = parser::ParseAndBind(sql, db_.catalog());
-    EXPECT_TRUE(spec.ok()) << spec.status();
-    auto m = workload::RunWithAlgorithm(
-        &db_, *spec, optimizer::Algorithm::kMigration, cost_params,
-        exec::ExecParams{}, /*execute=*/false, /*collect_explain=*/true);
-    EXPECT_TRUE(m.ok()) << m.status();
-    return m->explain_text;
+    return MeasureOn("EXPLAIN " + sql, optimizer::Algorithm::kMigration,
+                     cost_params)
+        .explain_text;
   }
 };
 

@@ -11,6 +11,7 @@
 
 #include "exec/executor.h"
 #include "optimizer/optimizer.h"
+#include "serve/session.h"
 #include "workload/database.h"
 #include "workload/measurement.h"
 #include "workload/queries.h"
@@ -64,18 +65,23 @@ class IntegrationTest : public ::testing::Test {
     return workload::CanonicalResults(*rows, schema);
   }
 
-  workload::Measurement Measure(const plan::QuerySpec& spec,
-                                Algorithm algorithm, bool caching = true) {
-    cost::CostParams cost_params;
-    cost_params.predicate_caching = caching;
-    auto m = workload::RunWithAlgorithm(&db_, spec, algorithm, cost_params,
-                                        exec::ExecParams{});
+  /// EXPLAIN ANALYZE of benchmark query `id` under `algorithm`.
+  workload::Measurement Measure(const std::string& id, Algorithm algorithm,
+                                bool caching = true) {
+    auto sql = workload::BenchmarkSql(config_, id);
+    EXPECT_TRUE(sql.ok()) << sql.status();
+    session_->options().algorithm = algorithm;
+    session_->options().cost_params.predicate_caching = caching;
+    auto m =
+        workload::Measure(&db_, session_.get(), "EXPLAIN ANALYZE " + *sql);
     EXPECT_TRUE(m.ok()) << m.status();
     return *m;
   }
 
   workload::Database db_;
   workload::BenchmarkConfig config_;
+  serve::SessionManager manager_{&db_};
+  std::unique_ptr<serve::Session> session_ = manager_.CreateSession();
 };
 
 TEST_F(IntegrationTest, AllAlgorithmsAgreeOnQ1Results) {
@@ -134,17 +140,17 @@ TEST_F(IntegrationTest, AllAlgorithmsAgreeOnQ5Results) {
 }
 
 TEST_F(IntegrationTest, Fig3ShapePushDownLosesOnQ1) {
-  const plan::QuerySpec spec = Query("Q1");
-  const double pushdown = Measure(spec, Algorithm::kPushDown).charged_time;
-  const double migration = Measure(spec, Algorithm::kMigration).charged_time;
+  const std::string query = "Q1";
+  const double pushdown = Measure(query, Algorithm::kPushDown).charged_time;
+  const double migration = Measure(query, Algorithm::kMigration).charged_time;
   EXPECT_GT(pushdown, 1.5 * migration);
 }
 
 TEST_F(IntegrationTest, Fig4ShapePullUpErrorNearlyInsignificantOnQ2) {
-  const plan::QuerySpec spec = Query("Q2");
-  const double pushdown = Measure(spec, Algorithm::kPushDown).charged_time;
-  const double pullup = Measure(spec, Algorithm::kPullUp).charged_time;
-  const double migration = Measure(spec, Algorithm::kMigration).charged_time;
+  const std::string query = "Q2";
+  const double pushdown = Measure(query, Algorithm::kPushDown).charged_time;
+  const double pullup = Measure(query, Algorithm::kPullUp).charged_time;
+  const double migration = Measure(query, Algorithm::kMigration).charged_time;
   // PullUp may be (slightly) worse than the best, but within a small
   // factor — the paper calls the error "nearly insignificant".
   EXPECT_LE(pullup, 1.25 * migration);
@@ -152,36 +158,36 @@ TEST_F(IntegrationTest, Fig4ShapePullUpErrorNearlyInsignificantOnQ2) {
 }
 
 TEST_F(IntegrationTest, Fig5ShapeOverEagerPullUpLosesOnQ3WithoutCaching) {
-  const plan::QuerySpec spec = Query("Q3");
+  const std::string query = "Q3";
   const double pullup =
-      Measure(spec, Algorithm::kPullUp, /*caching=*/false).charged_time;
+      Measure(query, Algorithm::kPullUp, /*caching=*/false).charged_time;
   const double migration =
-      Measure(spec, Algorithm::kMigration, /*caching=*/false).charged_time;
+      Measure(query, Algorithm::kMigration, /*caching=*/false).charged_time;
   EXPECT_GT(pullup, 1.5 * migration);
 }
 
 TEST_F(IntegrationTest, CachingRescuesPullUpOnQ3) {
   // §4.2: "The latter problem can be avoided by using function caching."
-  const plan::QuerySpec spec = Query("Q3");
+  const std::string query = "Q3";
   const double with_cache =
-      Measure(spec, Algorithm::kPullUp, /*caching=*/true).charged_time;
+      Measure(query, Algorithm::kPullUp, /*caching=*/true).charged_time;
   const double without =
-      Measure(spec, Algorithm::kPullUp, /*caching=*/false).charged_time;
+      Measure(query, Algorithm::kPullUp, /*caching=*/false).charged_time;
   EXPECT_LT(with_cache, without);
 }
 
 TEST_F(IntegrationTest, Fig8ShapeMigrationBeatsOrMatchesPullRankOnQ4) {
-  const plan::QuerySpec spec = Query("Q4");
-  const double pullrank = Measure(spec, Algorithm::kPullRank).charged_time;
-  const double migration = Measure(spec, Algorithm::kMigration).charged_time;
+  const std::string query = "Q4";
+  const double pullrank = Measure(query, Algorithm::kPullRank).charged_time;
+  const double migration = Measure(query, Algorithm::kMigration).charged_time;
   EXPECT_LE(migration, pullrank * 1.01);
 }
 
 TEST_F(IntegrationTest, Fig9ShapePullUpCatastrophicOnQ5) {
-  const plan::QuerySpec spec = Query("Q5");
-  const workload::Measurement pullup = Measure(spec, Algorithm::kPullUp);
+  const std::string query = "Q5";
+  const workload::Measurement pullup = Measure(query, Algorithm::kPullUp);
   const workload::Measurement migration =
-      Measure(spec, Algorithm::kMigration);
+      Measure(query, Algorithm::kMigration);
   // PullUp hoists the costly selection above the expensive join; Migration
   // must be meaningfully better.
   EXPECT_GT(pullup.charged_time, 1.2 * migration.charged_time);
@@ -189,11 +195,11 @@ TEST_F(IntegrationTest, Fig9ShapePullUpCatastrophicOnQ5) {
 
 TEST_F(IntegrationTest, MigrationNeverWorseThanHeuristicsOnAllQueries) {
   for (const char* id : {"Q1", "Q2", "Q4"}) {
-    const plan::QuerySpec spec = Query(id);
-    const double migration = Measure(spec, Algorithm::kMigration).est_cost;
+    const std::string query = id;
+    const double migration = Measure(query, Algorithm::kMigration).est_cost;
     for (const Algorithm algorithm :
          {Algorithm::kPushDown, Algorithm::kPullUp, Algorithm::kPullRank}) {
-      const double other = Measure(spec, algorithm).est_cost;
+      const double other = Measure(query, algorithm).est_cost;
       EXPECT_LE(migration, other * 1.001)
           << id << " vs " << AlgorithmName(algorithm);
     }
@@ -203,9 +209,9 @@ TEST_F(IntegrationTest, MigrationNeverWorseThanHeuristicsOnAllQueries) {
 TEST_F(IntegrationTest, InvocationCountsMatchPlacement) {
   // On Q1 the costly predicate input is unique: PushDown evaluates it once
   // per t10 tuple; a pulled-up plan evaluates it only on join survivors.
-  const plan::QuerySpec spec = Query("Q1");
-  const auto pushdown = Measure(spec, Algorithm::kPushDown);
-  const auto migration = Measure(spec, Algorithm::kMigration);
+  const std::string query = "Q1";
+  const auto pushdown = Measure(query, Algorithm::kPushDown);
+  const auto migration = Measure(query, Algorithm::kMigration);
   const uint64_t t10_rows = 10 * static_cast<uint64_t>(config_.scale);
   EXPECT_EQ(pushdown.invocations.at("costly100"), t10_rows);
   EXPECT_LT(migration.invocations.at("costly100"), t10_rows / 2);

@@ -383,6 +383,39 @@ TEST_F(NetServerTest, QueryOverSocketMatchesInProcessExecution) {
   server.Stop();
 }
 
+TEST_F(NetServerTest, ExplainOverSocketReturnsThePlanColumn) {
+  serve::SessionManager manager(db());
+  net::Server::Options options;
+  options.workers = 2;
+  net::Server server(db(), &manager, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  const std::string sql = "SELECT t3.a, t3.ua FROM t3 WHERE t3.a < 20;";
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  for (const std::string prefix : {"EXPLAIN ", "EXPLAIN ANALYZE "}) {
+    ASSERT_TRUE(client.Send("QUERY " + prefix + sql));
+    const auto response = client.ReadResponse();
+    const std::string ok = Terminal(response);
+    ASSERT_EQ(ok.rfind("OK", 0), 0u) << ok;
+    auto schema = net::DecodeSchema(net::OkField(ok, "schema"));
+    ASSERT_TRUE(schema.ok()) << prefix;
+    ASSERT_EQ(schema->NumColumns(), 1u) << prefix;
+    EXPECT_EQ(schema->Column(0).name, "plan") << prefix;
+    const std::vector<types::Tuple> rows = DecodedRows(response);
+    ASSERT_FALSE(rows.empty()) << prefix;
+    EXPECT_EQ(net::OkField(ok, "rows"), std::to_string(rows.size()));
+    const std::string root = rows[0].Get(0).AsString();
+    EXPECT_NE(root.find("{rows="), std::string::npos) << root;
+    EXPECT_EQ(root.find("actual rows=") != std::string::npos,
+              prefix == "EXPLAIN ANALYZE ")
+        << root;
+  }
+  ASSERT_TRUE(client.Send("CLOSE"));
+  EXPECT_EQ(Terminal(client.ReadResponse()), "OK bye");
+  server.Stop();
+}
+
 TEST_F(NetServerTest, PreparedStatementsHitTheFamilyCacheAcrossLiterals) {
   serve::SessionManager manager(db());
   net::Server::Options options;

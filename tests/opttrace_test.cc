@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/trace.h"
+#include "serve/session.h"
 #include "workload/database.h"
 #include "workload/measurement.h"
 #include "workload/queries.h"
@@ -21,13 +22,15 @@ class OptTraceQueryTest : public ::testing::Test {
   workload::Measurement Run(const std::string& id,
                             optimizer::Algorithm algorithm,
                             obs::OptTrace* trace) {
-    auto spec = workload::GetBenchmarkQuery(db_, config_, id);
-    EXPECT_TRUE(spec.ok()) << spec.status();
-    auto m = workload::RunWithAlgorithm(&db_, *spec, algorithm, {}, {},
-                                        /*execute=*/false,
-                                        /*collect_explain=*/false, trace);
+    auto sql = workload::BenchmarkSql(config_, id);
+    EXPECT_TRUE(sql.ok()) << sql.status();
+    serve::SessionManager manager(&db_);
+    serve::SessionOptions options;
+    options.algorithm = algorithm;
+    auto session = manager.CreateSession(options);
+    auto m = workload::Measure(&db_, session.get(), "EXPLAIN " + *sql, trace);
     EXPECT_TRUE(m.ok()) << m.status();
-    return *m;
+    return m.ok() ? *m : workload::Measurement{};
   }
 
   workload::Database db_;
@@ -94,10 +97,16 @@ TEST_F(OptTraceQueryTest, TracingDoesNotChangeTheChosenPlan) {
   obs::OptTrace trace;
   const workload::Measurement traced =
       Run("Q4", optimizer::Algorithm::kMigration, &trace);
-  const workload::Measurement untraced =
-      Run("Q4", optimizer::Algorithm::kMigration, nullptr);
-  EXPECT_EQ(traced.plan_text, untraced.plan_text);
-  EXPECT_DOUBLE_EQ(traced.est_cost, untraced.est_cost);
+  ASSERT_FALSE(trace.empty());
+  // A plain SELECT optimizes on the plan-cache miss path, untraced.
+  auto sql = workload::BenchmarkSql(config_, "Q4");
+  ASSERT_TRUE(sql.ok()) << sql.status();
+  serve::SessionManager manager(&db_);
+  auto session = manager.CreateSession();
+  auto untraced = session->Execute(*sql);
+  ASSERT_TRUE(untraced.ok()) << untraced.status();
+  EXPECT_EQ(traced.plan_text, untraced->plan->ToString());
+  EXPECT_DOUBLE_EQ(traced.est_cost, untraced->est_cost);
 }
 
 }  // namespace

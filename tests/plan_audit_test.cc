@@ -275,6 +275,30 @@ TEST(PlanHistoryTest, EvictsOldestEntryBeyondTheCap) {
   EXPECT_EQ(all[2].text_hash, 5u);
 }
 
+TEST(PlanHistoryTest, LateWriterKeepsTheNewestLastQueryId) {
+  // Two executions of one plan close out of order: the one holding the
+  // smaller query id records second.
+  PlanHistory history;
+  history.set_max_entries(2);
+  history.Record(/*text_hash=*/7, /*fingerprint=*/100, 0.001, 0, 1.0,
+                 /*query_id=*/10);
+  history.Record(7, 100, 0.001, 0, 1.0, /*query_id=*/7);
+  std::vector<PlanHistoryEntry> all = history.Snapshot();
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].first_query_id, 10u);
+  EXPECT_EQ(all[0].last_query_id, 10u);
+  EXPECT_GE(all[0].last_query_id, all[0].first_query_id);
+
+  // Eviction still sees the entry as last used at id 10: an entry last
+  // used at id 8 is the older one and goes first.
+  history.Record(/*text_hash=*/8, /*fingerprint=*/200, 0.001, 0, 1.0, 8);
+  history.Record(/*text_hash=*/9, /*fingerprint=*/300, 0.001, 0, 1.0, 11);
+  all = history.Snapshot();
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(all[0].text_hash, 7u);
+  EXPECT_EQ(all[1].text_hash, 9u);
+}
+
 TEST(PlanHistoryTest, ClearDropsEntriesAndTotals) {
   PlanHistory history;
   history.Record(7, 100, 0.010, 0, 1.0, 1);

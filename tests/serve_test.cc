@@ -18,6 +18,7 @@
 
 #include "exec/executor.h"
 #include "exec/shared_caches.h"
+#include "expr/evaluator.h"
 #include "obs/metrics.h"
 #include "obs/plan_audit.h"
 #include "obs/profiler.h"
@@ -28,6 +29,7 @@
 #include "serve/plan_cache.h"
 #include "serve/session.h"
 #include "stats/collector.h"
+#include "storage/io_stats.h"
 #include "subquery/rewrite.h"
 #include "workload/database.h"
 #include "workload/measurement.h"
@@ -577,22 +579,22 @@ TEST_F(ServeTest, OneCostParamsKnobGovernsPlanAndExecutionOnEveryPath) {
       "SELECT t3.a FROM t3 WHERE t3.ua < $1 AND costly1(t3.u100)";
 
   // predicate_caching off: every path invokes the UDF exactly as often as
-  // an uncached RunWithAlgorithm run of the same SQL (and more often than
-  // a cached one, so the knob is visible).
+  // an uncached EXPLAIN ANALYZE of the same SQL (and more often than a
+  // cached one, so the knob is visible). The reference runs on a second
+  // session of the same manager.
   {
     serve::SessionManager manager(&db_);
     auto session = manager.CreateSession();
+    auto reference = manager.CreateSession();
     session->options().cost_params.predicate_caching = false;
     OnEveryPlanPath(
         session.get(), udf_body,
         [&](const std::string& path, const std::string& sql,
             const std::function<void()>& run) {
-          auto spec = parser::ParseAndBind(sql, db_.catalog());
-          ASSERT_TRUE(spec.ok()) << spec.status();
           const auto invocations = [&](const cost::CostParams& knobs) {
-            auto m = workload::RunWithAlgorithm(
-                &db_, *spec, optimizer::Algorithm::kMigration, knobs,
-                exec::ExecParams{});
+            reference->options().cost_params = knobs;
+            auto m = workload::Measure(&db_, reference.get(),
+                                       "EXPLAIN ANALYZE " + sql);
             EXPECT_TRUE(m.ok()) << m.status();
             return m.ok() ? m->invocations["costly1"] : 0;
           };
@@ -644,6 +646,79 @@ TEST_F(ServeTest, OneCostParamsKnobGovernsPlanAndExecutionOnEveryPath) {
         });
   }
   obs::PredicateProfiler::Global().Reset();
+}
+
+TEST_F(ServeTest, ExplainReturnsPlanLinesAndRunsNothing) {
+  serve::SessionManager manager(&db_);
+  auto session = manager.CreateSession();
+  const std::string sql = QueryTexts()[0];
+  const uint64_t udf_before = expr::ThreadUdfCalls();
+  const storage::IoStats io_before = storage::ThreadIo();
+  auto r = session->Execute("EXPLAIN " + sql);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(expr::ThreadUdfCalls() - udf_before, 0u);
+  EXPECT_EQ(storage::ThreadIo().sequential_reads, io_before.sequential_reads);
+  EXPECT_EQ(storage::ThreadIo().random_reads, io_before.random_reads);
+  EXPECT_EQ(r->stats.output_rows, 0u);
+  EXPECT_TRUE(r->stats.invocations.empty());
+
+  // One string column `plan`, one row per line of the rendered plan.
+  ASSERT_EQ(r->schema.NumColumns(), 1u);
+  EXPECT_EQ(r->schema.Column(0).name, "plan");
+  EXPECT_EQ(r->schema.Column(0).type, types::TypeId::kString);
+  ASSERT_NE(r->plan, nullptr);
+  std::string text;
+  for (const types::Tuple& line : r->rows) {
+    text += line.Get(0).AsString();
+    text += '\n';
+  }
+  EXPECT_EQ(text, r->plan->ToString());
+  EXPECT_GT(r->rows.size(), 1u);
+
+  // The optimizer's own account, and no plan-cache traffic either way.
+  EXPECT_FALSE(r->trace.empty());
+  EXPECT_GT(r->dp_stats.subplans_generated, 0u);
+  EXPECT_GT(r->est_cost, 0.0);
+  EXPECT_FALSE(r->plan_cache_hit);
+  EXPECT_EQ(manager.plan_cache().entries(), 0u);
+  EXPECT_EQ(manager.plan_cache().misses(), 0u);
+
+  // A plain SELECT of the same text after it still misses: EXPLAIN filled
+  // nothing.
+  auto select = session->Execute(sql);
+  ASSERT_TRUE(select.ok()) << select.status();
+  EXPECT_FALSE(select->plan_cache_hit);
+}
+
+TEST_F(ServeTest, ExplainAnalyzeAfterWarmRepeatsMatchesAColdRun) {
+  // EXPLAIN ANALYZE measures the query on its own: warm plan, function
+  // and shared §5.1 caches of earlier statements must not leak into it.
+  serve::SessionManager manager(&db_);
+  auto session = manager.CreateSession();
+  const std::string sql = QueryTexts()[0];  // Q1.
+  auto cold = session->Execute("EXPLAIN ANALYZE " + sql);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  ASSERT_GT(cold->stats.invocations.at("costly100"), 0u);
+
+  uint64_t warm_calls = 0;
+  for (int i = 0; i < 3; ++i) {
+    auto warm = session->Execute(sql);
+    ASSERT_TRUE(warm.ok()) << warm.status();
+    EXPECT_EQ(warm->stats.output_rows, cold->stats.output_rows);
+    const auto it = warm->stats.invocations.find("costly100");
+    warm_calls = it == warm->stats.invocations.end() ? 0 : it->second;
+  }
+  // The repeats really ran warm: the shared caches answered their calls.
+  EXPECT_LT(warm_calls, cold->stats.invocations.at("costly100"));
+
+  auto again = session->Execute("EXPLAIN ANALYZE " + sql);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_FALSE(again->plan_cache_hit);
+  EXPECT_EQ(again->stats.invocations, cold->stats.invocations);
+  EXPECT_EQ(again->stats.output_rows, cold->stats.output_rows);
+  ASSERT_FALSE(again->rows.empty());
+  EXPECT_NE(again->rows[0].Get(0).AsString().find("actual rows="),
+            std::string::npos);
 }
 
 TEST_F(ServeTest, ByteBoundedLruEviction) {

@@ -14,6 +14,7 @@
 #include "obs/trace_export.h"
 #include "optimizer/optimizer.h"
 #include "parser/binder.h"
+#include "serve/session.h"
 #include "subquery/rewrite.h"
 #include "workload/database.h"
 #include "workload/measurement.h"
@@ -260,14 +261,13 @@ class TracedQueryTest : public ::testing::Test {
 
 TEST_F(TracedQueryTest, BenchmarkSuiteEmitsValidChromeTrace) {
   TracerGuard guard;
-  cost::CostParams cost_params;
-  cost_params.parallel_workers = 2;
-  for (const char* id : {"Q1", "Q2", "Q3", "Q4", "Q5"}) {
-    auto spec = workload::GetBenchmarkQuery(db_, config_, id);
-    ASSERT_TRUE(spec.ok()) << spec.status();
-    auto m = workload::RunWithAlgorithm(&db_, *spec,
-                                        optimizer::Algorithm::kMigration,
-                                        cost_params, exec::ExecParams{});
+  serve::SessionManager manager(&db_);
+  auto session = manager.CreateSession();
+  session->options().cost_params.parallel_workers = 2;
+  for (const workload::BenchmarkQuery& q :
+       workload::BenchmarkQueries(config_)) {
+    auto m =
+        workload::Measure(&db_, session.get(), "EXPLAIN ANALYZE " + q.sql);
     ASSERT_TRUE(m.ok()) << m.status();
   }
 

@@ -23,6 +23,7 @@
 #include "optimizer/optimizer.h"
 #include "parser/binder.h"
 #include "parser/parser.h"
+#include "serve/session.h"
 #include "stats/collector.h"
 #include "stats/estimator.h"
 #include "stats/histogram.h"
@@ -503,8 +504,10 @@ TEST(StatsConcurrencyTest, AnalyzeRacesQueriesSafely) {
   config.table_numbers = {3, 6, 10};
   ASSERT_TRUE(workload::LoadBenchmarkDatabase(&db, config).ok());
   ASSERT_TRUE(workload::RegisterBenchmarkFunctions(&db).ok());
-  auto spec = workload::GetBenchmarkQuery(db, config, "Q1");
-  ASSERT_TRUE(spec.ok()) << spec.status();
+  auto sql = workload::BenchmarkSql(config, "Q1");
+  ASSERT_TRUE(sql.ok()) << sql.status();
+  const std::string statement = "EXPLAIN ANALYZE " + *sql;
+  serve::SessionManager manager(&db);
 
   std::atomic<bool> failed{false};
   std::atomic<uint64_t> reference_rows{0};
@@ -523,10 +526,11 @@ TEST(StatsConcurrencyTest, AnalyzeRacesQueriesSafely) {
 
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&db, &spec, &failed, &reference_rows]() {
+    readers.emplace_back([&db, &manager, &statement, &failed,
+                          &reference_rows]() {
+      const std::unique_ptr<serve::Session> session = manager.CreateSession();
       for (int i = 0; i < 3; ++i) {
-        auto m = workload::RunWithAlgorithm(
-            &db, *spec, optimizer::Algorithm::kMigration, {}, {});
+        auto m = workload::Measure(&db, session.get(), statement);
         if (!m.ok()) {
           failed = true;
           return;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "parser/binder.h"
+#include "serve/session.h"
 #include "workload/database.h"
 #include "workload/measurement.h"
 #include "workload/queries.h"
@@ -148,11 +149,13 @@ TEST_F(WorkloadTest, CanonicalResultsSortsAndSerializes) {
   EXPECT_LE(canon[0], canon[1]);
 }
 
-TEST_F(WorkloadTest, RunWithAlgorithmProducesMeasurement) {
-  auto spec = GetBenchmarkQuery(db_, config_, "Q1");
-  ASSERT_TRUE(spec.ok());
-  auto m = RunWithAlgorithm(&db_, *spec, optimizer::Algorithm::kPushDown,
-                            {}, {});
+TEST_F(WorkloadTest, MeasureExplainAnalyzeProducesMeasurement) {
+  auto sql = BenchmarkSql(config_, "Q1");
+  ASSERT_TRUE(sql.ok());
+  serve::SessionManager manager(&db_);
+  auto session = manager.CreateSession();
+  session->options().algorithm = optimizer::Algorithm::kPushDown;
+  auto m = Measure(&db_, session.get(), "EXPLAIN ANALYZE " + *sql);
   ASSERT_TRUE(m.ok()) << m.status();
   EXPECT_GT(m->charged_time, 0);
   EXPECT_GT(m->est_cost, 0);
@@ -161,10 +164,11 @@ TEST_F(WorkloadTest, RunWithAlgorithmProducesMeasurement) {
 }
 
 TEST_F(WorkloadTest, OptimizeOnlySkipsExecution) {
-  auto spec = GetBenchmarkQuery(db_, config_, "Q1");
-  ASSERT_TRUE(spec.ok());
-  auto m = RunWithAlgorithm(&db_, *spec, optimizer::Algorithm::kMigration,
-                            {}, {}, /*execute=*/false);
+  auto sql = BenchmarkSql(config_, "Q1");
+  ASSERT_TRUE(sql.ok());
+  serve::SessionManager manager(&db_);
+  auto session = manager.CreateSession();
+  auto m = Measure(&db_, session.get(), "EXPLAIN " + *sql);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->charged_time, 0);
   EXPECT_GT(m->est_cost, 0);
