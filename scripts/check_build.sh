@@ -167,6 +167,21 @@ grep -q " logged," "$INTRO_OUT" || {
 }
 echo "introspection smoke ok: ppp_query_log SELECTable, \\log reports"
 
+# One statement, one record: the shell's correlated-IN example runs its
+# subquery once per distinct binding, yet a fresh shell must log exactly
+# one query for it.
+SUBQ_OUT="$BUILD_DIR/check_subquery_log.out"
+"$BUILD_DIR/examples/sql_shell" >"$SUBQ_OUT" <<EOF
+SELECT t3.a FROM t3 WHERE t3.u10 IN (SELECT u10 FROM t6 WHERE t6.a10 = t3.a10);
+\\log
+\\quit
+EOF
+grep -q "^ *1 logged," "$SUBQ_OUT" || {
+  echo "subquery statement did not log exactly one query" >&2
+  cat "$SUBQ_OUT" >&2; exit 1;
+}
+echo "subquery log smoke ok: one statement, one ppp_query_log record"
+
 # Introspection bench: asserts <2% query-log overhead on the Q1-Q5 mix,
 # runs the analytical ppp_query_log x ppp_plan_history join grouped by
 # bucket, and reports the three stores' per-statement cost on point

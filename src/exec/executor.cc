@@ -1,20 +1,13 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <optional>
-
-#include <chrono>
 #include <functional>
-#include <map>
+#include <optional>
 
 #include "common/string_util.h"
 #include "obs/metrics.h"
-#include "obs/plan_audit.h"
-#include "obs/plan_history.h"
 #include "obs/profiler.h"
-#include "obs/query_log.h"
 #include "obs/span.h"
-#include "exec/explain.h"
 #include "exec/filter_op.h"
 #include "exec/join_ops.h"
 #include "exec/misc_ops.h"
@@ -84,64 +77,6 @@ void ClaimTransfers(ExecContext* ctx, const std::string& alias,
     if (!index.has_value()) continue;
     transfer->set_claimed();
     scan->AttachTransfer(transfer, *index);
-  }
-}
-
-/// Tuples the leaf scans produced — the query's input volume after any
-/// Bloom pre-filtering, before predicates and joins.
-uint64_t SumLeafRows(const Operator& op) {
-  const std::vector<const Operator*> children = op.Children();
-  if (children.empty()) return op.stats().rows_out;
-  uint64_t total = 0;
-  for (const Operator* child : children) total += SumLeafRows(*child);
-  return total;
-}
-
-/// Predicate-cache hits across the operator tree (kPredicate mode keeps
-/// its memo tables inside the operators, not in the global registry).
-uint64_t SumCacheHits(const Operator& op) {
-  uint64_t total = op.stats().has_cache ? op.stats().cache_hits : 0;
-  for (const Operator* child : op.Children()) {
-    total += SumCacheHits(*child);
-  }
-  return total;
-}
-
-/// Close-time audit walk: pairs each plan node with its operator (same
-/// pairing rule as EXPLAIN ANALYZE — the probed inner relation of an index
-/// nested-loop join has no operator and is skipped) and appends one
-/// OperatorAuditRecord per executed operator. Also feeds the global
-/// stats.estimation.qerror histogram for every node carrying an estimate,
-/// so the distribution reflects the real workload rather than only EXPLAIN
-/// ANALYZE runs, and tracks the plan's worst q-error for the history.
-void AuditPlan(const plan::PlanNode& plan, const Operator* op,
-               const std::string& path, uint64_t query_id,
-               obs::PlanAudit* audit, obs::Histogram* qerror_histogram,
-               double* max_qerror) {
-  if (op != nullptr) {
-    const OperatorStats& stats = op->stats();
-    obs::OperatorAuditRecord record;
-    record.query_id = query_id;
-    record.path = path;
-    record.op = op->Describe();
-    record.est_rows = plan.est_rows;
-    record.actual_rows = stats.rows_out;
-    if (plan.est_rows > 0.0) {
-      record.qerror = obs::CardinalityQError(plan.est_rows, stats.rows_out);
-      qerror_histogram->Observe(record.qerror);
-      *max_qerror = std::max(*max_qerror, record.qerror);
-    }
-    record.inclusive_seconds = stats.open_seconds + stats.next_seconds;
-    record.udf_invocations = stats.udf_invocations;
-    audit->Append(std::move(record));
-  }
-  std::vector<const Operator*> op_children =
-      op != nullptr ? op->Children() : std::vector<const Operator*>{};
-  for (size_t i = 0; i < plan.children.size(); ++i) {
-    const Operator* child_op =
-        i < op_children.size() ? op_children[i] : nullptr;
-    AuditPlan(*plan.children[i], child_op, path + "." + std::to_string(i),
-              query_id, audit, qerror_histogram, max_qerror);
   }
 }
 
@@ -474,19 +409,6 @@ common::Result<std::vector<types::Tuple>> ExecutePlan(
   ctx->pending_transfers.clear();
   ctx->all_transfers.clear();
 
-  // Query-log bookkeeping: an id for span correlation (issued even when
-  // logging is off) and the execute-phase clock. The id scope outlives the
-  // spans below, so every span recorded during this execution carries the
-  // query id and (when the serving layer set one) the session id. Counters
-  // for the log record come from this context, so they stay exact when
-  // other sessions execute concurrently.
-  obs::QueryLog& query_log = obs::QueryLog::Global();
-  const uint64_t query_id = query_log.NextQueryId();
-  obs::QueryIdScope query_scope(query_id, ctx->log_hints.session_id);
-  const bool log_on = query_log.enabled();
-  const std::chrono::steady_clock::time_point exec_start =
-      std::chrono::steady_clock::now();
-
   std::optional<obs::Span> span;
   if (obs::SpanTracer::Global().enabled()) span.emplace("exec", "execute");
 
@@ -514,7 +436,7 @@ common::Result<std::vector<types::Tuple>> ExecutePlan(
     ctx->eval.function_cache = nullptr;
   }
   // The context's function cache persists across executions; baseline its
-  // hit counter so the log record reports this query's hits only.
+  // hit counter so the stats report this execution's hits only.
   const uint64_t fn_cache_hits_before =
       ctx->eval.function_cache != nullptr ? ctx->eval.function_cache->hits()
                                           : 0;
@@ -562,92 +484,10 @@ common::Result<std::vector<types::Tuple>> ExecutePlan(
     stats->output_rows = out.size();
     stats->io = storage::ThreadIo() - io_before;
     stats->invocations = ctx->eval.invocation_counts;
-  }
-
-  // Plan-lifecycle audit: per-operator est-vs-actual records plus the
-  // workload-wide q-error feed. Independent of the query log so
-  // PPP_QUERY_LOG=0 and PPP_PLAN_AUDIT=0 cut orthogonal slices.
-  double max_qerror = 0.0;
-  obs::PlanAudit& audit = obs::PlanAudit::Global();
-  if (audit.enabled()) {
-    static obs::Histogram* qerror_histogram =
-        obs::MetricsRegistry::Global().GetHistogram(
-            "stats.estimation.qerror");
-    AuditPlan(plan, root.get(), "0", query_id, &audit, qerror_histogram,
-              &max_qerror);
-  }
-
-  const double execute_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    exec_start)
-          .count();
-
-  // Plan history: fold this execution into the (text_hash, fingerprint)
-  // aggregate and learn whether the plan changed or regressed. The UDF
-  // total comes from this context's tallies.
-  uint64_t ctx_udf_invocations = 0;
-  for (const auto& [name, count] : ctx->eval.invocation_counts) {
-    ctx_udf_invocations += count;
-  }
-  // Plan-invariant facts come with the hints when the caller holds them
-  // (a cached plan); otherwise they are derived from the plan once here.
-  const bool hinted_plan = ctx->log_hints.plan_fingerprint != 0;
-  const uint64_t plan_fingerprint =
-      hinted_plan ? ctx->log_hints.plan_fingerprint : plan.Fingerprint();
-  const obs::PlanOutcome plan_outcome = obs::PlanHistory::Global().Record(
-      ctx->log_hints.text_hash, plan_fingerprint,
-      ctx->log_hints.optimize_seconds + execute_seconds,
-      ctx_udf_invocations, max_qerror, query_id);
-  if (plan_outcome.plan_changed) {
-    static obs::Counter* changed_counter =
-        obs::MetricsRegistry::Global().GetCounter("plan.changed");
-    changed_counter->Increment();
-  }
-  if (plan_outcome.plan_regressed) {
-    static obs::Counter* regressed_counter =
-        obs::MetricsRegistry::Global().GetCounter("plan.regressed");
-    regressed_counter->Increment();
-  }
-
-  // Close-time introspection: append this query's log record (after the
-  // transfer accounting above, so the counter deltas include it; after the
-  // scans closed, so the query never sees its own row).
-  if (log_on) {
-    obs::QueryLogRecord record;
-    record.query_id = query_id;
-    record.session_id = ctx->log_hints.session_id;
-    record.text_hash = ctx->log_hints.text_hash;
-    record.plan_fingerprint = plan_fingerprint;
-    record.algorithm = ctx->log_hints.algorithm;
-    record.optimize_seconds = ctx->log_hints.optimize_seconds;
-    record.execute_seconds = execute_seconds;
-    record.wall_seconds =
-        record.optimize_seconds + record.execute_seconds;
-    record.rows_in = SumLeafRows(*root);
-    record.rows_out = out.size();
-    // Per-context exact counters: invocations from this context's tallies,
-    // cache hits from both memoization layers (the per-context function
-    // cache's delta plus the operators' predicate memos), pruned rows
-    // from this execution's transfers.
-    record.udf_invocations = ctx_udf_invocations;
-    const uint64_t fn_cache_hits =
+    stats->function_cache_hits =
         ctx->eval.function_cache != nullptr
             ? ctx->eval.function_cache->hits() - fn_cache_hits_before
             : 0;
-    record.cache_hits = fn_cache_hits + SumCacheHits(*root);
-    uint64_t pruned_total = 0;
-    for (const auto& transfer : ctx->all_transfers) {
-      pruned_total += transfer->pruned();
-    }
-    record.transfer_pruned = pruned_total;
-    record.drift_flags =
-        CountDriftingPredicates(plan, ctx->catalog->functions());
-    record.stats_tier =
-        hinted_plan ? ctx->log_hints.stats_tier : WeakestStatsTier(plan);
-    record.bucket = query_log.CurrentBucket();
-    record.plan_changed = plan_outcome.plan_changed;
-    record.plan_regressed = plan_outcome.plan_regressed;
-    query_log.Append(std::move(record));
   }
 
   if (root_out != nullptr) *root_out = std::move(root);

@@ -35,6 +35,9 @@ struct ExecStats {
   uint64_t output_rows = 0;
   storage::IoStats io;
   std::unordered_map<std::string, uint64_t> invocations;
+  /// Hits this execution took from the context's function cache (the
+  /// kFunction memo persists across executions on one context).
+  uint64_t function_cache_hits = 0;
 };
 
 /// Executes `plan` to completion, returning all output tuples. I/O deltas
@@ -43,7 +46,13 @@ struct ExecStats {
 /// descriptor (plans with different join orders emit columns in different
 /// orders; compare results with CanonicalResults + schema). `root_out`,
 /// when non-null, receives the executed operator tree so the caller can
-/// inspect per-operator stats (EXPLAIN ANALYZE).
+/// inspect per-operator stats (EXPLAIN ANALYZE, the plan audit).
+///
+/// Execution only: the statement's telemetry (query id, ppp_query_log
+/// record, plan audit, plan history) belongs to serve::Session, which
+/// drives each statement. A direct call — a nested subquery execution, a
+/// bench or test — writes no record, and its spans carry whatever query id
+/// the calling thread's QueryIdScope holds.
 common::Result<std::vector<types::Tuple>> ExecutePlan(
     const plan::PlanNode& plan, ExecContext* ctx, ExecStats* stats,
     types::RowSchema* out_schema = nullptr,

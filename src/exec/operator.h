@@ -15,7 +15,6 @@
 #include "exec/pred_cache.h"
 #include "expr/evaluator.h"
 #include "expr/predicate.h"
-#include "obs/query_log.h"
 #include "storage/io_stats.h"
 #include "types/column_batch.h"
 #include "types/row_schema.h"
@@ -126,7 +125,8 @@ struct ExecContext {
   /// matching scan claims it, and the join pops it afterwards.
   std::vector<std::shared_ptr<BloomTransfer>> pending_transfers;
   /// Every transfer created for this execution, for end-of-query stats
-  /// (profiler + metrics). Cleared by ExecutePlan on entry.
+  /// (profiler + metrics, and the pruned-row total of the statement's
+  /// ppp_query_log record). Cleared by ExecutePlan on entry.
   std::vector<std::shared_ptr<BloomTransfer>> all_transfers;
 
   /// Engine-wide predicate-cache registry (serving layer). When set,
@@ -134,23 +134,6 @@ struct ExecContext {
   /// private one, so sessions share §5.1 cache entries across queries.
   /// Null (the default) keeps the historical per-bind caches.
   SharedPredicateCacheRegistry* shared_caches = nullptr;
-
-  /// Optimizer-side facts for the ppp_query_log record ExecutePlan appends
-  /// at close. serve::Session fills these; direct ExecutePlan callers leave
-  /// the zeroes and the record simply lacks them.
-  struct QueryLogHints {
-    uint64_t text_hash = 0;       ///< Hash of the normalized statement.
-    std::string algorithm;        ///< Placement algorithm that planned it.
-    double optimize_seconds = 0.0;
-    uint64_t session_id = 0;      ///< Serving-layer session (0 = none).
-    /// Plan-invariant facts a caller already holds (the serving layer
-    /// keeps them on its plan-cache entry): plan.Fingerprint() and
-    /// WeakestStatsTier(plan). 0 means unknown, and ExecutePlan derives
-    /// both from the plan itself.
-    uint64_t plan_fingerprint = 0;
-    obs::StatsTier stats_tier = obs::StatsTier::kDeclared;
-  };
-  QueryLogHints log_hints;
 };
 
 /// Per-operator runtime telemetry, accumulated by the Open()/NextBatch()/

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "catalog/system_tables.h"
 #include "catalog/table.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
@@ -113,23 +114,12 @@ const char* ConnStateName(int state) {
   return "unknown";
 }
 
-/// catalog → live Server::Shared, mirroring the serve-layer pattern: the
-/// system table is registered once per catalog and re-resolves through
-/// this registry, so a server restarted over the same database transparently
-/// re-binds ppp_connections to the new server's connections.
-std::mutex g_servers_mu;
-std::map<const catalog::Catalog*, std::weak_ptr<Server::Shared>>&
-ServerRegistry() {
-  static auto* registry =
-      new std::map<const catalog::Catalog*, std::weak_ptr<Server::Shared>>();
-  return *registry;
-}
-
-std::shared_ptr<Server::Shared> SharedFor(const catalog::Catalog* catalog) {
-  std::lock_guard<std::mutex> lock(g_servers_mu);
-  auto it = ServerRegistry().find(catalog);
-  if (it == ServerRegistry().end()) return nullptr;
-  return it->second.lock();
+/// The live servers behind ppp_connections: the table is registered once
+/// per catalog, so a server restarted over the same database re-binds it
+/// to the new server's connections.
+catalog::SystemTableOwners<Server::Shared>& Servers() {
+  static auto* servers = new catalog::SystemTableOwners<Server::Shared>();
+  return *servers;
 }
 
 void RegisterConnectionsTable(catalog::Catalog* catalog) {
@@ -137,7 +127,7 @@ void RegisterConnectionsTable(catalog::Catalog* catalog) {
   const catalog::Catalog* key = catalog;
   auto rows_fn = [key]() -> common::Result<std::vector<types::Tuple>> {
     std::vector<types::Tuple> rows;
-    const std::shared_ptr<Server::Shared> shared = SharedFor(key);
+    const std::shared_ptr<Server::Shared> shared = Servers().Find(key);
     if (shared == nullptr) return rows;
     std::lock_guard<std::mutex> lock(shared->mu);
     for (const auto& [id, conn] : shared->conns) {
@@ -163,7 +153,7 @@ void RegisterConnectionsTable(catalog::Catalog* catalog) {
                                       {"queued", TypeId::kInt64},
                                       {"shed", TypeId::kInt64}},
       rows_fn, [key] {
-        const std::shared_ptr<Server::Shared> shared = SharedFor(key);
+        const std::shared_ptr<Server::Shared> shared = Servers().Find(key);
         if (shared == nullptr) return int64_t{0};
         std::lock_guard<std::mutex> lock(shared->mu);
         return static_cast<int64_t>(shared->conns.size());
@@ -195,20 +185,13 @@ Server::Server(workload::Database* db, serve::SessionManager* manager,
   queue_options.queue_timeout_seconds = options_.queue_timeout_seconds;
   queue_ = std::make_unique<AdmissionQueue>(queue_options);
   shared_ = std::make_shared<Shared>();
-  {
-    std::lock_guard<std::mutex> lock(g_servers_mu);
-    ServerRegistry()[&db_->catalog()] = shared_;
-  }
+  Servers().Add(&db_->catalog(), shared_);
   RegisterConnectionsTable(&db_->catalog());
 }
 
 Server::~Server() {
   Stop();
-  std::lock_guard<std::mutex> lock(g_servers_mu);
-  auto it = ServerRegistry().find(&db_->catalog());
-  if (it != ServerRegistry().end() && it->second.lock() == shared_) {
-    ServerRegistry().erase(it);
-  }
+  Servers().Remove(&db_->catalog(), shared_.get());
 }
 
 common::Status Server::Start() {

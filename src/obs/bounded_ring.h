@@ -14,8 +14,8 @@ namespace ppp::obs {
 /// Thread-safe fixed-capacity ring of records, oldest first: past capacity
 /// an append overwrites the oldest record (counted in evicted()). The
 /// backing store of the introspection logs (QueryLog, PlanAudit). Appends
-/// come from whichever thread closes an executor; snapshots are taken by
-/// concurrent introspection scans.
+/// come from whichever session thread finishes a statement; snapshots are
+/// taken by concurrent introspection scans.
 template <typename T>
 class BoundedRing {
  public:

@@ -210,12 +210,4 @@ void MetricsRegistry::ResetAll() {
   for (auto& [name, h] : histograms_) h.Reset();
 }
 
-ScopedTimer::~ScopedTimer() {
-  if (hist_ != nullptr) {
-    hist_->Observe(std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start_)
-                       .count());
-  }
-}
-
 }  // namespace ppp::obs

@@ -3,7 +3,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -168,21 +167,6 @@ class MetricsRegistry {
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
-};
-
-/// Observes elapsed wall-clock seconds into a histogram on destruction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram* hist)
-      : hist_(hist), start_(std::chrono::steady_clock::now()) {}
-  ~ScopedTimer();
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram* hist_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace ppp::obs

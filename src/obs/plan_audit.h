@@ -19,8 +19,8 @@ namespace ppp::obs {
 /// literature.
 double CardinalityQError(double est_rows, uint64_t actual_rows);
 
-/// One operator of one executed plan, recorded by the executor's close-time
-/// audit walk. Pairs the optimizer's estimate with the executed operator's
+/// One operator of one executed plan, recorded by serve::Session's audit
+/// walk after the statement executes. Pairs the optimizer's estimate with the executed operator's
 /// actuals, so a mis-estimate is attributable to the exact node (and hence
 /// predicate or join) that produced it — the per-operator attribution the
 /// global q-error histogram loses.
@@ -49,14 +49,15 @@ struct OperatorAuditRecord {
 /// the ppp_operator_audit system table. On by default; PPP_PLAN_AUDIT=0
 /// disables the audit walk (and with it the per-query q-error feed).
 /// Thread-safe with the same contract as QueryLog: appended by whichever
-/// thread closes an executor, snapshotted by concurrent introspection scans.
+/// session thread finishes a statement, snapshotted by concurrent
+/// introspection scans.
 class PlanAudit {
  public:
   /// Rings hold operators, not queries; a 16-operator plan still leaves
   /// room for hundreds of recent queries at this default.
   static constexpr size_t kDefaultCapacity = 8192;
 
-  /// The ring every executor records into. Standalone instances are legal
+  /// The ring every session records into. Standalone instances are legal
   /// (tests build private rings); the engine only touches Global().
   static PlanAudit& Global();
 

@@ -62,8 +62,8 @@ struct PlanOutcome {
 /// Bounded: beyond max_entries the entry with the oldest last_query_id is
 /// evicted (ties: the smaller internal key), found through an ordered
 /// (last_query_id, key) index so eviction is O(log n). Thread-safe under
-/// one mutex; Record() runs once per query at executor close, never on
-/// per-tuple paths.
+/// one mutex; Record() runs once per executed statement (serve::Session),
+/// never on per-tuple paths.
 class PlanHistory {
  public:
   static constexpr size_t kDefaultMaxEntries = 1024;
@@ -72,7 +72,7 @@ class PlanHistory {
   static constexpr uint64_t kDefaultWarmupExecutions = 3;
   static constexpr double kDefaultRegressionFactor = 1.5;
 
-  /// The history every executor records into. Standalone instances are
+  /// The history every session records into. Standalone instances are
   /// legal (tests build private ones); the engine only touches Global().
   /// PPP_PLAN_HISTORY=0 starts it disabled (the kill-switch).
   static PlanHistory& Global();

@@ -26,14 +26,14 @@ enum class StatsTier : int {
 /// ppp_query_log system table.
 const char* StatsTierName(StatsTier tier);
 
-/// One completed query, recorded at executor close time. Counter-valued
-/// fields come from the execution's own ExecContext and operators (see
-/// DESIGN §7), so they stay exact while other sessions execute
-/// concurrently.
+/// One executed statement, recorded by serve::Session once the execution
+/// returns (nested subquery executions write no record of their own).
+/// Counter-valued fields come from the statement's own ExecContext and
+/// operators (see DESIGN §7), so they stay exact while other sessions
+/// execute concurrently.
 struct QueryLogRecord {
   uint64_t query_id = 0;
-  /// Serving-layer session that ran the query (0 outside the serve layer,
-  /// e.g. direct bench/test ExecutePlan calls).
+  /// Serving-layer session that ran the statement.
   uint64_t session_id = 0;
   /// FNV-1a of the bound QuerySpec's canonical text — the normalized query,
   /// stable across literal formatting but not across constants.
@@ -71,13 +71,13 @@ struct QueryLogRecord {
 /// Process-wide bounded ring of QueryLogRecords, the backing store of the
 /// ppp_query_log system table. On by default; PPP_QUERY_LOG=0 (or \log off
 /// in the shell) disables appends. Thread-safe: records are appended from
-/// whichever thread closes the executor, and snapshots are taken by
-/// concurrent introspection scans.
+/// whichever session thread finishes a statement, and snapshots are taken
+/// by concurrent introspection scans.
 class QueryLog {
  public:
   static constexpr size_t kDefaultCapacity = 4096;
 
-  /// The log every executor records into. Standalone instances are legal
+  /// The log every session records into. Standalone instances are legal
   /// (tests build private rings); the engine only ever touches Global().
   static QueryLog& Global();
 

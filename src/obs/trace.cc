@@ -1,34 +1,10 @@
 #include "obs/trace.h"
 
-#include <cmath>
-
-#include "common/logging.h"
 #include "common/string_util.h"
 
 namespace ppp::obs {
 
 namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
 
 std::string ValuesToText(const std::vector<double>& values) {
   if (values.empty()) return "";
@@ -44,30 +20,8 @@ std::string ValuesToText(const std::vector<double>& values) {
 
 void OptTrace::Add(std::string label, std::string detail,
                    std::vector<double> values) {
-  TraceEntry entry;
-  entry.depth = depth_;
-  entry.label = std::move(label);
-  entry.detail = std::move(detail);
-  entry.values = std::move(values);
-  if (echo_) {
-    PPP_LOG(Trace) << entry.label << ": " << entry.detail
-                   << ValuesToText(entry.values);
-  }
-  entries_.push_back(std::move(entry));
-}
-
-void OptTrace::Push(std::string label, std::string detail) {
-  Add(std::move(label), std::move(detail));
-  ++depth_;
-}
-
-void OptTrace::Pop() {
-  if (depth_ > 0) --depth_;
-}
-
-void OptTrace::Clear() {
-  entries_.clear();
-  depth_ = 0;
+  entries_.push_back(
+      TraceEntry{std::move(label), std::move(detail), std::move(values)});
 }
 
 std::vector<const TraceEntry*> OptTrace::Find(std::string_view label) const {
@@ -81,32 +35,11 @@ std::vector<const TraceEntry*> OptTrace::Find(std::string_view label) const {
 std::string OptTrace::ToText() const {
   std::string out;
   for (const TraceEntry& entry : entries_) {
-    out.append(static_cast<size_t>(entry.depth) * 2, ' ');
     out += entry.label;
     if (!entry.detail.empty()) out += ": " + entry.detail;
     out += ValuesToText(entry.values);
     out += "\n";
   }
-  return out;
-}
-
-std::string OptTrace::ToJson() const {
-  std::string out = "[";
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    const TraceEntry& entry = entries_[i];
-    if (i > 0) out += ", ";
-    out += "{\"depth\": " + std::to_string(entry.depth) + ", \"label\": \"" +
-           JsonEscape(entry.label) + "\", \"detail\": \"" +
-           JsonEscape(entry.detail) + "\", \"values\": [";
-    for (size_t v = 0; v < entry.values.size(); ++v) {
-      if (v > 0) out += ", ";
-      out += std::isfinite(entry.values[v])
-                 ? common::StringPrintf("%.17g", entry.values[v])
-                 : std::string("null");
-    }
-    out += "]}";
-  }
-  out += "]";
   return out;
 }
 

@@ -11,7 +11,6 @@ namespace ppp::obs {
 /// "migration.groups"), free-text detail, and an optional numeric payload
 /// (e.g. the composed group ranks along a stream).
 struct TraceEntry {
-  int depth = 0;
   std::string label;
   std::string detail;
   std::vector<double> values;
@@ -20,38 +19,23 @@ struct TraceEntry {
 /// Append-only sink for optimizer decisions, threaded through
 /// OptimizerContext. Null pointer = tracing off; every producer guards on
 /// that, so the untraced path costs one branch.
-///
-/// Push/Pop give entries a nesting depth used by the indented text dump;
-/// when `echo` is set, entries are also emitted live through
-/// PPP_LOG(Trace).
 class OptTrace {
  public:
   void Add(std::string label, std::string detail,
            std::vector<double> values = {});
 
-  /// Opens a nested scope: records an entry, then indents until Pop().
-  void Push(std::string label, std::string detail = "");
-  void Pop();
-
   const std::vector<TraceEntry>& entries() const { return entries_; }
   bool empty() const { return entries_.empty(); }
-  void Clear();
+  void Clear() { entries_.clear(); }
 
   /// All entries whose label equals `label`, in recording order.
   std::vector<const TraceEntry*> Find(std::string_view label) const;
 
-  /// Indented, human-readable dump.
+  /// Human-readable dump, one entry per line.
   std::string ToText() const;
-  /// JSON array of {depth, label, detail, values} objects. Non-finite
-  /// values are emitted as null.
-  std::string ToJson() const;
-
-  void set_echo(bool echo) { echo_ = echo; }
 
  private:
   std::vector<TraceEntry> entries_;
-  int depth_ = 0;
-  bool echo_ = false;
 };
 
 }  // namespace ppp::obs

@@ -1,5 +1,6 @@
 #include "serve/session.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <chrono>
@@ -13,6 +14,9 @@
 #include "common/string_util.h"
 #include "exec/explain.h"
 #include "obs/metrics.h"
+#include "obs/plan_audit.h"
+#include "obs/plan_history.h"
+#include "obs/query_log.h"
 #include "obs/span.h"
 #include "optimizer/algorithm.h"
 #include "parser/normalize.h"
@@ -38,22 +42,68 @@ obs::Gauge* ActiveSessionsGauge() {
   return g;
 }
 
-/// catalog → live ServeState, for the ppp_plan_cache / ppp_sessions
-/// providers. Providers capture only the catalog pointer, so a manager
-/// re-created over the same database transparently re-binds the existing
-/// system tables to its fresh state.
-std::mutex g_states_mu;
-std::map<const catalog::Catalog*, std::weak_ptr<ServeState>>& States() {
-  static auto* states =
-      new std::map<const catalog::Catalog*, std::weak_ptr<ServeState>>();
+/// The live ServeStates behind ppp_plan_cache / ppp_sessions.
+catalog::SystemTableOwners<ServeState>& States() {
+  static auto* states = new catalog::SystemTableOwners<ServeState>();
   return *states;
 }
 
-std::shared_ptr<ServeState> StateFor(const catalog::Catalog* catalog) {
-  std::lock_guard<std::mutex> lock(g_states_mu);
-  auto it = States().find(catalog);
-  if (it == States().end()) return nullptr;
-  return it->second.lock();
+/// Tuples the leaf scans produced — the query's input volume after any
+/// Bloom pre-filtering, before predicates and joins.
+uint64_t SumLeafRows(const exec::Operator& op) {
+  const std::vector<const exec::Operator*> children = op.Children();
+  if (children.empty()) return op.stats().rows_out;
+  uint64_t total = 0;
+  for (const exec::Operator* child : children) total += SumLeafRows(*child);
+  return total;
+}
+
+/// Predicate-cache hits across the operator tree (kPredicate mode keeps
+/// its memo tables inside the operators, not in the global registry).
+uint64_t SumCacheHits(const exec::Operator& op) {
+  uint64_t total = op.stats().has_cache ? op.stats().cache_hits : 0;
+  for (const exec::Operator* child : op.Children()) {
+    total += SumCacheHits(*child);
+  }
+  return total;
+}
+
+/// The audit walk: pairs each plan node with its operator (same pairing
+/// rule as EXPLAIN ANALYZE — the probed inner relation of an index
+/// nested-loop join has no operator and is skipped) and appends one
+/// OperatorAuditRecord per executed operator. Also feeds the global
+/// stats.estimation.qerror histogram for every node carrying an estimate,
+/// so the distribution reflects the real workload rather than only EXPLAIN
+/// ANALYZE runs, and tracks the plan's worst q-error for the history.
+void AuditPlan(const plan::PlanNode& plan, const exec::Operator* op,
+               const std::string& path, uint64_t query_id,
+               obs::PlanAudit* audit, obs::Histogram* qerror_histogram,
+               double* max_qerror) {
+  if (op != nullptr) {
+    const exec::OperatorStats& stats = op->stats();
+    obs::OperatorAuditRecord record;
+    record.query_id = query_id;
+    record.path = path;
+    record.op = op->Describe();
+    record.est_rows = plan.est_rows;
+    record.actual_rows = stats.rows_out;
+    if (plan.est_rows > 0.0) {
+      record.qerror = obs::CardinalityQError(plan.est_rows, stats.rows_out);
+      qerror_histogram->Observe(record.qerror);
+      *max_qerror = std::max(*max_qerror, record.qerror);
+    }
+    record.inclusive_seconds = stats.open_seconds + stats.next_seconds;
+    record.udf_invocations = stats.udf_invocations;
+    audit->Append(std::move(record));
+  }
+  std::vector<const exec::Operator*> op_children =
+      op != nullptr ? op->Children() : std::vector<const exec::Operator*>{};
+  for (size_t i = 0; i < plan.children.size(); ++i) {
+    const exec::Operator* child_op =
+        i < op_children.size() ? op_children[i] : nullptr;
+    AuditPlan(*plan.children[i], child_op, path + "." + std::to_string(i),
+              query_id, audit, qerror_histogram, max_qerror);
+  }
 }
 
 types::Value HexValue(uint64_t h) {
@@ -71,7 +121,7 @@ void RegisterServeSystemTables(catalog::Catalog* catalog) {
   auto plan_cache_rows =
       [key]() -> common::Result<std::vector<types::Tuple>> {
     std::vector<types::Tuple> rows;
-    const std::shared_ptr<ServeState> state = StateFor(key);
+    const std::shared_ptr<ServeState> state = States().Find(key);
     if (state == nullptr) return rows;
     for (const PlanCacheEntryView& e : state->plan_cache.Snapshot()) {
       rows.emplace_back(std::vector<types::Value>{
@@ -87,7 +137,7 @@ void RegisterServeSystemTables(catalog::Catalog* catalog) {
   };
   auto session_rows = [key]() -> common::Result<std::vector<types::Tuple>> {
     std::vector<types::Tuple> rows;
-    const std::shared_ptr<ServeState> state = StateFor(key);
+    const std::shared_ptr<ServeState> state = States().Find(key);
     if (state == nullptr) return rows;
     std::lock_guard<std::mutex> lock(state->mu);
     for (const auto& [id, row] : state->sessions) {
@@ -101,7 +151,7 @@ void RegisterServeSystemTables(catalog::Catalog* catalog) {
   };
 
   // AlreadyExists is expected when a second manager binds the same
-  // database: the existing tables' providers re-resolve through States().
+  // database: the existing tables' providers resolve through States().
   auto r1 = catalog->RegisterSystemTable(std::make_unique<catalog::Table>(
       "ppp_plan_cache",
       std::vector<catalog::ColumnDef>{{"text_hash", TypeId::kString},
@@ -117,7 +167,7 @@ void RegisterServeSystemTables(catalog::Catalog* catalog) {
                                       {"optimize_seconds", TypeId::kDouble},
                                       {"approx_bytes", TypeId::kInt64}},
       plan_cache_rows, [key] {
-        const std::shared_ptr<ServeState> state = StateFor(key);
+        const std::shared_ptr<ServeState> state = States().Find(key);
         return state == nullptr
                    ? int64_t{0}
                    : static_cast<int64_t>(state->plan_cache.entries());
@@ -133,7 +183,7 @@ void RegisterServeSystemTables(catalog::Catalog* catalog) {
                                       {"plan_cache_misses", TypeId::kInt64},
                                       {"rows_returned", TypeId::kInt64}},
       session_rows, [key] {
-        const std::shared_ptr<ServeState> state = StateFor(key);
+        const std::shared_ptr<ServeState> state = States().Find(key);
         if (state == nullptr) return int64_t{0};
         std::lock_guard<std::mutex> lock(state->mu);
         return static_cast<int64_t>(state->sessions.size());
@@ -292,10 +342,7 @@ SessionManager::SessionManager(workload::Database* db, Options options)
   }
   state_->share_predicate_caches = options.share_predicate_caches;
 
-  {
-    std::lock_guard<std::mutex> lock(g_states_mu);
-    States()[&db->catalog()] = state_;
-  }
+  States().Add(&db->catalog(), state_);
   RegisterServeSystemTables(&db->catalog());
 
   // ANALYZE → invalidation: a stats-epoch bump on any table drops every
@@ -311,11 +358,7 @@ SessionManager::SessionManager(workload::Database* db, Options options)
 
 SessionManager::~SessionManager() {
   state_->db->catalog().RemoveStatsListener(listener_id_);
-  std::lock_guard<std::mutex> lock(g_states_mu);
-  auto it = States().find(&state_->db->catalog());
-  if (it != States().end() && it->second.lock() == state_) {
-    States().erase(it);
-  }
+  States().Remove(&state_->db->catalog(), state_.get());
 }
 
 std::unique_ptr<Session> SessionManager::CreateSession() {
@@ -424,6 +467,13 @@ common::Result<QueryResult> Session::ExecuteAnalyze(const std::string& sql) {
 common::Result<QueryResult> Session::ExecuteSelect(const std::string& sql) {
   catalog::Catalog& catalog = state_->db->catalog();
 
+  // One query id per statement, held for all of it: every span below —
+  // nested subquery executions and parallel workers included — carries
+  // it, and RecordStatement files the statement's records under it.
+  QueryResult result;
+  result.query_id = obs::QueryLog::Global().NextQueryId();
+  const obs::QueryIdScope id_scope(result.query_id, id_);
+
   // Root lifecycle span: probe/optimize and execute (with their own child
   // spans) nest under it, tagged with the owning session.
   std::optional<obs::Span> span;
@@ -440,7 +490,6 @@ common::Result<QueryResult> Session::ExecuteSelect(const std::string& sql) {
 
   PPP_ASSIGN_OR_RETURN(parser::NormalizedQuery norm,
                        parser::NormalizeSql(rest));
-  QueryResult result;
   result.text_hash = norm.text_hash;
   if (kind != parser::StatementKind::kSelect) {
     return Explain(rest, kind == parser::StatementKind::kExplainAnalyze,
@@ -597,19 +646,83 @@ common::Status Session::ExecuteOn(
     std::chrono::steady_clock::time_point plan_start, QueryResult* result,
     std::unique_ptr<exec::Operator>* root) {
   result->optimize_seconds = SecondsSince(plan_start);
-  ctx->log_hints.text_hash = result->text_hash;
-  ctx->log_hints.algorithm = optimizer::AlgorithmName(options_.algorithm);
-  ctx->log_hints.optimize_seconds = result->optimize_seconds;
-  ctx->log_hints.session_id = id_;
-  ctx->log_hints.plan_fingerprint = result->plan_fingerprint;
-  ctx->log_hints.stats_tier = stats_tier;
-
   const auto exec_start = std::chrono::steady_clock::now();
   PPP_ASSIGN_OR_RETURN(result->rows,
                        exec::ExecutePlan(*result->plan, ctx, &result->stats,
                                          &result->schema, root));
   result->execute_seconds = SecondsSince(exec_start);
+  RecordStatement(*result, *ctx, **root, stats_tier);
   return common::Status::OK();
+}
+
+void Session::RecordStatement(const QueryResult& result,
+                              const exec::ExecContext& ctx,
+                              const exec::Operator& root,
+                              obs::StatsTier stats_tier) {
+  // Plan audit: per-operator est-vs-actual records plus the workload-wide
+  // q-error feed. Independent of the query log so PPP_QUERY_LOG=0 and
+  // PPP_PLAN_AUDIT=0 cut orthogonal slices.
+  double max_qerror = 0.0;
+  obs::PlanAudit& audit = obs::PlanAudit::Global();
+  if (audit.enabled()) {
+    static obs::Histogram* qerror_histogram =
+        obs::MetricsRegistry::Global().GetHistogram(
+            "stats.estimation.qerror");
+    AuditPlan(*result.plan, &root, "0", result.query_id, &audit,
+              qerror_histogram, &max_qerror);
+  }
+
+  // Plan history: fold this execution into the (text_hash, fingerprint)
+  // aggregate and learn whether the plan changed or regressed.
+  uint64_t udf_invocations = 0;
+  for (const auto& [name, count] : result.stats.invocations) {
+    udf_invocations += count;
+  }
+  const obs::PlanOutcome plan_outcome = obs::PlanHistory::Global().Record(
+      result.text_hash, result.plan_fingerprint,
+      result.optimize_seconds + result.execute_seconds, udf_invocations,
+      max_qerror, result.query_id);
+  if (plan_outcome.plan_changed) {
+    static obs::Counter* changed_counter =
+        obs::MetricsRegistry::Global().GetCounter("plan.changed");
+    changed_counter->Increment();
+  }
+  if (plan_outcome.plan_regressed) {
+    static obs::Counter* regressed_counter =
+        obs::MetricsRegistry::Global().GetCounter("plan.regressed");
+    regressed_counter->Increment();
+  }
+
+  // The ppp_query_log record. Its counters come from this statement's
+  // context and operators, so they stay exact while other sessions
+  // execute concurrently.
+  obs::QueryLog& query_log = obs::QueryLog::Global();
+  if (!query_log.enabled()) return;
+  obs::QueryLogRecord record;
+  record.query_id = result.query_id;
+  record.session_id = id_;
+  record.text_hash = result.text_hash;
+  record.plan_fingerprint = result.plan_fingerprint;
+  record.algorithm = optimizer::AlgorithmName(options_.algorithm);
+  record.optimize_seconds = result.optimize_seconds;
+  record.execute_seconds = result.execute_seconds;
+  record.wall_seconds = record.optimize_seconds + record.execute_seconds;
+  record.rows_in = SumLeafRows(root);
+  record.rows_out = result.rows.size();
+  record.udf_invocations = udf_invocations;
+  // Both memoization layers: the context's function cache and the
+  // operators' predicate memos.
+  record.cache_hits = result.stats.function_cache_hits + SumCacheHits(root);
+  for (const auto& transfer : ctx.all_transfers) {
+    record.transfer_pruned += transfer->pruned();
+  }
+  record.drift_flags =
+      exec::CountDriftingPredicates(*result.plan, ctx.catalog->functions());
+  record.stats_tier = stats_tier;
+  record.bucket = query_log.CurrentBucket();
+  record.plan_changed = plan_outcome.plan_changed;
+  record.plan_regressed = plan_outcome.plan_regressed;
+  query_log.Append(std::move(record));
 }
 
 common::Result<QueryResult> Session::RunPlan(
@@ -622,8 +735,8 @@ common::Result<QueryResult> Session::RunPlan(
   ctx_.cost_params = options_.cost_params;
   ctx_.shared_caches =
       state_->share_predicate_caches ? &state_->shared_caches : nullptr;
-  PPP_RETURN_IF_ERROR(
-      ExecuteOn(&ctx_, stats_tier, plan_start, &result, /*root=*/nullptr));
+  std::unique_ptr<exec::Operator> root;
+  PPP_RETURN_IF_ERROR(ExecuteOn(&ctx_, stats_tier, plan_start, &result, &root));
 
   UpdateRow(result, /*planned=*/true);
   return result;
@@ -676,6 +789,9 @@ common::Result<QueryResult> Session::ExecutePrepared(
   PPP_RETURN_IF_ERROR(CheckParamTypes(*family, &bound));
 
   catalog::Catalog& catalog = state_->db->catalog();
+  QueryResult result;
+  result.query_id = obs::QueryLog::Global().NextQueryId();
+  const obs::QueryIdScope id_scope(result.query_id, id_);
   std::optional<obs::Span> span;
   if (obs::SpanTracer::Global().enabled()) {
     span.emplace("query", "execute_prepared");
@@ -694,7 +810,6 @@ common::Result<QueryResult> Session::ExecutePrepared(
   const PlanCacheKey family_key{family->family_hash, fill.exact.params_hash,
                                 /*family=*/true};
 
-  QueryResult result;
   result.text_hash = fill.exact.text_hash;
   result.family_hash = family->family_hash;
 

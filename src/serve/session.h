@@ -72,6 +72,9 @@ struct QueryResult {
   double optimize_seconds = 0.0;
   double execute_seconds = 0.0;
   bool plan_cache_hit = false;
+  /// The statement's query id: its spans, its ppp_query_log record and
+  /// its ppp_operator_audit rows carry it. 0 for ANALYZE and PREPARE.
+  uint64_t query_id = 0;
   uint64_t text_hash = 0;
   uint64_t plan_fingerprint = 0;
   /// What the execution cost in the paper's currency: page I/O, output
@@ -214,12 +217,18 @@ class Session {
       const std::string& sql, const std::vector<types::Value>* params,
       const PlanFill* fill, std::chrono::steady_clock::time_point plan_start,
       exec::ExecContext* ctx, QueryResult* result, obs::OptTrace* trace);
-  /// Executes result->plan on `ctx` (knobs already wired) into result;
-  /// `root`, when non-null, receives the operator tree.
+  /// Executes result->plan on `ctx` (knobs already wired) into result,
+  /// leaving the operator tree in *root, then records the statement.
   common::Status ExecuteOn(exec::ExecContext* ctx, obs::StatsTier stats_tier,
                            std::chrono::steady_clock::time_point plan_start,
                            QueryResult* result,
                            std::unique_ptr<exec::Operator>* root);
+  /// Files one executed statement under result.query_id: its
+  /// ppp_operator_audit rows, its ppp_plan_history fold (ticking
+  /// plan.changed / plan.regressed) and its ppp_query_log record.
+  void RecordStatement(const QueryResult& result,
+                       const exec::ExecContext& ctx,
+                       const exec::Operator& root, obs::StatsTier stats_tier);
   /// Executes result.plan on the session's persistent context.
   common::Result<QueryResult> RunPlan(
       QueryResult result, obs::StatsTier stats_tier,

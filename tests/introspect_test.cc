@@ -7,10 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "exec/executor.h"
 #include "obs/metrics.h"
 #include "obs/plan_audit.h"
 #include "obs/plan_history.h"
@@ -18,9 +19,9 @@
 #include "obs/span.h"
 #include "optimizer/optimizer.h"
 #include "parser/binder.h"
+#include "serve/session.h"
 #include "stats/collector.h"
-#include "storage/buffer_pool.h"
-#include "storage/disk_manager.h"
+#include "workload/database.h"
 
 namespace ppp {
 namespace {
@@ -29,14 +30,21 @@ using types::Tuple;
 using types::TypeId;
 using types::Value;
 
+// The catalog's six built-in tables plus the two the serving layer's
+// SessionManager registers.
 const char* const kSystemTables[] = {
-    "ppp_query_log", "ppp_metrics", "ppp_spans", "ppp_table_stats",
-    "ppp_operator_audit", "ppp_plan_history",
+    "ppp_query_log",   "ppp_metrics",        "ppp_spans",
+    "ppp_table_stats", "ppp_operator_audit", "ppp_plan_history",
+    "ppp_plan_cache",  "ppp_sessions",
 };
 
 class IntrospectTest : public ::testing::Test {
  protected:
-  IntrospectTest() : pool_(&disk_, 128), catalog_(&pool_) {
+  IntrospectTest()
+      : db_(128),
+        catalog_(db_.catalog()),
+        manager_(&db_),
+        session_(manager_.CreateSession()) {
     // The backing stores are process globals; start each test clean.
     obs::QueryLog::Global().Clear();
     obs::QueryLog::Global().set_enabled(true);
@@ -66,29 +74,18 @@ class IntrospectTest : public ::testing::Test {
     obs::SpanTracer::Global().Clear();
   }
 
-  std::vector<Tuple> Run(const std::string& sql, uint64_t text_hash = 0) {
-    auto spec = parser::ParseAndBind(sql, catalog_);
-    EXPECT_TRUE(spec.ok()) << sql << ": " << spec.status();
-    if (!spec.ok()) return {};
-    optimizer::Optimizer opt(&catalog_, {});
-    auto result = opt.Optimize(*spec, optimizer::Algorithm::kMigration);
+  /// Runs one statement through the session (the migration algorithm, the
+  /// session default), which files its log, audit and history records.
+  std::vector<Tuple> Run(const std::string& sql) {
+    auto result = session_->Execute(sql);
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status();
-    if (!result.ok()) return {};
-    exec::ExecContext ctx;
-    ctx.catalog = &catalog_;
-    ctx.log_hints.algorithm = "migration";
-    ctx.log_hints.text_hash = text_hash;
-    for (const plan::TableRef& ref : spec->tables) {
-      ctx.binding[ref.alias] = *catalog_.GetTable(ref.table_name);
-    }
-    auto rows = exec::ExecutePlan(*result->plan, &ctx, nullptr);
-    EXPECT_TRUE(rows.ok()) << sql << ": " << rows.status();
-    return rows.ok() ? std::move(rows).value() : std::vector<Tuple>{};
+    return result.ok() ? std::move(result->rows) : std::vector<Tuple>{};
   }
 
-  storage::DiskManager disk_;
-  storage::BufferPool pool_;
-  catalog::Catalog catalog_;
+  workload::Database db_;
+  catalog::Catalog& catalog_;
+  serve::SessionManager manager_;
+  std::unique_ptr<serve::Session> session_;
 };
 
 TEST_F(IntrospectTest, CountStarWorksOnEverySystemTable) {
@@ -105,7 +102,7 @@ TEST_F(IntrospectTest, ExecutedQueriesAppearInTheQueryLog) {
   const std::vector<Tuple> rows = Run(
       "SELECT ppp_query_log.query_id, ppp_query_log.rows_out, "
       "ppp_query_log.stats_tier FROM ppp_query_log "
-      "WHERE ppp_query_log.algorithm = 'migration'");
+      "WHERE ppp_query_log.algorithm = 'PredicateMigration'");
   ASSERT_GE(rows.size(), 1u);
   // The first logged query returned one aggregate row off 50 scanned.
   EXPECT_GT(rows[0].Get(0).AsInt64(), 0);
@@ -142,9 +139,9 @@ TEST_F(IntrospectTest, ExecutedOperatorsAppearInTheAuditTable) {
 }
 
 TEST_F(IntrospectTest, RepeatedQueriesAggregateInThePlanHistory) {
-  const uint64_t hash = 0xabcdef12u;
-  Run("SELECT count(*) FROM t", hash);
-  Run("SELECT count(*) FROM t", hash);
+  // Both runs normalize to one text hash.
+  Run("SELECT count(*) FROM t");
+  Run("SELECT count(*) FROM t");
   // One plan, two executions; the same-fingerprint rerun is no change.
   const std::vector<Tuple> rows = Run(
       "SELECT ppp_plan_history.executions, ppp_plan_history.plan_changed, "
@@ -169,7 +166,7 @@ TEST_F(IntrospectTest, AggregatesAndPredicatesComposeOverTheLog) {
       "WHERE ppp_query_log.rows_out >= 0 "
       "GROUP BY ppp_query_log.algorithm");
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].Get(0).AsString(), "migration");
+  EXPECT_EQ(rows[0].Get(0).AsString(), "PredicateMigration");
   // 3 loads plus the introspection queries run before this one.
   EXPECT_GE(rows[0].Get(1).AsInt64(), 3);
   EXPECT_GE(rows[0].Get(2).AsDouble(), 0.0);
@@ -299,7 +296,7 @@ TEST_F(IntrospectTest, SystemTablesRejectDdlDmlAndAnalyze) {
 
 TEST_F(IntrospectTest, SystemTableNamesListsAllSorted) {
   const std::vector<std::string> names = catalog_.SystemTableNames();
-  ASSERT_EQ(names.size(), 6u);
+  ASSERT_EQ(names.size(), std::size(kSystemTables));
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   for (const char* name : kSystemTables) {
     EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())

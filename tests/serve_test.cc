@@ -23,6 +23,7 @@
 #include "obs/plan_audit.h"
 #include "obs/profiler.h"
 #include "obs/query_log.h"
+#include "obs/span.h"
 #include "optimizer/optimizer.h"
 #include "parser/binder.h"
 #include "parser/normalize.h"
@@ -275,7 +276,9 @@ TEST_F(ServeTest, PerBindCacheHitsStayExactUnderConcurrentSessions) {
           hits_of(*ExecuteShared("Q5", *plan, &registry, &stats));
       EXPECT_EQ(hits.total, memo_hits->value() - before) << run;
       // The first run computes every distinct pair; the second hits them.
-      if (run == 1) EXPECT_GT(hits.join, 0u);
+      if (run == 1) {
+        EXPECT_GT(hits.join, 0u);
+      }
       EXPECT_TRUE(hits.join_within_probes);
     }
   }
@@ -824,6 +827,71 @@ TEST_F(ServeTest, SystemTablesAreQueryableThroughASession) {
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_GE(rows[0].queries, 4u);
   EXPECT_GE(rows[0].plan_cache_hits, 1u);
+}
+
+TEST_F(ServeTest, SecondManagerLeavesTheFirstManagersTablesServed) {
+  serve::SessionManager first(&db_);
+  auto session = first.CreateSession();
+  ASSERT_TRUE(session->Execute(QueryTexts()[0]).ok());
+  auto count = [&](const std::string& table) -> int64_t {
+    auto r = session->Execute("SELECT count(*) FROM " + table);
+    EXPECT_TRUE(r.ok()) << table << ": " << r.status();
+    return r.ok() ? r->rows[0].Get(0).AsInt64() : -1;
+  };
+  // A second manager over the same database comes and goes; the first
+  // one is still serving, so its tables must still read its own state.
+  { serve::SessionManager second(&db_); }
+  EXPECT_EQ(count("ppp_sessions"), 1);
+  const int64_t cached = count("ppp_plan_cache");
+  EXPECT_EQ(cached, static_cast<int64_t>(first.plan_cache().entries()));
+  EXPECT_EQ(cached, 3);  // Q1 and the two counts.
+}
+
+TEST_F(ServeTest, SubqueryStatementIsOneRecord) {
+  // The correlated IN runs its subquery once per distinct t3.a10, each a
+  // nested plan execution. It is still one statement: one ppp_query_log
+  // row, and every audit row and span carries that row's query id.
+  serve::SessionManager manager(&db_);
+  auto session = manager.CreateSession();
+  obs::QueryLog::Global().Clear();
+  obs::PlanAudit::Global().Clear();
+  obs::SpanTracer& tracer = obs::SpanTracer::Global();
+  const bool spans_were_on = tracer.enabled();
+  tracer.Clear();
+  tracer.set_enabled(true);
+  auto result = session->Execute(
+      "SELECT t3.a FROM t3 WHERE t3.u10 IN "
+      "(SELECT u10 FROM t6 WHERE t6.a10 = t3.a10)");
+  tracer.set_enabled(spans_were_on);
+  ASSERT_TRUE(result.ok()) << result.status();
+
+  const std::vector<obs::QueryLogRecord> records =
+      obs::QueryLog::Global().Snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  const uint64_t query_id = records[0].query_id;
+  EXPECT_EQ(query_id, result->query_id);
+  EXPECT_EQ(records[0].session_id, session->id());
+
+  const std::vector<obs::OperatorAuditRecord> audit =
+      obs::PlanAudit::Global().Snapshot();
+  ASSERT_FALSE(audit.empty());
+  for (const obs::OperatorAuditRecord& row : audit) {
+    EXPECT_EQ(row.query_id, query_id) << row.path << " " << row.op;
+  }
+
+  const std::string id = std::to_string(query_id);
+  size_t executions = 0;
+  for (const obs::SpanEvent& e : tracer.Snapshot()) {
+    if (e.cat == "exec" && e.name == "execute") ++executions;
+    std::string span_id;
+    for (const auto& [key, value] : e.args) {
+      if (key == "query_id") span_id = value;
+    }
+    EXPECT_EQ(span_id, id) << e.cat << "/" << e.name;
+  }
+  // The outer plan plus at least one nested subquery execution.
+  EXPECT_GT(executions, 1u);
+  tracer.Clear();
 }
 
 TEST_F(ServeTest, ServeMetricsAreRegistered) {

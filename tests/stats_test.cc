@@ -44,7 +44,7 @@ using types::Value;
 std::vector<Value> ToValues(const std::vector<int64_t>& data) {
   std::vector<Value> values;
   values.reserve(data.size());
-  for (int64_t x : data) values.push_back(Value(x));
+  for (int64_t x : data) values.emplace_back(x);
   return values;
 }
 

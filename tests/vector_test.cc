@@ -687,7 +687,7 @@ class VectorParityTest : public ::testing::Test {
 };
 
 TEST_F(VectorParityTest, QueriesMatchAcrossVectorWorkersTransfer) {
-  for (const std::string& id : {"Q1", "Q2", "Q3", "Q4", "Q5"}) {
+  for (const std::string id : {"Q1", "Q2", "Q3", "Q4", "Q5"}) {
     auto spec = workload::GetBenchmarkQuery(db_, config_, id);
     ASSERT_TRUE(spec.ok()) << spec.status();
     for (bool transfer : {false, true}) {
