@@ -73,7 +73,6 @@ int main() {
   obs::PredicateProfiler& profiler = obs::PredicateProfiler::Global();
   profiler.Reset();
   profiler.set_enabled(true);
-  profiler.set_seconds_per_io(1e-4);
   obs::PredicateFeedbackStore::Global().Clear();
 
   const std::string sql =

@@ -213,14 +213,14 @@ int main() {
   // the same text again after ANALYZE: one plan change, no regression
   // (the changed-to plan is the faster one).
   workload::Measurement declared = run_once("declared");
-  for (uint64_t i = 1; i < history.warmup_executions(); ++i) {
+  for (uint64_t i = 1; i < obs::PlanHistory::kWarmupExecutions; ++i) {
     run_once("declared");
   }
   auto analyzed_status = stats::AnalyzeAll(&flip_db.catalog(),
                                            stats::AnalyzeOptions::Default());
   PPP_CHECK(analyzed_status.ok()) << analyzed_status.ToString();
   workload::Measurement analyzed = run_once("analyzed");
-  for (uint64_t i = 1; i < history.warmup_executions(); ++i) {
+  for (uint64_t i = 1; i < obs::PlanHistory::kWarmupExecutions; ++i) {
     run_once("analyzed");
   }
 
@@ -236,7 +236,7 @@ int main() {
     std::vector<obs::PlanHistoryEntry> entries = history.Snapshot();
     uint64_t plans = 0;
     for (const obs::PlanHistoryEntry& e : entries) {
-      if (e.executions >= history.warmup_executions()) {
+      if (e.executions >= obs::PlanHistory::kWarmupExecutions) {
         flip_text_hash = e.text_hash;
       }
     }

@@ -14,6 +14,7 @@
 // plancache on and off at 8 sessions.
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +31,11 @@
 #include "workload/queries.h"
 
 namespace {
+
+/// Written by every realized-cost UDF call, from every session thread; an
+/// atomic store the compiler must perform, so the burn loop feeding it
+/// cannot be elided.
+std::atomic<uint64_t> g_burn_sink{0};
 
 /// Registers the benchmark UDFs with their declared cost *realized* as
 /// CPU work: the same deterministic pass/fail decision as
@@ -61,16 +67,15 @@ void RegisterRealizedCostFunctions(ppp::workload::Database* db) {
       const double u =
           static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
       const bool pass = u < selectivity;
-      // The realized cost: an unskippable mixing loop (its result feeds a
-      // volatile sink so the optimizer cannot elide it).
+      // The realized cost: an unskippable mixing loop (its result feeds
+      // g_burn_sink so the optimizer cannot elide it).
       uint64_t burn = h;
       for (uint64_t i = 0; i < rounds; ++i) {
         burn ^= burn >> 33;
         burn *= 0xFF51AFD7ED558CCDULL;
         burn += i;
       }
-      static volatile uint64_t sink;
-      sink = burn;
+      g_burn_sink.store(burn, std::memory_order_relaxed);
       return Value(pass);
     };
     PPP_CHECK(db->catalog().functions().Register(std::move(def)).ok());

@@ -2,9 +2,9 @@
 // and prints the response frames — ROW payloads decoded to tab-separated
 // values, everything else verbatim.
 //
-//   ./ppp_client <port> "QUERY SELECT count(*) FROM t3;" \
-//                "PREPARE q AS SELECT a FROM t3 WHERE a < $1;" \
-//                "EXECUTE q(100);" PING CLOSE
+//   ./ppp_client <port> "QUERY SELECT count(*) FROM t3;"
+//                "PREPARE q AS SELECT a FROM t3 WHERE a < $1;"
+//                "EXECUTE q(100);" PING CLOSE     (one command line)
 //
 // Statement responses end at the OK/ERR frame; a trailing CLOSE is sent
 // automatically when the arguments don't include one.

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "exec/operator.h"
-#include "obs/query_log.h"
+#include "obs/stats_tier.h"
 #include "plan/plan_node.h"
 #include "storage/io_stats.h"
 

@@ -126,7 +126,6 @@ std::optional<RankDriftInfo> ComputeRankDrift(
   std::vector<const expr::Expr*> calls;
   pred.expr->CollectFunctionCalls(&calls);
   const obs::PredicateProfiler& profiler = obs::PredicateProfiler::Global();
-  const double spio = profiler.seconds_per_io();
 
   bool any_profiled = false;
   double obs_cost = 0.0;
@@ -141,7 +140,8 @@ std::optional<RankDriftInfo> ComputeRankDrift(
       continue;
     }
     any_profiled = true;
-    obs_cost += profile->ObservedCostIos(spio);
+    obs_cost +=
+        profile->ObservedCostIos(obs::PredicateProfiler::kSecondsPerIo);
     if (def.ok() && profile->has_selectivity &&
         (*def)->return_type == types::TypeId::kBool &&
         (*def)->selectivity > 0.0) {

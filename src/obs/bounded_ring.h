@@ -11,28 +11,36 @@
 
 namespace ppp::obs {
 
-/// Thread-safe fixed-capacity ring of records, oldest first: past capacity
-/// an append overwrites the oldest record (counted in evicted()). The
-/// backing store of the introspection logs (QueryLog, PlanAudit). Appends
-/// come from whichever session thread finishes a statement; snapshots are
-/// taken by concurrent introspection scans.
+/// Thread-safe bounded ring of records, oldest first: past capacity an
+/// append overwrites the oldest record (counted in evicted()). The one
+/// record store of the observability layer (QueryLog, PlanAudit,
+/// SpanTracer). Appends come from whichever thread finishes a statement or
+/// span; snapshots are taken by concurrent introspection scans.
+///
+/// Slots are allocated as records arrive, up to the capacity, so a large
+/// ring that is never written (the span ring while tracing is off) costs
+/// no memory. While disabled, Append() is one relaxed atomic load.
 template <typename T>
 class BoundedRing {
  public:
-  explicit BoundedRing(size_t capacity)
-      : ring_(std::max<size_t>(capacity, 1)) {}
+  explicit BoundedRing(size_t capacity, bool enabled = true)
+      : enabled_(enabled), capacity_(std::max<size_t>(capacity, 1)) {}
 
+  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
+
+  /// Appends one record; no-op while disabled.
   void Append(T record) {
+    if (!enabled()) return;
     std::lock_guard<std::mutex> lock(mu_);
-    if (size_ == ring_.size()) {
+    if (ring_.size() < capacity_) {
+      ring_.push_back(std::move(record));
+    } else {
       // Full: the slot at head_ holds the oldest record; overwrite it and
       // advance the ring.
       ring_[head_] = std::move(record);
       head_ = (head_ + 1) % ring_.size();
       evicted_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      ring_[(head_ + size_) % ring_.size()] = std::move(record);
-      ++size_;
     }
     total_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -43,18 +51,19 @@ class BoundedRing {
   /// The most recent `n` records, oldest first.
   std::vector<T> Tail(size_t n) const {
     std::lock_guard<std::mutex> lock(mu_);
-    const size_t count = std::min(n, size_);
+    const size_t size = ring_.size();
+    const size_t count = std::min(n, size);
     std::vector<T> out;
     out.reserve(count);
-    for (size_t i = size_ - count; i < size_; ++i) {
-      out.push_back(ring_[(head_ + i) % ring_.size()]);
+    for (size_t i = size - count; i < size; ++i) {
+      out.push_back(ring_[(head_ + i) % size]);
     }
     return out;
   }
 
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return size_;
+    return ring_.size();
   }
 
   /// Records ever appended (including since-evicted ones).
@@ -70,41 +79,43 @@ class BoundedRing {
   void set_capacity(size_t n) {
     n = std::max<size_t>(n, 1);
     std::lock_guard<std::mutex> lock(mu_);
-    std::vector<T> fresh(n);
-    const size_t keep = std::min(size_, n);
-    for (size_t i = 0; i < keep; ++i) {
-      fresh[i] = std::move(ring_[(head_ + (size_ - keep) + i) % ring_.size()]);
+    const size_t size = ring_.size();
+    const size_t keep = std::min(size, n);
+    std::vector<T> fresh;
+    fresh.reserve(keep);
+    for (size_t i = size - keep; i < size; ++i) {
+      fresh.push_back(std::move(ring_[(head_ + i) % size]));
     }
     ring_ = std::move(fresh);
     head_ = 0;
-    size_ = keep;
+    capacity_ = n;
   }
 
   size_t capacity() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return ring_.size();
+    return capacity_;
   }
 
-  /// Drops all retained records (releasing what they own) and zeroes
+  /// Drops all retained records (releasing their slots) and zeroes
   /// total/evicted.
   void Clear() {
     std::lock_guard<std::mutex> lock(mu_);
-    for (T& r : ring_) r = T{};
+    ring_ = std::vector<T>();
     head_ = 0;
-    size_ = 0;
     total_.store(0, std::memory_order_relaxed);
     evicted_.store(0, std::memory_order_relaxed);
   }
 
  private:
+  std::atomic<bool> enabled_;
   std::atomic<uint64_t> total_{0};
   std::atomic<uint64_t> evicted_{0};
   mutable std::mutex mu_;
-  /// `ring_[(head_ + i) % ring_.size()]` for i in [0, size_) walks oldest
-  /// to newest.
+  size_t capacity_;
+  /// `ring_[(head_ + i) % ring_.size()]` for i in [0, ring_.size()) walks
+  /// oldest to newest; head_ stays 0 until the ring is full.
   std::vector<T> ring_;
   size_t head_ = 0;
-  size_t size_ = 0;
 };
 
 }  // namespace ppp::obs

@@ -12,7 +12,8 @@ double CardinalityQError(double est_rows, uint64_t actual_rows) {
   return std::max(est / actual, actual / est);
 }
 
-PlanAudit::PlanAudit() : enabled_(EnvFlag("PPP_PLAN_AUDIT", true)) {}
+PlanAudit::PlanAudit()
+    : BoundedRing(kDefaultCapacity, EnvFlag("PPP_PLAN_AUDIT", true)) {}
 
 PlanAudit& PlanAudit::Global() {
   static PlanAudit* audit = new PlanAudit();

@@ -1,11 +1,8 @@
 #ifndef PPP_OBS_PLAN_AUDIT_H_
 #define PPP_OBS_PLAN_AUDIT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "obs/bounded_ring.h"
 
@@ -51,7 +48,7 @@ struct OperatorAuditRecord {
 /// Thread-safe with the same contract as QueryLog: appended by whichever
 /// session thread finishes a statement, snapshotted by concurrent
 /// introspection scans.
-class PlanAudit {
+class PlanAudit : public BoundedRing<OperatorAuditRecord> {
  public:
   /// Rings hold operators, not queries; a 16-operator plan still leaves
   /// room for hundreds of recent queries at this default.
@@ -62,44 +59,6 @@ class PlanAudit {
   static PlanAudit& Global();
 
   PlanAudit();
-
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-
-  /// Appends one record; past capacity the oldest record is overwritten
-  /// (counted in evicted()). No-op while disabled.
-  void Append(OperatorAuditRecord record) {
-    if (enabled()) ring_.Append(std::move(record));
-  }
-
-  /// All retained records, oldest first.
-  std::vector<OperatorAuditRecord> Snapshot() const {
-    return ring_.Snapshot();
-  }
-
-  /// The most recent `n` records, oldest first.
-  std::vector<OperatorAuditRecord> Tail(size_t n) const {
-    return ring_.Tail(n);
-  }
-
-  size_t size() const { return ring_.size(); }
-  /// Records ever appended (including since-evicted ones).
-  uint64_t total() const { return ring_.total(); }
-  /// Records overwritten by ring wraparound.
-  uint64_t evicted() const { return ring_.evicted(); }
-
-  /// Shrinks or grows the ring; shrinking keeps the newest records.
-  void set_capacity(size_t n) { ring_.set_capacity(n); }
-  size_t capacity() const { return ring_.capacity(); }
-
-  /// Drops all retained records and zeroes total/evicted.
-  void Clear() { ring_.Clear(); }
-
- private:
-  std::atomic<bool> enabled_;
-  BoundedRing<OperatorAuditRecord> ring_{kDefaultCapacity};
 };
 
 }  // namespace ppp::obs

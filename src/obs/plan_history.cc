@@ -78,16 +78,16 @@ PlanOutcome PlanHistory::Record(uint64_t text_hash, uint64_t plan_fingerprint,
   entry.row.max_qerror = std::max(entry.row.max_qerror, max_qerror);
 
   if (!entry.row.regressed && entry.displaced_fingerprint != 0 &&
-      entry.row.executions >= warmup_executions_) {
+      entry.row.executions >= kWarmupExecutions) {
     auto prior = entries_.find(Key(text_hash, entry.displaced_fingerprint));
     if (prior != entries_.end() &&
-        prior->second.row.executions >= warmup_executions_) {
+        prior->second.row.executions >= kWarmupExecutions) {
       const double prior_mean =
           prior->second.wall_sum /
           static_cast<double>(prior->second.row.executions);
       const double mean =
           entry.wall_sum / static_cast<double>(entry.row.executions);
-      if (prior_mean > 0.0 && mean > prior_mean * regression_factor_) {
+      if (prior_mean > 0.0 && mean > prior_mean * kRegressionFactor) {
         entry.row.regressed = true;
         outcome.plan_regressed = true;
         outcome.prior_wall_mean = prior_mean;

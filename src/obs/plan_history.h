@@ -55,8 +55,8 @@ struct PlanOutcome {
 ///    text_hash's previous fingerprint (including flips back to a plan
 ///    seen before).
 ///  * plan regression: a changed-to plan whose mean wall time, once both it
-///    and the plan it displaced have >= warmup_executions executions,
-///    exceeds the displaced plan's mean by more than regression_factor.
+///    and the plan it displaced have >= kWarmupExecutions executions,
+///    exceeds the displaced plan's mean by more than kRegressionFactor.
 ///    Flagged once per (plan, displacement); a faster new plan never flags.
 ///
 /// Bounded: beyond max_entries the entry with the oldest last_query_id is
@@ -69,8 +69,12 @@ class PlanHistory {
   static constexpr size_t kDefaultMaxEntries = 1024;
   /// Wall samples retained per entry for the p95 (ring, newest wins).
   static constexpr size_t kWallSamples = 128;
-  static constexpr uint64_t kDefaultWarmupExecutions = 3;
-  static constexpr double kDefaultRegressionFactor = 1.5;
+  /// Executions either plan needs before a mean is "established" and the
+  /// regression check may fire.
+  static constexpr uint64_t kWarmupExecutions = 3;
+  /// Mean-wall ratio (new / displaced) above which a changed-to plan is
+  /// flagged regressed.
+  static constexpr double kRegressionFactor = 1.5;
 
   /// The history every session records into. Standalone instances are
   /// legal (tests build private ones); the engine only touches Global().
@@ -83,16 +87,6 @@ class PlanHistory {
   void set_enabled(bool on) {
     enabled_.store(on, std::memory_order_relaxed);
   }
-
-  /// Executions either plan needs before a mean is "established" and the
-  /// regression check may fire.
-  void set_warmup_executions(uint64_t n) { warmup_executions_ = n; }
-  uint64_t warmup_executions() const { return warmup_executions_; }
-
-  /// Mean-wall ratio (new / displaced) above which a changed-to plan is
-  /// flagged regressed.
-  void set_regression_factor(double f) { regression_factor_ = f; }
-  double regression_factor() const { return regression_factor_; }
 
   void set_max_entries(size_t n) { max_entries_ = n == 0 ? 1 : n; }
   size_t max_entries() const { return max_entries_; }
@@ -146,8 +140,6 @@ class PlanHistory {
   std::atomic<bool> enabled_{true};
   std::atomic<uint64_t> changed_total_{0};
   std::atomic<uint64_t> regressed_total_{0};
-  uint64_t warmup_executions_ = kDefaultWarmupExecutions;
-  double regression_factor_ = kDefaultRegressionFactor;
   size_t max_entries_ = kDefaultMaxEntries;
 
   mutable std::mutex mu_;

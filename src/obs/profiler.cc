@@ -19,16 +19,6 @@ PredicateProfiler& PredicateProfiler::Global() {
   return *profiler;
 }
 
-double PredicateProfiler::seconds_per_io() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return seconds_per_io_;
-}
-
-void PredicateProfiler::set_seconds_per_io(double s) {
-  std::lock_guard<std::mutex> lock(mu_);
-  seconds_per_io_ = s;
-}
-
 double PredicateProfiler::drift_threshold() const {
   std::lock_guard<std::mutex> lock(mu_);
   return drift_threshold_;
@@ -121,7 +111,6 @@ std::vector<TransferProfile> PredicateProfiler::TransferSnapshot() const {
 
 std::string PredicateProfiler::ReportText() const {
   const std::vector<PredicateProfile> profiles = Snapshot();
-  const double spio = seconds_per_io();
   if (profiles.empty()) return "no function invocations profiled\n";
   std::string out = common::StringPrintf(
       "%-24s %10s %12s %12s %10s %10s\n", "function", "calls", "mean_ms",
@@ -135,11 +124,11 @@ std::string PredicateProfiler::ReportText() const {
     out += common::StringPrintf(
         "%-24s %10llu %12.4f %12.2f %10llu %10s\n", p.function.c_str(),
         static_cast<unsigned long long>(p.invocations),
-        p.mean_seconds() * 1e3, p.ObservedCostIos(spio),
+        p.mean_seconds() * 1e3, p.ObservedCostIos(kSecondsPerIo),
         static_cast<unsigned long long>(p.distinct_inputs), sel.c_str());
   }
   out += common::StringPrintf("(cost_ios assumes %.0fus per random I/O)\n",
-                              spio * 1e6);
+                              kSecondsPerIo * 1e6);
   const std::vector<TransferProfile> transfers = TransferSnapshot();
   if (!transfers.empty()) {
     out += common::StringPrintf("%-32s %8s %12s %10s %8s %10s\n", "transfer",
@@ -188,12 +177,12 @@ std::optional<FeedbackEntry> PredicateFeedbackStore::Lookup(
 size_t PredicateFeedbackStore::AbsorbProfiles(const PredicateProfiler& profiler,
                                               uint64_t min_invocations) {
   const std::vector<PredicateProfile> profiles = profiler.Snapshot();
-  const double spio = profiler.seconds_per_io();
   size_t absorbed = 0;
   for (const PredicateProfile& p : profiles) {
     if (p.invocations < min_invocations) continue;
     FeedbackEntry entry;
-    entry.cost_per_call = p.ObservedCostIos(spio);
+    entry.cost_per_call =
+        p.ObservedCostIos(PredicateProfiler::kSecondsPerIo);
     entry.has_selectivity = p.has_selectivity && p.distinct_inputs > 0;
     if (entry.has_selectivity) {
       entry.selectivity = p.ObservedSelectivity(0.5);

@@ -17,7 +17,7 @@ namespace ppp::obs {
 /// Two derived numbers matter for placement (the paper's §4 rank metric is
 /// (selectivity - 1) / cost):
 ///   - observed cost: mean wall seconds per invocation, converted into the
-///     cost model's random-I/O units via seconds_per_io;
+///     cost model's random-I/O units via kSecondsPerIo;
 ///   - observed selectivity: pass fraction over *distinct* input bindings,
 ///     matching the §5.1 caching semantics in which each distinct value is
 ///     evaluated once regardless of how many tuples carry it.
@@ -93,10 +93,9 @@ class PredicateProfiler {
   void set_enabled(bool on) { enabled_ = on; }
 
   /// Seconds of wall time equal to one unit of cost-model random I/O; used
-  /// to convert observed wall cost into catalog cost units. The default
-  /// 1e-4 (100us) matches a commodity-disk random read.
-  double seconds_per_io() const;
-  void set_seconds_per_io(double s);
+  /// to convert observed wall cost into catalog cost units. 1e-4 (100us)
+  /// matches a commodity-disk random read.
+  static constexpr double kSecondsPerIo = 1e-4;
 
   /// Relative rank disagreement beyond which EXPLAIN ANALYZE prints DRIFT.
   double drift_threshold() const;
@@ -147,7 +146,6 @@ class PredicateProfiler {
 
   bool enabled_ = true;
   mutable std::mutex mu_;
-  double seconds_per_io_ = 1e-4;
   double drift_threshold_ = 0.5;
   std::map<std::string, Entry> entries_;
   std::map<std::string, TransferProfile> transfers_;

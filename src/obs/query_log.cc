@@ -4,19 +4,8 @@
 
 namespace ppp::obs {
 
-const char* StatsTierName(StatsTier tier) {
-  switch (tier) {
-    case StatsTier::kDeclared:
-      return "declared";
-    case StatsTier::kStats:
-      return "stats";
-    case StatsTier::kFeedback:
-      return "feedback";
-  }
-  return "declared";
-}
-
-QueryLog::QueryLog() : enabled_(EnvFlag("PPP_QUERY_LOG", true)) {}
+QueryLog::QueryLog()
+    : BoundedRing(kDefaultCapacity, EnvFlag("PPP_QUERY_LOG", true)) {}
 
 QueryLog& QueryLog::Global() {
   static QueryLog* log = new QueryLog();

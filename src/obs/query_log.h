@@ -5,26 +5,11 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "obs/bounded_ring.h"
+#include "obs/stats_tier.h"
 
 namespace ppp::obs {
-
-/// How much the optimizer trusted its selectivity/cost inputs for a plan:
-/// the *weakest* source among the plan's predicates (a single declared-only
-/// guess taints the whole plan's provenance). Ordered from weakest to
-/// strongest, matching the provenance ladder feedback > stats > declared.
-enum class StatsTier : int {
-  kDeclared = 0,  // Catalog declarations only.
-  kStats = 1,     // ANALYZE histograms/MCVs/NDV sketches.
-  kFeedback = 2,  // Profiled observed costs and selectivities.
-};
-
-/// Lowercase name ("declared", "stats", "feedback") for display and the
-/// ppp_query_log system table.
-const char* StatsTierName(StatsTier tier);
 
 /// One executed statement, recorded by serve::Session once the execution
 /// returns (nested subquery executions write no record of their own).
@@ -72,8 +57,9 @@ struct QueryLogRecord {
 /// ppp_query_log system table. On by default; PPP_QUERY_LOG=0 (or \log off
 /// in the shell) disables appends. Thread-safe: records are appended from
 /// whichever session thread finishes a statement, and snapshots are taken
-/// by concurrent introspection scans.
-class QueryLog {
+/// by concurrent introspection scans. Clear() drops records, not identity:
+/// query ids keep increasing.
+class QueryLog : public BoundedRing<QueryLogRecord> {
  public:
   static constexpr size_t kDefaultCapacity = 4096;
 
@@ -82,11 +68,6 @@ class QueryLog {
   static QueryLog& Global();
 
   QueryLog();
-
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
 
   /// Issues the next query id (1, 2, ...). Ids are issued even while
   /// disabled so spans stay correlatable across a \log off window.
@@ -102,38 +83,10 @@ class QueryLog {
         .count();
   }
 
-  /// Appends one record; past capacity the oldest record is overwritten
-  /// (counted in evicted()). No-op while disabled.
-  void Append(QueryLogRecord record) {
-    if (enabled()) ring_.Append(std::move(record));
-  }
-
-  /// All retained records, oldest first.
-  std::vector<QueryLogRecord> Snapshot() const { return ring_.Snapshot(); }
-
-  /// The most recent `n` records, oldest first.
-  std::vector<QueryLogRecord> Tail(size_t n) const { return ring_.Tail(n); }
-
-  size_t size() const { return ring_.size(); }
-  /// Records ever appended (including since-evicted ones).
-  uint64_t total() const { return ring_.total(); }
-  /// Records overwritten by ring wraparound.
-  uint64_t evicted() const { return ring_.evicted(); }
-
-  /// Shrinks or grows the ring; shrinking keeps the newest records.
-  void set_capacity(size_t n) { ring_.set_capacity(n); }
-  size_t capacity() const { return ring_.capacity(); }
-
-  /// Drops all retained records and zeroes total/evicted. Query ids keep
-  /// increasing (they are identities, not positions).
-  void Clear() { ring_.Clear(); }
-
  private:
   const std::chrono::steady_clock::time_point epoch_ =
       std::chrono::steady_clock::now();
-  std::atomic<bool> enabled_;
   std::atomic<uint64_t> next_id_{0};
-  BoundedRing<QueryLogRecord> ring_{kDefaultCapacity};
 };
 
 }  // namespace ppp::obs

@@ -1,5 +1,7 @@
 #include "obs/span.h"
 
+#include <atomic>
+
 #include "obs/env_flag.h"
 
 namespace ppp::obs {
@@ -20,9 +22,8 @@ int CurrentThreadId() {
   return id;
 }
 
-SpanTracer::SpanTracer() : epoch_(std::chrono::steady_clock::now()) {
-  enabled_.store(EnvFlag("PPP_TRACE_SPANS", false), std::memory_order_relaxed);
-}
+SpanTracer::SpanTracer()
+    : BoundedRing(kCapacity, EnvFlag("PPP_TRACE_SPANS", false)) {}
 
 SpanTracer& SpanTracer::Global() {
   static SpanTracer* tracer = new SpanTracer();
@@ -51,33 +52,7 @@ void SpanTracer::Record(SpanEvent event) {
   if (tls_session_id != 0) {
     event.args.emplace_back("session_id", std::to_string(tls_session_id));
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (events_.size() >= max_events_) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  events_.push_back(std::move(event));
-}
-
-std::vector<SpanEvent> SpanTracer::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_;
-}
-
-size_t SpanTracer::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_.size();
-}
-
-void SpanTracer::set_max_events(size_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  max_events_ = n;
-}
-
-void SpanTracer::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.clear();
-  dropped_.store(0, std::memory_order_relaxed);
+  Append(std::move(event));
 }
 
 Span::Span(std::string_view cat, std::string_view name) {

@@ -1,14 +1,14 @@
 #ifndef PPP_OBS_SPAN_H_
 #define PPP_OBS_SPAN_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "obs/bounded_ring.h"
 
 namespace ppp::obs {
 
@@ -31,23 +31,20 @@ struct SpanEvent {
 /// trace `tid` so per-worker execute spans land on distinct tracks.
 int CurrentThreadId();
 
-/// Process-wide collector of SpanEvents for the per-query lifecycle trace
+/// Process-wide ring of SpanEvents for the per-query lifecycle trace
 /// (parse → bind → rewrite → optimize → execute). Off by default; enabled
 /// by the PPP_TRACE_SPANS environment variable or \spans in the shell.
 /// When off, instrumented sites pay exactly one relaxed atomic load.
 ///
-/// The event buffer is bounded: past max_events() new spans are counted in
-/// dropped() instead of stored, so a long shell session cannot grow without
-/// limit.
-class SpanTracer {
+/// The ring is bounded at kCapacity spans: past it the oldest span is
+/// overwritten and counted in dropped(), so a long shell session cannot
+/// grow without limit and a dump always holds the most recent spans.
+class SpanTracer : public BoundedRing<SpanEvent> {
  public:
+  static constexpr size_t kCapacity = size_t{1} << 20;
+
   /// The tracer every built-in instrumentation site records into.
   static SpanTracer& Global();
-
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
 
   /// Microseconds since this tracer's construction (steady clock).
   double NowMicros() const;
@@ -55,8 +52,8 @@ class SpanTracer {
   /// The instant ts_us values are measured from.
   std::chrono::steady_clock::time_point epoch() const { return epoch_; }
 
-  /// Appends one finished span (thread-safe); drops it when the buffer is
-  /// at max_events().
+  /// Stamps the calling thread's query/session ids onto one finished span
+  /// and appends it (thread-safe).
   void Record(SpanEvent event);
 
   /// Query/session ids stamped onto every span recorded while nonzero (as
@@ -70,23 +67,14 @@ class SpanTracer {
   static uint64_t current_session_id();
   static void set_current_ids(uint64_t query_id, uint64_t session_id);
 
-  std::vector<SpanEvent> Snapshot() const;
-  size_t size() const;
-  uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-  void set_max_events(size_t n);
-  void Clear();
+  /// Spans overwritten since the last Clear().
+  uint64_t dropped() const { return evicted(); }
 
  private:
   SpanTracer();
 
-  std::atomic<bool> enabled_{false};
-  std::atomic<uint64_t> dropped_{0};
-  std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex mu_;
-  std::vector<SpanEvent> events_;
-  size_t max_events_ = 1u << 20;
+  const std::chrono::steady_clock::time_point epoch_ =
+      std::chrono::steady_clock::now();
 };
 
 /// RAII span over the global tracer: construction checks the enabled flag

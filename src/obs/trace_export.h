@@ -12,8 +12,8 @@ namespace ppp::obs {
 /// Serializes spans as Chrome trace-event JSON ("X" complete events with
 /// microsecond ts/dur), the format chrome://tracing and Perfetto load
 /// directly: {"traceEvents": [{"name": ..., "cat": ..., "ph": "X", ...}]}.
-/// `dropped_events` (spans lost to the tracer's buffer cap) is recorded in
-/// the top-level "otherData" metadata so it survives a round-trip.
+/// `dropped_events` (spans the tracer's ring overwrote) is recorded in the
+/// top-level "otherData" metadata so it survives a round-trip.
 std::string ToChromeTraceJson(const std::vector<SpanEvent>& events,
                               uint64_t dropped_events = 0);
 
@@ -21,28 +21,6 @@ std::string ToChromeTraceJson(const std::vector<SpanEvent>& events,
 common::Status WriteChromeTrace(const std::string& path,
                                 const std::vector<SpanEvent>& events,
                                 uint64_t dropped_events = 0);
-
-/// A parsed trace: the spans plus the metadata the exporter wrote.
-struct ParsedTrace {
-  std::vector<SpanEvent> events;
-  uint64_t dropped_events = 0;
-};
-
-/// Parses Chrome trace-event JSON produced by ToChromeTraceJson back into
-/// events (phase-"X" entries only) and metadata. Strict enough to prove the
-/// export is well-formed JSON with the expected schema; tests round-trip
-/// through it.
-common::Result<ParsedTrace> ParseChromeTraceFull(const std::string& json);
-
-/// Events-only convenience wrapper around ParseChromeTraceFull.
-common::Result<std::vector<SpanEvent>> ParseChromeTrace(
-    const std::string& json);
-
-/// Checks that spans nest strictly per thread: for any two spans on the
-/// same tid, their intervals are either disjoint or one contains the
-/// other. RAII spans guarantee this by construction; the check guards the
-/// exporter (and any future non-RAII recorder) in tests.
-common::Status ValidateSpanNesting(const std::vector<SpanEvent>& events);
 
 }  // namespace ppp::obs
 

@@ -13,7 +13,7 @@
 
 #include "catalog/catalog.h"
 #include "cost/cost_params.h"
-#include "obs/query_log.h"
+#include "obs/stats_tier.h"
 #include "plan/plan_node.h"
 
 namespace ppp::serve {

@@ -15,7 +15,7 @@
 #include "exec/executor.h"
 #include "exec/operator.h"
 #include "exec/shared_caches.h"
-#include "obs/query_log.h"
+#include "obs/stats_tier.h"
 #include "obs/trace.h"
 #include "optimizer/optimizer.h"
 #include "parser/normalize.h"

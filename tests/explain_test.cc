@@ -142,12 +142,10 @@ class RankDriftTest : public ExplainTest {
   RankDriftTest() {
     obs::PredicateProfiler::Global().Reset();
     obs::PredicateProfiler::Global().set_enabled(true);
-    obs::PredicateProfiler::Global().set_seconds_per_io(1e-4);
     obs::PredicateProfiler::Global().set_drift_threshold(0.5);
   }
   ~RankDriftTest() override {
     obs::PredicateProfiler::Global().Reset();
-    obs::PredicateProfiler::Global().set_seconds_per_io(1e-4);
     obs::PredicateProfiler::Global().set_drift_threshold(0.5);
   }
 

@@ -1,11 +1,12 @@
 // Unit tests for the plan-lifecycle observability stores: q-error
-// arithmetic (hand-computed pairs and the zero-row clamp), the
-// OperatorAuditRecord ring (wraparound, tail, concurrent writers — run
-// under TSan), and PlanHistory aggregation with plan-change and regression
-// detection (warmup gating, once-per-displacement flagging, eviction —
+// arithmetic (hand-computed pairs and the zero-row clamp), the PlanAudit
+// environment default (its ring is a BoundedRing, tested in
+// query_log_test.cc), and PlanHistory aggregation with plan-change and
+// regression detection (warmup gating, once-per-displacement flagging, eviction —
 // checked against a linear-scan reference model).
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
 #include <algorithm>
 #include <atomic>
@@ -23,21 +24,10 @@ namespace ppp {
 namespace {
 
 using obs::CardinalityQError;
-using obs::OperatorAuditRecord;
 using obs::PlanAudit;
 using obs::PlanHistory;
 using obs::PlanHistoryEntry;
 using obs::PlanOutcome;
-
-OperatorAuditRecord MakeRecord(uint64_t id) {
-  OperatorAuditRecord r;
-  r.query_id = id;
-  r.path = "0";
-  r.op = "SeqScan(t" + std::to_string(id) + ")";
-  r.est_rows = static_cast<double>(id * 10);
-  r.actual_rows = id;  // Mirrors query_id so torn records are detectable.
-  return r;
-}
 
 TEST(CardinalityQErrorTest, HandComputedPairs) {
   // Over-estimate: est 100 vs actual 25 -> 100/25 = 4.
@@ -60,103 +50,17 @@ TEST(CardinalityQErrorTest, ZeroRowOperatorsClampToOneRow) {
   EXPECT_DOUBLE_EQ(CardinalityQError(0.0, 0), 1.0);
 }
 
-TEST(PlanAuditTest, AppendSnapshotOldestFirst) {
-  PlanAudit audit;
-  for (uint64_t i = 1; i <= 5; ++i) audit.Append(MakeRecord(i));
-  const std::vector<OperatorAuditRecord> all = audit.Snapshot();
-  ASSERT_EQ(all.size(), 5u);
-  for (size_t i = 0; i < all.size(); ++i) {
-    EXPECT_EQ(all[i].query_id, i + 1);
-  }
-  EXPECT_EQ(audit.total(), 5u);
-  EXPECT_EQ(audit.evicted(), 0u);
-}
-
-TEST(PlanAuditTest, WraparoundKeepsNewestAndCountsEvictions) {
-  PlanAudit audit;
-  audit.set_capacity(4);
-  for (uint64_t i = 1; i <= 10; ++i) audit.Append(MakeRecord(i));
-  EXPECT_EQ(audit.size(), 4u);
-  EXPECT_EQ(audit.total(), 10u);
-  EXPECT_EQ(audit.evicted(), 6u);
-  const std::vector<OperatorAuditRecord> all = audit.Snapshot();
-  ASSERT_EQ(all.size(), 4u);
-  for (size_t i = 0; i < all.size(); ++i) {
-    EXPECT_EQ(all[i].query_id, i + 7);  // 7, 8, 9, 10.
-  }
-}
-
-TEST(PlanAuditTest, TailReturnsTheNewestOldestFirst) {
-  PlanAudit audit;
-  for (uint64_t i = 1; i <= 8; ++i) audit.Append(MakeRecord(i));
-  const std::vector<OperatorAuditRecord> tail = audit.Tail(3);
-  ASSERT_EQ(tail.size(), 3u);
-  EXPECT_EQ(tail[0].query_id, 6u);
-  EXPECT_EQ(tail[2].query_id, 8u);
-  EXPECT_EQ(audit.Tail(100).size(), 8u);
-}
-
-TEST(PlanAuditTest, DisabledAppendsAreDropped) {
-  PlanAudit audit;
-  audit.set_enabled(false);
-  audit.Append(MakeRecord(1));
-  EXPECT_EQ(audit.size(), 0u);
-  EXPECT_EQ(audit.total(), 0u);
-  audit.set_enabled(true);
-  audit.Append(MakeRecord(2));
-  EXPECT_EQ(audit.size(), 1u);
-}
-
-TEST(PlanAuditTest, ClearDropsRecordsAndZeroesCounters) {
-  PlanAudit audit;
-  audit.set_capacity(2);
-  for (uint64_t i = 1; i <= 5; ++i) audit.Append(MakeRecord(i));
-  audit.Clear();
-  EXPECT_EQ(audit.size(), 0u);
-  EXPECT_EQ(audit.total(), 0u);
-  EXPECT_EQ(audit.evicted(), 0u);
-  EXPECT_EQ(audit.capacity(), 2u);
-}
-
-// TSan witness: concurrent appenders racing the ring's wraparound with
-// concurrent snapshotters must neither tear records nor corrupt the ring.
-// Records carry query_id == actual_rows, so any torn copy is detectable.
-TEST(PlanAuditTest, ConcurrentWritersWrapWithoutTearingRecords) {
-  PlanAudit audit;
-  audit.set_capacity(64);
-  constexpr int kWriters = 4;
-  constexpr uint64_t kPerWriter = 500;
-  std::atomic<bool> go{false};
-  std::vector<std::thread> threads;
-  threads.reserve(kWriters + 1);
-  for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&audit, &go, w] {
-      while (!go.load()) {
-      }
-      for (uint64_t i = 0; i < kPerWriter; ++i) {
-        OperatorAuditRecord r = MakeRecord(
-            static_cast<uint64_t>(w) * kPerWriter + i + 1);
-        r.actual_rows = r.query_id;
-        audit.Append(std::move(r));
-      }
-    });
-  }
-  threads.emplace_back([&audit, &go] {
-    while (!go.load()) {
-    }
-    for (int i = 0; i < 50; ++i) {
-      for (const OperatorAuditRecord& r : audit.Snapshot()) {
-        ASSERT_EQ(r.query_id, r.actual_rows);  // No torn records.
-      }
-    }
-  });
-  go.store(true);
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(audit.total(), kWriters * kPerWriter);
-  EXPECT_EQ(audit.size(), 64u);
-  EXPECT_EQ(audit.evicted(), kWriters * kPerWriter - 64);
-  for (const OperatorAuditRecord& r : audit.Snapshot()) {
-    EXPECT_EQ(r.query_id, r.actual_rows);
+TEST(PlanAuditTest, EnvSwitchSetsTheDefault) {
+  const char* saved = getenv("PPP_PLAN_AUDIT");
+  const std::string restore = saved == nullptr ? "" : saved;
+  ASSERT_EQ(unsetenv("PPP_PLAN_AUDIT"), 0);
+  EXPECT_TRUE(PlanAudit().enabled());
+  ASSERT_EQ(setenv("PPP_PLAN_AUDIT", "0", 1), 0);
+  EXPECT_FALSE(PlanAudit().enabled());
+  if (saved == nullptr) {
+    unsetenv("PPP_PLAN_AUDIT");
+  } else {
+    setenv("PPP_PLAN_AUDIT", restore.c_str(), 1);
   }
 }
 
@@ -207,8 +111,7 @@ TEST(PlanHistoryTest, DetectsPlanChangeOnFingerprintFlip) {
 
 TEST(PlanHistoryTest, RegressionNeedsWarmupOnBothPlans) {
   PlanHistory history;
-  history.set_warmup_executions(3);
-  history.set_regression_factor(1.5);
+  ASSERT_EQ(PlanHistory::kWarmupExecutions, 3u);
   // Plan A establishes a 10 ms mean over three runs.
   for (uint64_t q = 1; q <= 3; ++q) history.Record(7, 100, 0.010, 0, 1.0, q);
   // Plan B is 10x slower but must not flag before its own warmup.
@@ -229,10 +132,9 @@ TEST(PlanHistoryTest, RegressionNeedsWarmupOnBothPlans) {
 
 TEST(PlanHistoryTest, FasterNewPlanNeverRegresses) {
   PlanHistory history;
-  history.set_warmup_executions(2);
-  for (uint64_t q = 1; q <= 2; ++q) history.Record(7, 100, 0.100, 0, 1.0, q);
+  for (uint64_t q = 1; q <= 3; ++q) history.Record(7, 100, 0.100, 0, 1.0, q);
   // The changed-to plan is 10x faster: no regression, ever.
-  for (uint64_t q = 3; q <= 8; ++q) {
+  for (uint64_t q = 4; q <= 9; ++q) {
     EXPECT_FALSE(history.Record(7, 200, 0.010, 0, 1.0, q).plan_regressed);
   }
   EXPECT_EQ(history.regressed_total(), 0u);
@@ -240,11 +142,10 @@ TEST(PlanHistoryTest, FasterNewPlanNeverRegresses) {
 
 TEST(PlanHistoryTest, SlightlySlowerPlanStaysUnderTheFactor) {
   PlanHistory history;
-  history.set_warmup_executions(2);
-  history.set_regression_factor(1.5);
-  for (uint64_t q = 1; q <= 2; ++q) history.Record(7, 100, 0.010, 0, 1.0, q);
+  ASSERT_DOUBLE_EQ(PlanHistory::kRegressionFactor, 1.5);
+  for (uint64_t q = 1; q <= 3; ++q) history.Record(7, 100, 0.010, 0, 1.0, q);
   // 1.2x slower is within the factor: noisy, not regressed.
-  for (uint64_t q = 3; q <= 6; ++q) {
+  for (uint64_t q = 4; q <= 7; ++q) {
     EXPECT_FALSE(history.Record(7, 200, 0.012, 0, 1.0, q).plan_regressed);
   }
   EXPECT_EQ(history.regressed_total(), 0u);
@@ -388,17 +289,17 @@ class LinearScanHistory {
     row.invocations += invocations;
     row.last_query_id = query_id;
     if (!row.regressed && row.displaced != 0 &&
-        row.executions >= PlanHistory::kDefaultWarmupExecutions) {
+        row.executions >= PlanHistory::kWarmupExecutions) {
       auto prior = rows_.find({text_hash, row.displaced});
       if (prior != rows_.end() &&
-          prior->second.executions >= PlanHistory::kDefaultWarmupExecutions) {
+          prior->second.executions >= PlanHistory::kWarmupExecutions) {
         const double prior_mean =
             prior->second.wall_sum /
             static_cast<double>(prior->second.executions);
         const double mean =
             row.wall_sum / static_cast<double>(row.executions);
         if (prior_mean > 0.0 &&
-            mean > prior_mean * PlanHistory::kDefaultRegressionFactor) {
+            mean > prior_mean * PlanHistory::kRegressionFactor) {
           row.regressed = true;
           outcome.plan_regressed = true;
         }

@@ -16,6 +16,7 @@
 #include "parser/binder.h"
 #include "serve/session.h"
 #include "subquery/rewrite.h"
+#include "trace_reader.h"
 #include "workload/database.h"
 #include "workload/measurement.h"
 #include "workload/queries.h"
@@ -34,7 +35,7 @@ class TracerGuard {
   ~TracerGuard() {
     obs::SpanTracer::Global().set_enabled(false);
     obs::SpanTracer::Global().Clear();
-    obs::SpanTracer::Global().set_max_events(1u << 20);
+    obs::SpanTracer::Global().set_capacity(obs::SpanTracer::kCapacity);
   }
 };
 
@@ -85,16 +86,40 @@ TEST(SpanTracerTest, EndIsIdempotentAndMoveTransfersOwnership) {
   EXPECT_EQ(obs::SpanTracer::Global().size(), 1u);
 }
 
+std::vector<std::string> SpanNames() {
+  std::vector<std::string> names;
+  for (const obs::SpanEvent& e : obs::SpanTracer::Global().Snapshot()) {
+    names.push_back(e.name);
+  }
+  return names;
+}
+
 TEST(SpanTracerTest, BufferCapCountsDroppedSpans) {
   TracerGuard guard;
-  obs::SpanTracer::Global().set_max_events(2);
+  obs::SpanTracer::Global().set_capacity(2);
   for (int i = 0; i < 5; ++i) {
     obs::Span span("test", "s" + std::to_string(i));
   }
   EXPECT_EQ(obs::SpanTracer::Global().size(), 2u);
   EXPECT_EQ(obs::SpanTracer::Global().dropped(), 3u);
+  EXPECT_EQ(SpanNames(), (std::vector<std::string>{"s3", "s4"}));
   obs::SpanTracer::Global().Clear();
   EXPECT_EQ(obs::SpanTracer::Global().dropped(), 0u);
+}
+
+// A full ring overwrites its oldest span, so a dump taken at any point
+// holds the most recent activity rather than the first spans ever seen.
+TEST(SpanTracerTest, FullBufferKeepsTheNewestSpans) {
+  TracerGuard guard;
+  obs::SpanTracer::Global().set_capacity(3);
+  for (int i = 0; i < 10; ++i) {
+    obs::Span span("test", "s" + std::to_string(i));
+  }
+  EXPECT_EQ(SpanNames(), (std::vector<std::string>{"s7", "s8", "s9"}));
+  EXPECT_EQ(obs::SpanTracer::Global().dropped(), 7u);
+  { obs::Span latest("test", "latest"); }
+  EXPECT_EQ(SpanNames(), (std::vector<std::string>{"s8", "s9", "latest"}));
+  EXPECT_EQ(obs::SpanTracer::Global().dropped(), 8u);
 }
 
 TEST(SpanTracerTest, RaiiSpansNestStrictlyAcrossThreads) {
@@ -229,7 +254,6 @@ TEST(FeedbackStoreTest, AbsorbProfilesConvertsWallToIoUnits) {
   obs::PredicateFeedbackStore& store = obs::PredicateFeedbackStore::Global();
   profiler.Reset();
   store.Clear();
-  profiler.set_seconds_per_io(1e-4);
   profiler.Record("f", 0.001, "a", true);   // 10 I/Os per call.
   profiler.Record("f", 0.001, "b", false);
   EXPECT_EQ(store.AbsorbProfiles(profiler), 1u);
