@@ -49,14 +49,18 @@
 # correct-by-luck. The transfer bench repeats under TSan (transfer
 # enabled, 4 workers) so concurrent Bloom probes against the publish/kill
 # transitions are race-checked end to end, and bench_vector repeats there
-# as well so parallel UDF evaluation over columnar survivors is too. Skip
-# both with SKIP_TSAN=1 when iterating.
+# as well so parallel UDF evaluation over columnar survivors is too. A third
+# pass builds under AddressSanitizer + UndefinedBehaviorSanitizer
+# (-DPPP_SANITIZE=address,undefined, UB fatal) and runs the exec, vector,
+# orderby, transfer, subquery, serve and fuzz suites. Skip the sanitizer
+# passes with SKIP_TSAN=1 when iterating.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build}"
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-build-tsan}"
+ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 RELEASE_BUILD_DIR="${RELEASE_BUILD_DIR:-build-release}"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
@@ -475,4 +479,18 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   # floor is lifted; result identity, UDF parity, and shed-not-hang gate.
   PPP_SCALE=40 PPP_BENCH_JSON=0 PPP_SERVER_MIN_PREP_SPEEDUP=1 \
     "$TSAN_BUILD_DIR/bench/bench_server"
+  # AddressSanitizer + UndefinedBehaviorSanitizer over the executor's
+  # suites: the pipeline breakers keep row positions into retained column
+  # batches, so a stale position or an out-of-range cell read must fail
+  # loudly. UB is fatal (-fno-sanitize-recover), not just reported, and
+  # libstdc++'s assertions bound-check vector indexing (a reused batch's
+  # capacity would hide a stale row index from ASan).
+  cmake -B "$ASAN_BUILD_DIR" -S . -DPPP_SANITIZE=address,undefined \
+    -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
+  ASAN_TESTS=(exec_test vector_test orderby_test transfer_test subquery_test
+              serve_test fuzz_test)
+  cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" --target "${ASAN_TESTS[@]}"
+  for t in "${ASAN_TESTS[@]}"; do
+    "$ASAN_BUILD_DIR/tests/$t" --gtest_brief=1
+  done
 fi

@@ -292,11 +292,12 @@ common::Result<std::unique_ptr<Operator>> BuildExecutor(
                                inner_key_col.second));
           if (plan.join_method == plan::JoinMethod::kMerge) {
             return std::unique_ptr<Operator>(std::make_unique<MergeJoinOp>(
-                std::move(outer), std::move(inner), outer_key, inner_key));
+                std::move(outer), std::move(inner), outer_key, inner_key,
+                ctx->params.vectorized));
           }
           return std::unique_ptr<Operator>(std::make_unique<HashJoinOp>(
               std::move(outer), std::move(inner), outer_key, inner_key,
-              std::move(transfer)));
+              ctx->params.vectorized, std::move(transfer)));
         }
       }
       return common::Status::Internal("unknown join method");
@@ -314,7 +315,8 @@ common::Result<std::unique_ptr<Operator>> BuildExecutor(
           const size_t key,
           ResolveQualified(child->schema(), parts[0], parts[1]));
       return std::unique_ptr<Operator>(
-          std::make_unique<SortOp>(std::move(child), key));
+          std::make_unique<SortOp>(std::move(child), key,
+                                   ctx->params.vectorized));
     }
     case plan::PlanKind::kMaterialize: {
       PPP_ASSIGN_OR_RETURN(std::unique_ptr<Operator> child,

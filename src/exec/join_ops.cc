@@ -1,6 +1,5 @@
 #include "exec/join_ops.h"
 
-#include <algorithm>
 #include <optional>
 
 #include "obs/span.h"
@@ -137,38 +136,24 @@ std::string IndexNestedLoopJoinOp::Describe() const {
 
 MergeJoinOp::MergeJoinOp(std::unique_ptr<Operator> outer,
                          std::unique_ptr<Operator> inner,
-                         size_t outer_key_index, size_t inner_key_index)
+                         size_t outer_key_index, size_t inner_key_index,
+                         bool vectorized)
     : outer_(std::move(outer)),
       inner_(std::move(inner)),
       outer_key_(outer_key_index),
-      inner_key_(inner_key_index) {
+      inner_key_(inner_key_index),
+      vectorized_(vectorized) {
   schema_ = types::RowSchema::Concat(outer_->schema(), inner_->schema());
 }
 
 common::Status MergeJoinOp::OpenImpl() {
-  outer_rows_.clear();
-  inner_rows_.clear();
-  PPP_RETURN_IF_ERROR(Drain(outer_.get(), batch_size_, &outer_rows_));
-  PPP_RETURN_IF_ERROR(Drain(inner_.get(), batch_size_, &inner_rows_));
+  PPP_RETURN_IF_ERROR(
+      outer_input_.Fill(outer_.get(), batch_size_, vectorized_));
+  PPP_RETURN_IF_ERROR(
+      inner_input_.Fill(inner_.get(), batch_size_, vectorized_));
   // NULL keys never join.
-  auto null_key = [](size_t key) {
-    return [key](const types::Tuple& t) { return t.Get(key).is_null(); };
-  };
-  outer_rows_.erase(std::remove_if(outer_rows_.begin(), outer_rows_.end(),
-                                   null_key(outer_key_)),
-                    outer_rows_.end());
-  inner_rows_.erase(std::remove_if(inner_rows_.begin(), inner_rows_.end(),
-                                   null_key(inner_key_)),
-                    inner_rows_.end());
-  auto by_key = [](size_t key) {
-    return [key](const types::Tuple& a, const types::Tuple& b) {
-      return a.Get(key).Compare(b.Get(key)) < 0;
-    };
-  };
-  std::stable_sort(outer_rows_.begin(), outer_rows_.end(),
-                   by_key(outer_key_));
-  std::stable_sort(inner_rows_.begin(), inner_rows_.end(),
-                   by_key(inner_key_));
+  outer_rows_.Build(outer_input_, outer_key_, /*drop_nulls=*/true);
+  inner_rows_.Build(inner_input_, inner_key_, /*drop_nulls=*/true);
   oi_ = 0;
   inner_base_ = 0;
   inner_end_ = 0;
@@ -184,17 +169,17 @@ common::Status MergeJoinOp::NextBatchImpl(size_t max_rows,
     if (group_active_) {
       if (group_pos_ < inner_end_) {
         batch->tuples.push_back(types::Tuple::Concat(
-            outer_rows_[oi_], inner_rows_[group_pos_]));
+            outer_input_.RowAsTuple(outer_rows_.row(oi_)),
+            inner_input_.RowAsTuple(inner_rows_.row(group_pos_))));
         ++group_pos_;
         continue;
       }
       // Outer row exhausted its group; the next outer row may share the
       // key and reuse the same group.
-      const types::Value key = outer_rows_[oi_].Get(outer_key_);
       ++oi_;
       group_active_ = false;
       if (oi_ < outer_rows_.size() &&
-          outer_rows_[oi_].Get(outer_key_).Compare(key) == 0) {
+          outer_rows_.Compare(oi_, outer_rows_, oi_ - 1) == 0) {
         group_pos_ = inner_base_;
         group_active_ = true;
         continue;
@@ -206,18 +191,17 @@ common::Status MergeJoinOp::NextBatchImpl(size_t max_rows,
       *eof = true;
       break;
     }
-    const int cmp = outer_rows_[oi_].Get(outer_key_).Compare(
-        inner_rows_[inner_base_].Get(inner_key_));
+    const int cmp = outer_rows_.Compare(oi_, inner_rows_, inner_base_);
     if (cmp < 0) {
       ++oi_;
     } else if (cmp > 0) {
       ++inner_base_;
     } else {
       // Delimit the inner group of this key.
-      const types::Value key = inner_rows_[inner_base_].Get(inner_key_);
       inner_end_ = inner_base_ + 1;
       while (inner_end_ < inner_rows_.size() &&
-             inner_rows_[inner_end_].Get(inner_key_).Compare(key) == 0) {
+             inner_rows_.Compare(inner_end_, inner_rows_, inner_base_) ==
+                 0) {
         ++inner_end_;
       }
       group_pos_ = inner_base_;
@@ -234,33 +218,76 @@ std::string MergeJoinOp::Describe() const { return "MergeJoin"; }
 HashJoinOp::HashJoinOp(std::unique_ptr<Operator> outer,
                        std::unique_ptr<Operator> inner,
                        size_t outer_key_index, size_t inner_key_index,
+                       bool vectorized,
                        std::shared_ptr<BloomTransfer> transfer)
     : outer_(std::move(outer)),
       inner_(std::move(inner)),
       outer_key_(outer_key_index),
       inner_key_(inner_key_index),
+      vectorized_(vectorized),
       transfer_(std::move(transfer)),
       outer_rows_(outer_.get()) {
   schema_ = types::RowSchema::Concat(outer_->schema(), inner_->schema());
 }
 
-common::Status HashJoinOp::OpenImpl() {
-  table_.clear();
-  // Per-batch build loop: each key is hashed exactly once; the hash lands
-  // in the table entry and (below) in the transferred Bloom filter.
-  PPP_RETURN_IF_ERROR(inner_->Open());
-  TupleBatch batch;
-  bool eof = false;
-  while (!eof) {
-    batch.clear();
-    PPP_RETURN_IF_ERROR(inner_->NextBatch(batch_size_, &batch, &eof));
-    for (types::Tuple& row : batch.tuples) {
-      const types::Value& key = row.Get(inner_key_);
-      if (key.is_null()) continue;
-      const uint64_t hash = static_cast<uint64_t>(key.Hash());
-      table_[HashedKey{key, hash}].push_back(std::move(row));
+size_t HashJoinOp::HomeSlot(uint64_t hash) const {
+  // Fibonacci mix: std::hash of an int64 that is not exact as a double is
+  // the identity.
+  return static_cast<size_t>((hash * 0x9E3779B97F4A7C15ULL) >> slot_shift_);
+}
+
+void HashJoinOp::BuildTable() {
+  const std::vector<ColumnBuffer::Pos>& rows = build_.rows();
+  size_t num_slots = 2;
+  int bits = 1;
+  while (num_slots < 2 * rows.size()) {
+    num_slots <<= 1;
+    ++bits;
+  }
+  slots_.assign(num_slots, 0);
+  slot_shift_ = 64 - bits;
+  groups_.clear();
+  next_.assign(rows.size(), kEnd);
+  const size_t mask = num_slots - 1;
+  for (uint32_t i = 0; i < rows.size(); ++i) {
+    const ColumnBuffer::Pos pos = rows[i];
+    if (build_.IsNull(pos, inner_key_)) continue;
+    const uint64_t hash = build_.HashCell(pos, inner_key_);
+    for (size_t slot = HomeSlot(hash);; slot = (slot + 1) & mask) {
+      uint32_t& entry = slots_[slot];
+      if (entry == 0) {
+        groups_.push_back({hash, i, i});
+        entry = static_cast<uint32_t>(groups_.size());
+        break;
+      }
+      KeyGroup& group = groups_[entry - 1];
+      if (group.hash == hash &&
+          build_.CellEquals(rows[group.first], inner_key_,
+                            build_.GetValue(pos, inner_key_))) {
+        next_[group.last] = i;
+        group.last = i;
+        break;
+      }
     }
   }
+}
+
+uint32_t HashJoinOp::Find(const types::Value& key, uint64_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t slot = HomeSlot(hash);; slot = (slot + 1) & mask) {
+    const uint32_t entry = slots_[slot];
+    if (entry == 0) return kEnd;
+    const KeyGroup& group = groups_[entry - 1];
+    if (group.hash == hash &&
+        build_.CellEquals(build_.rows()[group.first], inner_key_, key)) {
+      return group.first;
+    }
+  }
+}
+
+common::Status HashJoinOp::OpenImpl() {
+  PPP_RETURN_IF_ERROR(build_.Fill(inner_.get(), batch_size_, vectorized_));
+  BuildTable();
   if (transfer_ != nullptr && !transfer_->published()) {
     // Build the sideways filter over the distinct build keys (their hashes
     // were computed above) and publish it before the probe side opens, so
@@ -270,17 +297,16 @@ common::Status HashJoinOp::OpenImpl() {
       span.emplace("exec", "bloom.build");
       span->AddArg("site", transfer_->Site());
     }
-    auto filter = std::make_unique<BloomFilter>(table_.size());
-    for (const auto& [key, rows] : table_) filter->InsertHash(key.hash);
+    auto filter = std::make_unique<BloomFilter>(groups_.size());
+    for (const KeyGroup& group : groups_) filter->InsertHash(group.hash);
     if (span.has_value()) {
-      span->AddArg("keys", std::to_string(table_.size()));
+      span->AddArg("keys", std::to_string(groups_.size()));
       span->AddArg("bits_set", std::to_string(filter->BitsSet()));
     }
     transfer_->Publish(std::move(filter));
   }
   outer_row_ = nullptr;
-  current_matches_ = nullptr;
-  match_pos_ = 0;
+  match_ = kEnd;
   return outer_rows_.Open();
 }
 
@@ -288,17 +314,15 @@ common::Status HashJoinOp::NextBatchImpl(size_t max_rows,
                                          TupleBatch* batch, bool* eof) {
   *eof = false;
   while (batch->size() < max_rows) {
-    if (current_matches_ != nullptr &&
-        match_pos_ < current_matches_->size()) {
-      const types::Tuple& inner = (*current_matches_)[match_pos_];
-      ++match_pos_;
-      if (match_pos_ == current_matches_->size()) {
+    if (match_ != kEnd) {
+      const types::Tuple inner = build_.RowAsTuple(build_.rows()[match_]);
+      match_ = next_[match_];
+      if (match_ == kEnd) {
         // Last (typically only) match for this outer row: steal the outer
         // tuple instead of copying every value. The cursor advances before
         // the row is read again.
         batch->tuples.push_back(
             types::Tuple::Concat(std::move(*outer_row_), inner));
-        current_matches_ = nullptr;
       } else {
         batch->tuples.push_back(types::Tuple::Concat(*outer_row_, inner));
       }
@@ -309,16 +333,11 @@ common::Status HashJoinOp::NextBatchImpl(size_t max_rows,
       *eof = true;
       break;
     }
-    match_pos_ = 0;
-    current_matches_ = nullptr;
     const types::Value& key = outer_row_->Get(outer_key_);
     if (key.is_null()) continue;
-    auto it = table_.find(
-        HashedKey{key, static_cast<uint64_t>(key.Hash())});
-    if (it != table_.end()) {
-      current_matches_ = &it->second;
-    } else if (transfer_ != nullptr &&
-               transfer_->ActiveFilter() != nullptr) {
+    match_ = Find(key, static_cast<uint64_t>(key.Hash()));
+    if (match_ == kEnd && transfer_ != nullptr &&
+        transfer_->ActiveFilter() != nullptr) {
       // This row survived the transferred filter but has no join partner:
       // a measured false positive.
       transfer_->RecordJoinMiss();

@@ -1,12 +1,13 @@
 #ifndef PPP_EXEC_JOIN_OPS_H_
 #define PPP_EXEC_JOIN_OPS_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/table.h"
+#include "exec/column_buffer.h"
 #include "exec/operator.h"
 #include "storage/record_id.h"
 
@@ -76,14 +77,18 @@ class IndexNestedLoopJoinOp : public Operator {
   size_t match_pos_ = 0;
 };
 
-/// Sort-merge join on a simple equi-join key. Inputs are drained and
-/// sorted in memory on Open (the sort's I/O is modeled, not simulated —
-/// see DESIGN.md); rows with NULL keys never match and are dropped.
+/// Sort-merge join on a simple equi-join key. Inputs are drained on Open
+/// into column batches and only their row positions are sorted, in memory
+/// (the sort's I/O is modeled, not simulated — see DESIGN.md); rows with
+/// NULL keys never match and are dropped. A joined row is built only when
+/// it is emitted.
 class MergeJoinOp : public Operator {
  public:
+  /// `vectorized` (ExecParams::vectorized) picks how the inputs are
+  /// drained: column batches, or row batches transposed (ColumnBuffer).
   MergeJoinOp(std::unique_ptr<Operator> outer,
               std::unique_ptr<Operator> inner, size_t outer_key_index,
-              size_t inner_key_index);
+              size_t inner_key_index, bool vectorized);
 
   std::string Describe() const override;
   std::vector<Operator*> Children() override {
@@ -100,8 +105,11 @@ class MergeJoinOp : public Operator {
   std::unique_ptr<Operator> inner_;
   size_t outer_key_;
   size_t inner_key_;
-  std::vector<types::Tuple> outer_rows_;
-  std::vector<types::Tuple> inner_rows_;
+  bool vectorized_;
+  ColumnBuffer outer_input_;
+  ColumnBuffer inner_input_;
+  SortedRun outer_rows_;
+  SortedRun inner_rows_;
   size_t oi_ = 0;
   size_t inner_base_ = 0;   // First inner row of the current key group.
   size_t inner_end_ = 0;    // One past the group.
@@ -111,17 +119,22 @@ class MergeJoinOp : public Operator {
 
 /// In-memory hash join: builds on the inner input, streams the outer.
 ///
-/// The build path hashes each join key exactly once per tuple: the hash is
-/// stored alongside the key in the table (HashedKey) and, when a
-/// BloomTransfer is attached, the same hash feeds the transferred Bloom
-/// filter — never a second Value::Hash() call. The probe side reuses the
-/// one hash per outer tuple the same way, and feeds join misses back to
-/// the transfer as measured false positives.
+/// The build side is drained into column batches (ColumnBuffer) and its
+/// row positions are bucketed by key: an open-addressing table of the
+/// distinct keys, each heading a chain of its rows in insertion order. Each
+/// build key is hashed exactly once, from column storage (HashCell, equal
+/// to Value::Hash); the hash lands in the key's group and, when a
+/// BloomTransfer is attached, in the transferred Bloom filter. The probe
+/// side hashes one Value per outer tuple, builds a build row only for a
+/// match it emits, and feeds join misses back to the transfer as measured
+/// false positives.
 class HashJoinOp : public Operator {
  public:
+  /// `vectorized` (ExecParams::vectorized) picks how the build side is
+  /// drained: column batches, or row batches transposed (ColumnBuffer).
   HashJoinOp(std::unique_ptr<Operator> outer,
              std::unique_ptr<Operator> inner, size_t outer_key_index,
-             size_t inner_key_index,
+             size_t inner_key_index, bool vectorized,
              std::shared_ptr<BloomTransfer> transfer = nullptr);
 
   std::string Describe() const override;
@@ -135,32 +148,40 @@ class HashJoinOp : public Operator {
                                bool* eof) override;
 
  private:
-  /// Join key plus its precomputed hash, so the unordered_map never
-  /// re-hashes the Value.
-  struct HashedKey {
-    types::Value value;
+  /// One distinct build key: its hash and the first and last build rows
+  /// (indexes into build_.rows()) of its chain.
+  struct KeyGroup {
     uint64_t hash;
-    bool operator==(const HashedKey& other) const {
-      return value == other.value;
-    }
+    uint32_t first;
+    uint32_t last;
   };
-  struct HashedKeyHasher {
-    size_t operator()(const HashedKey& key) const {
-      return static_cast<size_t>(key.hash);
-    }
-  };
+  static constexpr uint32_t kEnd = UINT32_MAX;
+
+  /// Slot of `hash`'s probe sequence start.
+  size_t HomeSlot(uint64_t hash) const;
+  /// Buckets build_'s rows into groups_/slots_/next_.
+  void BuildTable();
+  /// First build row (index into build_.rows()) whose key equals the
+  /// non-NULL `key`, or kEnd.
+  uint32_t Find(const types::Value& key, uint64_t hash) const;
 
   std::unique_ptr<Operator> outer_;
   std::unique_ptr<Operator> inner_;
   size_t outer_key_;
   size_t inner_key_;
-  std::unordered_map<HashedKey, std::vector<types::Tuple>, HashedKeyHasher>
-      table_;
+  bool vectorized_;
+  ColumnBuffer build_;
+  std::vector<KeyGroup> groups_;
+  /// Open addressing over groups_: group index + 1, 0 = empty. Sized to a
+  /// power of two at least twice the build rows.
+  std::vector<uint32_t> slots_;
+  int slot_shift_ = 64;
+  /// Per build row: the next build row with the same key, or kEnd.
+  std::vector<uint32_t> next_;
   std::shared_ptr<BloomTransfer> transfer_;
   RowCursor outer_rows_;
   types::Tuple* outer_row_ = nullptr;
-  const std::vector<types::Tuple>* current_matches_ = nullptr;
-  size_t match_pos_ = 0;
+  uint32_t match_ = kEnd;  // Next build row to emit for outer_row_.
 };
 
 }  // namespace ppp::exec

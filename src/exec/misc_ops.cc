@@ -1,6 +1,5 @@
 #include "exec/misc_ops.h"
 
-#include <algorithm>
 #include <map>
 
 namespace ppp::exec {
@@ -20,25 +19,26 @@ common::Status EmitBuffered(const std::vector<types::Tuple>& rows,
 
 }  // namespace
 
-SortOp::SortOp(std::unique_ptr<Operator> child, size_t key_index)
-    : child_(std::move(child)), key_(key_index) {
+SortOp::SortOp(std::unique_ptr<Operator> child, size_t key_index,
+               bool vectorized)
+    : child_(std::move(child)), key_(key_index), vectorized_(vectorized) {
   schema_ = child_->schema();
 }
 
 common::Status SortOp::OpenImpl() {
-  rows_.clear();
   pos_ = 0;
-  PPP_RETURN_IF_ERROR(Drain(child_.get(), batch_size_, &rows_));
-  std::stable_sort(rows_.begin(), rows_.end(),
-                   [this](const types::Tuple& a, const types::Tuple& b) {
-                     return a.Get(key_).Compare(b.Get(key_)) < 0;
-                   });
+  PPP_RETURN_IF_ERROR(input_.Fill(child_.get(), batch_size_, vectorized_));
+  sorted_.Build(input_, key_, /*drop_nulls=*/false);
   return common::Status::OK();
 }
 
 common::Status SortOp::NextBatchImpl(size_t max_rows, TupleBatch* batch,
                                      bool* eof) {
-  return EmitBuffered(rows_, max_rows, &pos_, batch, eof);
+  while (batch->size() < max_rows && pos_ < sorted_.size()) {
+    batch->tuples.push_back(input_.RowAsTuple(sorted_.row(pos_++)));
+  }
+  *eof = pos_ >= sorted_.size();
+  return common::Status::OK();
 }
 
 MaterializeOp::MaterializeOp(std::unique_ptr<Operator> child)

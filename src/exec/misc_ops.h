@@ -4,15 +4,20 @@
 #include <memory>
 #include <vector>
 
+#include "exec/column_buffer.h"
 #include "exec/operator.h"
 #include "plan/plan_node.h"
 
 namespace ppp::exec {
 
-/// In-memory sort on one column, ascending, NULLs first.
+/// In-memory sort on one column, ascending, NULLs first, stable. The
+/// input is drained on Open into column batches and only its row positions
+/// are sorted; each row is built when it is emitted.
 class SortOp : public Operator {
  public:
-  SortOp(std::unique_ptr<Operator> child, size_t key_index);
+  /// `vectorized` (ExecParams::vectorized) picks how the input is drained:
+  /// column batches, or row batches transposed (ColumnBuffer).
+  SortOp(std::unique_ptr<Operator> child, size_t key_index, bool vectorized);
 
   std::string Describe() const override;
   std::vector<Operator*> Children() override { return {child_.get()}; }
@@ -25,7 +30,9 @@ class SortOp : public Operator {
  private:
   std::unique_ptr<Operator> child_;
   size_t key_;
-  std::vector<types::Tuple> rows_;
+  bool vectorized_;
+  ColumnBuffer input_;
+  SortedRun sorted_;
   size_t pos_ = 0;
 };
 

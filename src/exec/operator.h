@@ -72,10 +72,12 @@ struct ExecParams {
   /// Columnar fast path: scans decode pages straight into column-major
   /// ColumnBatches and FilterOp runs cheap conjuncts as vectorized kernels
   /// over a selection vector, evaluating expensive UDFs late against only
-  /// the surviving positions. Results and invocation counters are
-  /// identical either way (parity-tested); off forces the row-oriented
-  /// batch pipeline everywhere. No plan depends on it, so it is not part
-  /// of the plan-cache key.
+  /// the surviving positions; the pipeline breakers (HashJoin's build,
+  /// MergeJoin, Sort) pull column batches. Results, invocation counters
+  /// and page reads (sequential, random, and pins) are identical either
+  /// way (parity-tested); off forces the row-oriented batch pipeline
+  /// everywhere, the breakers transposing row batches into columns. No
+  /// plan depends on it, so it is not part of the plan-cache key.
   bool vectorized = true;
 
   /// Probes a transferred filter (cost::CostParams::predicate_transfer)

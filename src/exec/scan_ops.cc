@@ -1,50 +1,12 @@
 #include "exec/scan_ops.h"
 
 #include <algorithm>
-#include <functional>
 #include <optional>
 
 #include "common/string_util.h"
 #include "obs/span.h"
 
 namespace ppp::exec {
-
-namespace {
-
-/// Hash of one column cell, computed from native column storage. Must stay
-/// byte-for-byte consistent with Value::Hash — the build side inserted
-/// Value::Hash values (vector_test pins the equivalence).
-uint64_t HashColumnCell(const types::ColumnBatch& batch, size_t col_index,
-                        uint32_t row) {
-  const types::ColumnBatch::Column& col = batch.column(col_index);
-  if (col.boxed) {
-    return static_cast<uint64_t>(batch.GetValue(col_index, row).Hash());
-  }
-  if (col.nulls[row] != 0) return 0x9E3779B9u;
-  switch (col.type) {
-    case types::TypeId::kInt64: {
-      const int64_t v = col.i64[row];
-      const double d = static_cast<double>(v);
-      if (static_cast<int64_t>(d) == v) {
-        return static_cast<uint64_t>(std::hash<double>()(d));
-      }
-      return static_cast<uint64_t>(std::hash<int64_t>()(v));
-    }
-    case types::TypeId::kBool:
-      return static_cast<uint64_t>(
-          std::hash<double>()(col.i64[row] != 0 ? 1.0 : 0.0));
-    case types::TypeId::kDouble:
-      return static_cast<uint64_t>(std::hash<double>()(col.f64[row]));
-    case types::TypeId::kString:
-      return static_cast<uint64_t>(
-          std::hash<std::string>()(std::string(col.StringAt(row))));
-    case types::TypeId::kNull:
-      break;
-  }
-  return 0x9E3779B9u;
-}
-
-}  // namespace
 
 template <typename HashFn>
 bool TransferProbe::ProbeRow(const HashFn& hash) const {
@@ -99,7 +61,7 @@ void TransferProbe::FilterColumns(types::ColumnBatch* batch) const {
   size_t out = 0;
   for (const uint32_t row : sel) {
     if (ProbeRow([batch, row](size_t key) {
-          return HashColumnCell(*batch, key, row);
+          return batch->HashCell(key, row);
         })) {
       sel[out++] = row;
     }
@@ -173,6 +135,10 @@ common::Status SeqScanOp::NextColumnBatchImpl(size_t max_rows,
     }
     PPP_RETURN_IF_ERROR(batch->AppendSerialized(bytes));
   }
+  // Unpinned per call, as in NextBatchImpl: a consumer that fetches pages
+  // between calls (a correlated subquery in a filter above, a nested-loop
+  // inner) must see the same pool either way.
+  it_.Unpin();
   if (!transfers_.empty()) transfers_.FilterColumns(batch);
   return common::Status::OK();
 }

@@ -1,6 +1,7 @@
 #include "types/column_batch.h"
 
 #include <cstring>
+#include <functional>
 
 #include "common/logging.h"
 
@@ -284,6 +285,35 @@ Tuple ColumnBatch::RowAsTuple(size_t row) const {
     values.push_back(GetValue(c, row));
   }
   return Tuple(std::move(values));
+}
+
+uint64_t ColumnBatch::HashCell(size_t col_index, size_t row) const {
+  const Column& col = columns_[col_index];
+  if (col.boxed) return static_cast<uint64_t>(col.values[row].Hash());
+  if (col.nulls[row] != 0) return static_cast<uint64_t>(Value().Hash());
+  switch (col.type) {
+    case TypeId::kInt64: {
+      // Value::Hash hashes an int64 through its double form when exact, so
+      // 3 and 3.0 (equal under Compare) hash alike.
+      const int64_t v = col.i64[row];
+      const double d = static_cast<double>(v);
+      if (static_cast<int64_t>(d) == v) {
+        return static_cast<uint64_t>(std::hash<double>()(d));
+      }
+      return static_cast<uint64_t>(std::hash<int64_t>()(v));
+    }
+    case TypeId::kBool:
+      return static_cast<uint64_t>(
+          std::hash<double>()(col.i64[row] != 0 ? 1.0 : 0.0));
+    case TypeId::kDouble:
+      return static_cast<uint64_t>(std::hash<double>()(col.f64[row]));
+    case TypeId::kString:
+      return static_cast<uint64_t>(
+          std::hash<std::string_view>()(col.StringAt(row)));
+    case TypeId::kNull:
+      break;
+  }
+  return static_cast<uint64_t>(Value().Hash());
 }
 
 void ColumnBatch::Compact() {

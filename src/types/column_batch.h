@@ -91,9 +91,13 @@ class ColumnBatch {
   Value GetValue(size_t col, size_t row) const;
   Tuple RowAsTuple(size_t row) const;
 
+  /// Value::Hash of the cell, computed from native storage without
+  /// building the Value: the one cell hash the Bloom-transfer probe and the
+  /// hash-join build share, so both agree with Value::Hash on the row path.
+  uint64_t HashCell(size_t col, size_t row) const;
+
   /// Densifies: physically drops unselected rows so selection() becomes
-  /// all-rows again. The single boundary pipeline breakers may use before
-  /// consuming columns positionally.
+  /// all-rows again, for a consumer that indexes columns positionally.
   void Compact();
 
   /// Row-world shim: appends the selected rows, in order, as Tuples.

@@ -2,8 +2,10 @@
 // semantics, the vectorized comparison kernels pinned against the scalar
 // evaluator (including NULL and NaN behaviour), the FilterOp cheap-prefix
 // split's exact UDF invocation-counter parity, Bloom-transfer hash
-// equivalence on the columnar probe path, and the Q1-Q5 end-to-end parity
-// suite across vectorized {on,off} x workers {1,4} x transfer {on,off}.
+// equivalence on the columnar probe path, the pipeline breakers (HashJoin
+// build, MergeJoin, Sort) over column batches against row semantics, and
+// the Q1-Q5 end-to-end parity suite (rows, invocations and page traffic)
+// across vectorized {on,off} x workers {1,4} x transfer {on,off}.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,8 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "catalog/function_registry.h"
@@ -26,6 +30,7 @@
 #include "plan/plan_node.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "subquery/rewrite.h"
 #include "types/column_batch.h"
 #include "workload/database.h"
 #include "workload/measurement.h"
@@ -583,12 +588,35 @@ TEST_F(VectorExecTest, BatchSizeZeroIsClamped) {
 // Bloom-transfer hash parity on the columnar probe path.
 // ---------------------------------------------------------------------------
 
-/// The columnar probe path hashes native column cells (HashColumnCell)
-/// while the build side hashed Values — any divergence falsely prunes
-/// probe rows (Bloom filters must never have false negatives). Keys
-/// include int64s that are not exactly representable as doubles, the case
-/// where Value::Hash switches hash functions.
+/// The columnar probe path and the hash-join build hash native column cells
+/// (ColumnBatch::HashCell) while the row probe path hashes Values — any
+/// divergence falsely prunes probe rows (Bloom filters must never have
+/// false negatives) or misses join partners. Keys include int64s that are
+/// not exactly representable as doubles, the case where Value::Hash
+/// switches hash functions.
 TEST(VectorTransferTest, ColumnarProbeHashMatchesValueHash) {
+  // Cell by cell, every native type plus NULLs and a boxed column.
+  RowSchema schema({ColumnInfo{"t", "i", TypeId::kInt64},
+                    ColumnInfo{"t", "d", TypeId::kDouble},
+                    ColumnInfo{"t", "b", TypeId::kBool},
+                    ColumnInfo{"t", "s", TypeId::kString},
+                    ColumnInfo{"t", "x", TypeId::kInt64}});
+  ColumnBatch cells(schema);
+  const int64_t big = (int64_t{1} << 62) + 1;
+  cells.AppendTuple(Tuple({Value(big), Value(3.0), Value(true),
+                           Value("a string longer than sso"), Value(3.0)}));
+  cells.AppendTuple(Tuple({Value(int64_t{3}), Value(-0.5), Value(false),
+                           Value(""), Value(int64_t{3})}));
+  cells.AppendTuple(Tuple({Value(), Value(), Value(), Value(), Value()}));
+  ASSERT_TRUE(cells.column(4).boxed);
+  for (size_t row = 0; row < cells.num_rows(); ++row) {
+    for (size_t col = 0; col < cells.num_columns(); ++col) {
+      EXPECT_EQ(cells.HashCell(col, row),
+                static_cast<uint64_t>(cells.GetValue(col, row).Hash()))
+          << "col " << col << " row " << row;
+    }
+  }
+
   storage::DiskManager disk;
   storage::BufferPool pool(&disk, 64);
   catalog::Catalog catalog(&pool);
@@ -641,8 +669,361 @@ TEST(VectorTransferTest, ColumnarProbeHashMatchesValueHash) {
 }
 
 // ---------------------------------------------------------------------------
+// Pipeline breakers over column batches: HashJoin's build side, MergeJoin
+// and Sort drain their inputs into column batches and order or bucket row
+// positions. Their output must match the row semantics exactly, in order.
+// ---------------------------------------------------------------------------
+
+/// l (40 rows) and r (30 rows), each with
+///   id  int64, unique, in insertion order;
+///   k   int64 with duplicates and NULLs;
+///   m   declared int64, but some rows store a double (3.0 equals 3, 2.5
+///       equals nothing), so batches holding one box the column;
+///   d   double with integral values (joins against int64 k) and NULLs;
+///   pad string.
+class LateMaterializeTest : public ::testing::Test {
+ protected:
+  LateMaterializeTest() : pool_(&disk_, 64), catalog_(&pool_) {
+    MakeTable("l", 40, 9, 7, 11, 6);
+    MakeTable("r", 30, 6, 8, 9, 5);
+    binding_ = {{"l", *catalog_.GetTable("l")},
+                {"r", *catalog_.GetTable("r")}};
+    analyzer_ = std::make_unique<expr::PredicateAnalyzer>(&catalog_, binding_);
+  }
+
+  void MakeTable(const std::string& name, int64_t rows, int64_t k_mod,
+                 int64_t null_mod, int64_t double_mod, int64_t d_mod) {
+    auto table = catalog_.CreateTable(name, {{"id", TypeId::kInt64},
+                                             {"k", TypeId::kInt64},
+                                             {"m", TypeId::kInt64},
+                                             {"d", TypeId::kDouble},
+                                             {"pad", TypeId::kString}});
+    ASSERT_TRUE(table.ok());
+    for (int64_t i = 0; i < rows; ++i) {
+      Value k = i % null_mod == 0 ? Value() : Value(i % k_mod);
+      Value m = Value(i % 4);
+      if (i % double_mod == 5) m = Value(static_cast<double>(i % 4));
+      if (i % 13 == 12) m = Value(2.5);
+      Value d = i % 10 == 3 ? Value()
+                            : Value(static_cast<double>(i % d_mod));
+      ASSERT_TRUE((*table)
+                      ->Insert(Tuple({Value(i), std::move(k), std::move(m),
+                                      std::move(d),
+                                      Value(name + "-pad-" +
+                                            std::to_string(i))}))
+                      .ok());
+    }
+    ASSERT_TRUE((*table)->Analyze().ok());
+  }
+
+  expr::PredicateInfo Analyze(const ExprPtr& e) {
+    auto info = analyzer_->Analyze(e);
+    EXPECT_TRUE(info.ok()) << info.status();
+    return *info;
+  }
+
+  struct Run {
+    std::vector<std::string> rows;  // Serialized, in output order.
+    storage::IoStats io;
+    /// Bloom transfer of the plan's hash join, when one was built.
+    size_t bloom_bits = 0;
+    uint64_t bloom_bits_set = 0;
+  };
+
+  Run Execute(const plan::PlanNode& plan, bool vectorized,
+              bool transfer = false) {
+    exec::ExecContext ctx;
+    ctx.catalog = &catalog_;
+    ctx.binding = binding_;
+    ctx.params.vectorized = vectorized;
+    ctx.params.batch_size = 7;  // Every input spans several batches.
+    ctx.cost_params.predicate_transfer = transfer;
+    pool_.FlushAll();
+    pool_.EvictAll();
+    ExecStats stats;
+    auto rows = exec::ExecutePlan(plan, &ctx, &stats);
+    EXPECT_TRUE(rows.ok()) << rows.status();
+    Run out;
+    for (const Tuple& t : *rows) out.rows.push_back(t.Serialize());
+    out.io = stats.io;
+    for (const auto& t : ctx.all_transfers) {
+      const exec::BloomFilter* filter = t->ActiveFilter();
+      EXPECT_NE(filter, nullptr);
+      if (filter == nullptr) continue;
+      out.bloom_bits = filter->num_bits();
+      out.bloom_bits_set = filter->BitsSet();
+    }
+    return out;
+  }
+
+  /// Runs `plan` with vectorized on and off and checks both against
+  /// `expected`, in order, with the same page traffic.
+  void ExpectRows(const plan::PlanNode& plan,
+                  const std::vector<Tuple>& expected) {
+    std::vector<std::string> want;
+    for (const Tuple& t : expected) want.push_back(t.Serialize());
+    const Run on = Execute(plan, true);
+    const Run off = Execute(plan, false);
+    EXPECT_EQ(on.rows, want);
+    EXPECT_EQ(off.rows, want);
+    EXPECT_EQ(on.io.sequential_reads, off.io.sequential_reads);
+    EXPECT_EQ(on.io.random_reads, off.io.random_reads);
+    EXPECT_EQ(on.io.buffer_hits, off.io.buffer_hits);
+  }
+
+  /// The table's rows in scan order.
+  std::vector<Tuple> Rows(const std::string& name) {
+    return ReadRows(*plan::MakeSeqScan(name, name));
+  }
+  std::vector<Tuple> ReadRows(const plan::PlanNode& plan) {
+    exec::ExecContext ctx;
+    ctx.catalog = &catalog_;
+    ctx.binding = binding_;
+    ctx.params.vectorized = false;
+    auto rows = exec::ExecutePlan(plan, &ctx, nullptr);
+    EXPECT_TRUE(rows.ok()) << rows.status();
+    return std::move(rows).value();
+  }
+
+  static constexpr size_t kId = 0, kK = 1, kM = 2, kD = 3;
+
+  /// Row semantics of HashJoin: outer order, each key's build rows in
+  /// insertion order; NULL keys never match.
+  static std::vector<Tuple> HashJoinRef(const std::vector<Tuple>& outer,
+                                        const std::vector<Tuple>& inner,
+                                        size_t ok, size_t ik) {
+    std::vector<Tuple> out;
+    for (const Tuple& o : outer) {
+      if (o.Get(ok).is_null()) continue;
+      for (const Tuple& i : inner) {
+        if (!i.Get(ik).is_null() && o.Get(ok).Compare(i.Get(ik)) == 0) {
+          out.push_back(Tuple::Concat(o, i));
+        }
+      }
+    }
+    return out;
+  }
+
+  /// Stable sort on one column under Value::Compare.
+  static std::vector<Tuple> SortRef(std::vector<Tuple> rows, size_t key) {
+    std::stable_sort(rows.begin(), rows.end(),
+                     [key](const Tuple& a, const Tuple& b) {
+                       return a.Get(key).Compare(b.Get(key)) < 0;
+                     });
+    return rows;
+  }
+
+  /// Row semantics of MergeJoin: both inputs stably sorted (NULL keys
+  /// dropped), each outer row joined with its inner key group in order.
+  static std::vector<Tuple> MergeJoinRef(std::vector<Tuple> outer,
+                                         std::vector<Tuple> inner, size_t ok,
+                                         size_t ik) {
+    auto drop_nulls = [](std::vector<Tuple>* rows, size_t key) {
+      rows->erase(std::remove_if(rows->begin(), rows->end(),
+                                 [key](const Tuple& t) {
+                                   return t.Get(key).is_null();
+                                 }),
+                  rows->end());
+    };
+    drop_nulls(&outer, ok);
+    drop_nulls(&inner, ik);
+    return HashJoinRef(SortRef(outer, ok), SortRef(inner, ik), ok, ik);
+  }
+
+  plan::PlanPtr Join(plan::JoinMethod method, plan::PlanPtr outer,
+                     plan::PlanPtr inner, const std::string& outer_col,
+                     const std::string& inner_col) {
+    return plan::MakeJoin(method, std::move(outer), std::move(inner),
+                          Analyze(Eq(Col("l", outer_col),
+                                     Col("r", inner_col))));
+  }
+
+  storage::DiskManager disk_;
+  storage::BufferPool pool_;
+  catalog::Catalog catalog_;
+  expr::TableBinding binding_;
+  std::unique_ptr<expr::PredicateAnalyzer> analyzer_;
+};
+
+TEST_F(LateMaterializeTest, HashJoinMatchesRowSemantics) {
+  const std::vector<Tuple> l = Rows("l");
+  const std::vector<Tuple> r = Rows("r");
+  const std::pair<const char*, size_t> cols[] = {
+      {"k", kK}, {"m", kM}, {"d", kD}};
+  // Every pairing: NULL and duplicate int64 keys, the boxed column on
+  // either side, and int64 against double both ways.
+  for (const auto& [oc, o] : cols) {
+    for (const auto& [ic, i] : cols) {
+      SCOPED_TRACE(std::string("l.") + oc + " = r." + ic);
+      const std::vector<Tuple> expected = HashJoinRef(l, r, o, i);
+      ExpectRows(*Join(plan::JoinMethod::kHash, plan::MakeSeqScan("l", "l"),
+                       plan::MakeSeqScan("r", "r"), oc, ic),
+                 expected);
+    }
+  }
+  // Not every pairing may come out empty.
+  EXPECT_FALSE(HashJoinRef(l, r, kK, kD).empty());
+  EXPECT_FALSE(HashJoinRef(l, r, kM, kM).empty());
+}
+
+TEST_F(LateMaterializeTest, HashJoinBuildUnderVectorizedFilter) {
+  // The build side's batches arrive with partial selection vectors.
+  const expr::PredicateInfo keep = Analyze(
+      Cmp(CompareOp::kLt, Col("r", "d"), Const(Value(4.0))));
+  const std::vector<Tuple> l = Rows("l");
+  const std::vector<Tuple> r = ReadRows(
+      *plan::MakeFilter(plan::MakeSeqScan("r", "r"), keep));
+  ASSERT_LT(r.size(), 30u);
+  ExpectRows(*Join(plan::JoinMethod::kHash, plan::MakeSeqScan("l", "l"),
+                   plan::MakeFilter(plan::MakeSeqScan("r", "r"), keep), "k",
+                   "k"),
+             HashJoinRef(l, r, kK, kK));
+}
+
+TEST_F(LateMaterializeTest, MergeJoinMatchesRowSemantics) {
+  const std::vector<Tuple> l = Rows("l");
+  const std::vector<Tuple> r = Rows("r");
+  const std::pair<const char*, size_t> cols[] = {
+      {"k", kK}, {"m", kM}, {"d", kD}};
+  for (const auto& [oc, o] : cols) {
+    for (const auto& [ic, i] : cols) {
+      SCOPED_TRACE(std::string("l.") + oc + " = r." + ic);
+      ExpectRows(*Join(plan::JoinMethod::kMerge, plan::MakeSeqScan("l", "l"),
+                       plan::MakeSeqScan("r", "r"), oc, ic),
+                 MergeJoinRef(l, r, o, i));
+    }
+  }
+}
+
+TEST_F(LateMaterializeTest, SortIsStableWithNullsFirst) {
+  const std::vector<Tuple> l = Rows("l");
+  const std::pair<const char*, size_t> cols[] = {
+      {"l.k", kK}, {"l.m", kM}, {"l.d", kD}, {"l.pad", 4}};
+  for (const auto& [name, key] : cols) {
+    SCOPED_TRACE(name);
+    ExpectRows(*plan::MakeSort(plan::MakeSeqScan("l", "l"), name),
+               SortRef(l, key));
+  }
+}
+
+TEST_F(LateMaterializeTest, TransferFilterIsUnchanged) {
+  // The Bloom filter is sized on the distinct non-NULL build keys and
+  // filled with their Value::Hash, whichever way the build side drains.
+  // l builds (40 rows, few distinct keys, so sizing on rows would double
+  // the filter); r probes.
+  const std::vector<Tuple> l = Rows("l");
+  const std::vector<Tuple> r = Rows("r");
+  for (const auto& [ic, i] : {std::pair<const char*, size_t>{"k", kK},
+                              std::pair<const char*, size_t>{"m", kM}}) {
+    SCOPED_TRACE(ic);
+    plan::PlanPtr plan = plan::MakeJoin(
+        plan::JoinMethod::kHash, plan::MakeSeqScan("r", "r"),
+        plan::MakeSeqScan("l", "l"), Analyze(Eq(Col("r", "k"), Col("l", ic))));
+    std::vector<Value> distinct;
+    for (const Tuple& t : l) {
+      const Value& v = t.Get(i);
+      if (v.is_null()) continue;
+      if (std::none_of(distinct.begin(), distinct.end(),
+                       [&v](const Value& seen) {
+                         return seen == v && seen.Hash() == v.Hash();
+                       })) {
+        distinct.push_back(v);
+      }
+    }
+    exec::BloomFilter expected(distinct.size());
+    for (const Value& v : distinct) {
+      expected.InsertHash(static_cast<uint64_t>(v.Hash()));
+    }
+    ASSERT_LT(expected.num_bits(), exec::BloomFilter(l.size()).num_bits());
+    const Run on = Execute(*plan, true, /*transfer=*/true);
+    const Run off = Execute(*plan, false, /*transfer=*/true);
+    EXPECT_EQ(on.bloom_bits, expected.num_bits());
+    EXPECT_EQ(off.bloom_bits, expected.num_bits());
+    EXPECT_EQ(on.bloom_bits_set, expected.BitsSet());
+    EXPECT_EQ(off.bloom_bits_set, expected.BitsSet());
+    std::vector<std::string> want;
+    for (const Tuple& t : HashJoinRef(r, l, kK, i)) {
+      want.push_back(t.Serialize());
+    }
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(on.rows, want);
+    EXPECT_EQ(off.rows, want);
+  }
+}
+
+TEST_F(LateMaterializeTest, HashJoinReopenedAsNestLoopInner) {
+  // Each outer row re-opens the hash join, which drains and buckets its
+  // build side again into reused batches.
+  plan::PlanPtr inner_join =
+      Join(plan::JoinMethod::kHash, plan::MakeSeqScan("l", "l"),
+           plan::MakeSeqScan("r", "r"), "k", "k");
+  // The outer copy of l needs its own alias.
+  binding_["o"] = *catalog_.GetTable("l");
+  analyzer_ = std::make_unique<expr::PredicateAnalyzer>(&catalog_, binding_);
+  const expr::PredicateInfo few_o =
+      Analyze(Cmp(CompareOp::kLt, Col("o", "id"), Int(3)));
+  plan::PlanPtr plan = plan::MakeJoin(
+      plan::JoinMethod::kNestLoop,
+      plan::MakeFilter(plan::MakeSeqScan("o", "l"), few_o),
+      std::move(inner_join), expr::PredicateInfo{});
+  const std::vector<Tuple> inner =
+      HashJoinRef(Rows("l"), Rows("r"), kK, kK);
+  std::vector<Tuple> expected;
+  for (const Tuple& o : Rows("l")) {
+    if (o.Get(kId).AsInt64() >= 3) continue;
+    for (const Tuple& i : inner) expected.push_back(Tuple::Concat(o, i));
+  }
+  ASSERT_FALSE(inner.empty());
+  ExpectRows(*plan, expected);
+}
+
+// ---------------------------------------------------------------------------
 // Q1-Q5 end-to-end parity suite.
 // ---------------------------------------------------------------------------
+
+struct ParityRun {
+  std::vector<std::string> rows;
+  std::unordered_map<std::string, uint64_t> invocations;
+  storage::IoStats io;
+};
+
+/// Optimizes (kPushDown — vectorization must not depend on placement) and
+/// executes `spec` on `db` from a cold pool under `cost_params` and
+/// `params`, returning canonical rows, the exact UDF invocation counters
+/// and the page traffic.
+ParityRun ExecuteCold(workload::Database* db, const plan::QuerySpec& spec,
+                      const cost::CostParams& cost_params,
+                      const ExecParams& params) {
+  optimizer::Optimizer opt(&db->catalog(), cost_params);
+  auto result = opt.Optimize(spec, Algorithm::kPushDown);
+  EXPECT_TRUE(result.ok()) << result.status();
+
+  exec::ExecContext ctx;
+  ctx.catalog = &db->catalog();
+  ctx.params = params;
+  ctx.cost_params = cost_params;
+  for (const plan::TableRef& ref : spec.tables) {
+    ctx.binding[ref.alias] = *db->catalog().GetTable(ref.table_name);
+  }
+  db->pool().FlushAll();
+  db->pool().EvictAll();
+  types::RowSchema schema;
+  ExecStats stats;
+  auto rows = exec::ExecutePlan(*result->plan, &ctx, &stats, &schema);
+  EXPECT_TRUE(rows.ok()) << rows.status();
+  return {workload::CanonicalResults(*rows, schema), stats.invocations,
+          stats.io};
+}
+
+/// Vectorized on and off must agree on rows, invocations and page traffic
+/// (sequential and random reads, and buffer hits, which count pins).
+void ExpectParity(const ParityRun& on, const ParityRun& off) {
+  EXPECT_EQ(on.rows, off.rows);
+  EXPECT_EQ(on.invocations, off.invocations);
+  EXPECT_EQ(on.io.sequential_reads, off.io.sequential_reads);
+  EXPECT_EQ(on.io.random_reads, off.io.random_reads);
+  EXPECT_EQ(on.io.buffer_hits, off.io.buffer_hits);
+}
 
 class VectorParityTest : public ::testing::Test {
  protected:
@@ -651,35 +1032,6 @@ class VectorParityTest : public ::testing::Test {
     config_.table_numbers = {1, 3, 6, 7, 9, 10};
     EXPECT_TRUE(workload::LoadBenchmarkDatabase(&db_, config_).ok());
     EXPECT_TRUE(workload::RegisterBenchmarkFunctions(&db_).ok());
-  }
-
-  struct RunResult {
-    std::vector<std::string> rows;
-    std::unordered_map<std::string, uint64_t> invocations;
-  };
-
-  /// Optimizes (kPushDown — vectorization must not depend on placement)
-  /// and executes `spec` under `cost_params` and `params`, returning
-  /// canonical rows and the exact UDF invocation counters.
-  RunResult Execute(const plan::QuerySpec& spec,
-                    const cost::CostParams& cost_params,
-                    const ExecParams& params) {
-    optimizer::Optimizer opt(&db_.catalog(), cost_params);
-    auto result = opt.Optimize(spec, Algorithm::kPushDown);
-    EXPECT_TRUE(result.ok()) << result.status();
-
-    exec::ExecContext ctx;
-    ctx.catalog = &db_.catalog();
-    ctx.params = params;
-    ctx.cost_params = cost_params;
-    for (const plan::TableRef& ref : spec.tables) {
-      ctx.binding[ref.alias] = *db_.catalog().GetTable(ref.table_name);
-    }
-    types::RowSchema schema;
-    ExecStats stats;
-    auto rows = exec::ExecutePlan(*result->plan, &ctx, &stats, &schema);
-    EXPECT_TRUE(rows.ok()) << rows.status();
-    return {workload::CanonicalResults(*rows, schema), stats.invocations};
   }
 
   workload::Database db_;
@@ -702,15 +1054,50 @@ TEST_F(VectorParityTest, QueriesMatchAcrossVectorWorkersTransfer) {
         ExecParams on_params = off_params;
         on_params.vectorized = true;
 
-        const RunResult off = Execute(*spec, cost_params, off_params);
-        const RunResult on = Execute(*spec, cost_params, on_params);
-
-        // Byte-identical result sets and exact-equal invocation counters.
-        EXPECT_EQ(on.rows, off.rows);
-        EXPECT_EQ(on.invocations, off.invocations);
+        // Byte-identical result sets, exact-equal invocation counters and
+        // the same page traffic.
+        ExpectParity(ExecuteCold(&db_, *spec, cost_params, on_params),
+                     ExecuteCold(&db_, *spec, cost_params, off_params));
       }
     }
   }
+}
+
+/// A scan spanning several batches under a filter whose expensive suffix
+/// fetches pages (a correlated IN subquery), in a pool smaller than the
+/// tables: a pin the scan held across calls would change what the pool
+/// evicts on one path only.
+TEST(VectorPoolParityTest, MultiBatchScanUnderPageFetchingSuffix) {
+  workload::Database db(8);
+  workload::BenchmarkConfig config;
+  config.scale = 200;
+  config.table_numbers = {3, 6};
+  ASSERT_TRUE(workload::LoadBenchmarkDatabase(&db, config).ok());
+  cost::CostParams cost_params;
+  cost_params.predicate_caching = false;
+  // Each run rewrites the statement afresh: the subquery's value sets are
+  // memoized per rewrite, so a shared one would run the subquery only once.
+  auto run = [&](bool vectorized) {
+    auto spec = subquery::ParseBindRewrite(
+        "SELECT t3.a FROM t3 WHERE t3.a < 500 AND t3.u10 IN "
+        "(SELECT u10 FROM t6 WHERE t6.a10 = t3.a10)",
+        &db.catalog());
+    EXPECT_TRUE(spec.ok()) << spec.status();
+    ExecParams params;
+    params.vectorized = vectorized;
+    params.batch_size = 64;
+    ParityRun run = ExecuteCold(&db, *spec, cost_params, params);
+    // Each rewrite registers its own function name; compare the counts.
+    uint64_t calls = 0;
+    for (const auto& [name, n] : run.invocations) calls += n;
+    run.invocations = {{"subquery", calls}};
+    return run;
+  };
+  const ParityRun on = run(true);
+  const ParityRun off = run(false);
+  EXPECT_FALSE(on.rows.empty());
+  EXPECT_GT(on.io.random_reads, 0u);
+  ExpectParity(on, off);
 }
 
 }  // namespace
