@@ -51,8 +51,9 @@
 # transitions are race-checked end to end, and bench_vector repeats there
 # as well so parallel UDF evaluation over columnar survivors is too. A third
 # pass builds under AddressSanitizer + UndefinedBehaviorSanitizer
-# (-DPPP_SANITIZE=address,undefined, UB fatal) and runs the exec, vector,
-# orderby, transfer, subquery, serve and fuzz suites. Skip the sanitizer
+# (-DPPP_SANITIZE=address,undefined,float-cast-overflow, UB fatal) and runs
+# the exec, vector, orderby, transfer, subquery, serve, fuzz and stats
+# suites. Skip the sanitizer
 # passes with SKIP_TSAN=1 when iterating.
 set -euo pipefail
 
@@ -484,11 +485,15 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   # batches, so a stale position or an out-of-range cell read must fail
   # loudly. UB is fatal (-fno-sanitize-recover), not just reported, and
   # libstdc++'s assertions bound-check vector indexing (a reused batch's
-  # capacity would hide a stale row index from ASan).
-  cmake -B "$ASAN_BUILD_DIR" -S . -DPPP_SANITIZE=address,undefined \
-    -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
+  # capacity would hide a stale row index from ASan). GCC's "undefined"
+  # group leaves out float-cast-overflow (a double outside the target
+  # integer's range), which the value hashes must guard against; it is
+  # named explicitly. stats_test runs ANALYZE over such doubles.
+  cmake -B "$ASAN_BUILD_DIR" -S . \
+    -DPPP_SANITIZE=address,undefined,float-cast-overflow \
+    -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined,float-cast-overflow -D_GLIBCXX_ASSERTIONS"
   ASAN_TESTS=(exec_test vector_test orderby_test transfer_test subquery_test
-              serve_test fuzz_test)
+              serve_test fuzz_test stats_test)
   cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" --target "${ASAN_TESTS[@]}"
   for t in "${ASAN_TESTS[@]}"; do
     "$ASAN_BUILD_DIR/tests/$t" --gtest_brief=1

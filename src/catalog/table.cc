@@ -1,9 +1,9 @@
 #include "catalog/table.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/logging.h"
+#include "stats/value_runs.h"
 #include "storage/page.h"
 
 namespace ppp::catalog {
@@ -153,7 +153,10 @@ common::Status Table::Analyze() {
         "cannot ANALYZE system table " + name_ +
         ": statistics are pinned to the declared tier");
   }
-  std::vector<std::set<types::Value>> distinct(columns_.size());
+  std::vector<std::vector<types::Value>> values(columns_.size());
+  for (std::vector<types::Value>& column : values) {
+    column.reserve(static_cast<size_t>(NumTuples()));
+  }
   std::vector<ColumnStats> stats(columns_.size());
   std::vector<bool> bounded(columns_.size(), false);
 
@@ -165,7 +168,7 @@ common::Status Table::Analyze() {
     for (size_t i = 0; i < columns_.size(); ++i) {
       const types::Value& v = tuple.Get(i);
       if (v.is_null()) continue;
-      distinct[i].insert(v);
+      values[i].push_back(v);
       if (v.type() == types::TypeId::kInt64) {
         const int64_t x = v.AsInt64();
         if (!bounded[i] || x < stats[i].min_value) stats[i].min_value = x;
@@ -175,7 +178,8 @@ common::Status Table::Analyze() {
     }
   }
   for (size_t i = 0; i < columns_.size(); ++i) {
-    stats[i].num_distinct = static_cast<int64_t>(distinct[i].size());
+    stats[i].num_distinct =
+        static_cast<int64_t>(stats::SortedRuns(std::move(values[i])).size());
   }
   stats_ = std::move(stats);
   BumpStatsEpoch();

@@ -13,8 +13,8 @@ namespace {
 /// common integral case.
 std::string NumberToString(double v) {
   if (!std::isfinite(v)) return v > 0 ? "1e308" : (v < 0 ? "-1e308" : "0");
-  if (v == static_cast<double>(static_cast<int64_t>(v)) &&
-      std::abs(v) < 1e15) {
+  if (std::abs(v) < 1e15 &&
+      v == static_cast<double>(static_cast<int64_t>(v))) {
     return std::to_string(static_cast<int64_t>(v));
   }
   return common::StringPrintf("%.17g", v);

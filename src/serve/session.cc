@@ -455,11 +455,13 @@ common::Result<QueryResult> Session::ExecuteAnalyze(const std::string& sql) {
   if (tables.empty()) tables = catalog.TableNames();
   const stats::AnalyzeOptions options = stats::AnalyzeOptions::Default();
   QueryResult result;
+  const auto exec_start = std::chrono::steady_clock::now();
   for (const std::string& name : tables) {
     PPP_ASSIGN_OR_RETURN(catalog::Table * table, catalog.GetTable(name));
     PPP_RETURN_IF_ERROR(stats::AnalyzeTable(table, options));
     ++result.analyzed_tables;
   }
+  result.execute_seconds = SecondsSince(exec_start);
   UpdateRow(result, /*planned=*/false);
   return result;
 }

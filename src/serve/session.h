@@ -70,6 +70,8 @@ struct QueryResult {
   /// optimize on a miss, cache probe on a hit — the quantity the plan
   /// cache amortizes.
   double optimize_seconds = 0.0;
+  /// Seconds running the plan; for ANALYZE, building and installing the
+  /// statistics.
   double execute_seconds = 0.0;
   bool plan_cache_hit = false;
   /// The statement's query id: its spans, its ppp_query_log record and

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -12,6 +11,7 @@
 #include "obs/span.h"
 #include "stats/histogram.h"
 #include "stats/hyperloglog.h"
+#include "stats/value_runs.h"
 
 namespace ppp::stats {
 
@@ -76,36 +76,40 @@ ColumnDistribution Finalize(ColumnAccumulator* acc, const std::string& name,
   if (sample_n == 0.0) return d;
   const double non_null_fraction = 1.0 - d.null_fraction();
 
+  // One sort of the sample; every piece below reads its runs of equal
+  // values.
+  std::vector<ValueRun> runs = SortedRuns(std::move(acc->reservoir));
+
   // MCV list: values appearing at least twice in the sample, top-K by
-  // sample count. Ties broken by value order so the list is deterministic.
-  std::unordered_map<types::Value, uint64_t, types::ValueHasher> counts;
-  for (const types::Value& v : acc->reservoir) ++counts[v];
-  std::vector<std::pair<types::Value, uint64_t>> ranked(counts.begin(),
-                                                        counts.end());
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  std::unordered_map<types::Value, bool, types::ValueHasher> is_mcv;
-  for (const auto& [value, count] : ranked) {
-    if (d.mcvs.size() >= options.mcv_entries || count < 2) break;
+  // sample count. Ties broken by value order (the runs' own order) so the
+  // list is deterministic.
+  std::vector<size_t> ranked;
+  for (size_t r = 0; r < runs.size(); ++r) {
+    if (runs[r].count >= 2) ranked.push_back(r);
+  }
+  const size_t mcv_count = std::min(options.mcv_entries, ranked.size());
+  std::partial_sort(ranked.begin(), ranked.begin() + mcv_count, ranked.end(),
+                    [&runs](size_t a, size_t b) {
+                      if (runs[a].count != runs[b].count) {
+                        return runs[a].count > runs[b].count;
+                      }
+                      return a < b;
+                    });
+  for (size_t k = 0; k < mcv_count; ++k) {
+    ValueRun& run = runs[ranked[k]];
     MostCommonValue mcv;
-    mcv.value = value;
+    mcv.value = std::move(run.value);
     mcv.frequency =
-        static_cast<double>(count) / sample_n * non_null_fraction;
+        static_cast<double>(run.count) / sample_n * non_null_fraction;
     d.mcv_total_frequency += mcv.frequency;
-    is_mcv[value] = true;
     d.mcvs.push_back(std::move(mcv));
+    run.count = 0;  // Taken by the MCV list; dropped below.
   }
 
   // Histogram over the sampled values the MCV list doesn't already cover.
-  std::vector<types::Value> rest;
-  rest.reserve(acc->reservoir.size());
-  for (types::Value& v : acc->reservoir) {
-    if (is_mcv.count(v) == 0) rest.push_back(std::move(v));
-  }
-  d.histogram = EquiDepthHistogram::Build(std::move(rest),
-                                          options.histogram_buckets);
+  std::erase_if(runs, [](const ValueRun& run) { return run.count == 0; });
+  d.histogram =
+      EquiDepthHistogram::BuildSorted(runs, options.histogram_buckets);
   return d;
 }
 

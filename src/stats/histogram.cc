@@ -30,33 +30,36 @@ double InterpolateBelow(const HistogramBucket& b, const types::Value& v) {
 
 EquiDepthHistogram EquiDepthHistogram::Build(
     std::vector<types::Value> values, size_t max_buckets) {
-  EquiDepthHistogram h;
-  if (values.empty() || max_buckets == 0) return h;
-  std::sort(values.begin(), values.end());
+  return BuildSorted(SortedRuns(std::move(values)), max_buckets);
+}
 
-  const size_t n = values.size();
+EquiDepthHistogram EquiDepthHistogram::BuildSorted(
+    const std::vector<ValueRun>& runs, size_t max_buckets) {
+  EquiDepthHistogram h;
+  uint64_t n = 0;
+  for (const ValueRun& run : runs) n += run.count;
+  if (n == 0 || max_buckets == 0) return h;
+
   // Equal-frequency target; runs of one value are never split, so a heavy
   // hitter simply overfills its bucket instead of straddling a boundary.
-  const size_t depth = std::max<size_t>(1, (n + max_buckets - 1) / max_buckets);
+  const uint64_t depth =
+      std::max<uint64_t>(1, (n + max_buckets - 1) / max_buckets);
 
   HistogramBucket current;
-  size_t i = 0;
-  while (i < n) {
-    // The run [i, j) of one distinct value.
-    size_t j = i + 1;
-    while (j < n && values[j] == values[i]) ++j;
-    const uint64_t run = j - i;
-    if (current.count == 0) current.lo = values[i];
-    current.hi = values[i];
-    current.count += run;
+  for (const ValueRun& run : runs) {
+    if (current.count == 0) current.lo = run.value;
+    current.count += run.count;
     current.distinct += 1;
     if (current.count >= depth) {
+      current.hi = run.value;
       h.buckets_.push_back(std::move(current));
       current = HistogramBucket{};
     }
-    i = j;
   }
-  if (current.count > 0) h.buckets_.push_back(std::move(current));
+  if (current.count > 0) {
+    current.hi = runs.back().value;
+    h.buckets_.push_back(std::move(current));
+  }
   h.total_count_ = n;
   return h;
 }

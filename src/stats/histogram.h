@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "stats/value_runs.h"
 #include "types/value.h"
 
 namespace ppp::stats {
@@ -28,12 +29,18 @@ struct HistogramBucket {
 /// (≈ 2/B of the sampled mass) regardless of skew.
 class EquiDepthHistogram {
  public:
-  /// Builds from `values`, which need not be sorted (a copy is sorted
-  /// internally). Produces at most `max_buckets` buckets; fewer when the
-  /// sample has fewer distinct values. Empty input yields an empty
-  /// histogram.
+  /// Builds from `values`, which need not be sorted: SortedRuns, then
+  /// BuildSorted. Empty input yields an empty histogram.
   static EquiDepthHistogram Build(std::vector<types::Value> values,
                                   size_t max_buckets);
+
+  /// Builds from a sample already grouped into runs of equal values, as
+  /// SortedRuns returns it: strictly ascending under Value::Compare, every
+  /// count >= 1. Each run's `value` stands for all its copies; a bucket's
+  /// lo/hi are the values of its first and last runs. Produces at most
+  /// `max_buckets` buckets; fewer when there are fewer runs.
+  static EquiDepthHistogram BuildSorted(const std::vector<ValueRun>& runs,
+                                        size_t max_buckets);
 
   bool empty() const { return total_count_ == 0; }
   uint64_t total_count() const { return total_count_; }

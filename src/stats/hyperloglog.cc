@@ -49,11 +49,14 @@ uint64_t StableValueHash(const types::Value& v) {
       return Mix64(static_cast<uint64_t>(v.AsInt64()) ^ 0x1ULL << 62);
     case types::TypeId::kDouble: {
       // Hash numerically equal doubles and ints alike (3.0 == 3), matching
-      // Value::operator==.
+      // Value::operator==. Doubles outside int64's range (and NaN) can't
+      // equal an int64 and hash by their bits.
       const double d = v.AsDouble();
-      const auto as_int = static_cast<int64_t>(d);
-      if (static_cast<double>(as_int) == d) {
-        return Mix64(static_cast<uint64_t>(as_int) ^ 0x1ULL << 62);
+      if (types::FitsInt64(d)) {
+        const auto as_int = static_cast<int64_t>(d);
+        if (static_cast<double>(as_int) == d) {
+          return Mix64(static_cast<uint64_t>(as_int) ^ 0x1ULL << 62);
+        }
       }
       uint64_t bits;
       static_assert(sizeof(bits) == sizeof(d));

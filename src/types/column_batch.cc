@@ -297,7 +297,7 @@ uint64_t ColumnBatch::HashCell(size_t col_index, size_t row) const {
       // 3 and 3.0 (equal under Compare) hash alike.
       const int64_t v = col.i64[row];
       const double d = static_cast<double>(v);
-      if (static_cast<int64_t>(d) == v) {
+      if (FitsInt64(d) && static_cast<int64_t>(d) == v) {
         return static_cast<uint64_t>(std::hash<double>()(d));
       }
       return static_cast<uint64_t>(std::hash<int64_t>()(v));

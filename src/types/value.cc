@@ -75,10 +75,13 @@ size_t Value::Hash() const {
       return 0x9E3779B9u;
     case TypeId::kInt64: {
       // Hash integral values via their double representation when exact, so
-      // that 3 and 3.0 (which compare equal) hash identically.
+      // that 3 and 3.0 (which compare equal) hash identically. Near
+      // INT64_MAX the double rounds up to 2^63, outside int64.
       const int64_t v = AsInt64();
       const double d = static_cast<double>(v);
-      if (static_cast<int64_t>(d) == v) return std::hash<double>()(d);
+      if (FitsInt64(d) && static_cast<int64_t>(d) == v) {
+        return std::hash<double>()(d);
+      }
       return std::hash<int64_t>()(v);
     }
     case TypeId::kDouble:

@@ -82,6 +82,10 @@ class Value {
   std::variant<std::monostate, int64_t, double, std::string, bool> data_;
 };
 
+/// True when `d` lies in int64's range, [-2^63, 2^63), so that
+/// static_cast<int64_t>(d) is defined. False for NaN and the infinities.
+inline bool FitsInt64(double d) { return d >= -0x1p63 && d < 0x1p63; }
+
 struct ValueHasher {
   size_t operator()(const Value& v) const { return v.Hash(); }
 };

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <string>
@@ -411,6 +412,32 @@ TEST_F(NetServerTest, ExplainOverSocketReturnsThePlanColumn) {
               prefix == "EXPLAIN ANALYZE ")
         << root;
   }
+  ASSERT_TRUE(client.Send("CLOSE"));
+  EXPECT_EQ(Terminal(client.ReadResponse()), "OK bye");
+  server.Stop();
+}
+
+TEST_F(NetServerTest, AnalyzeReportsItsOwnExecuteTime) {
+  // Its own database: the collected statistics would otherwise reach the
+  // plans of the other tests sharing db().
+  workload::Database db;
+  workload::BenchmarkConfig config;
+  config.scale = 30;
+  config.table_numbers = {3};
+  ASSERT_TRUE(workload::LoadBenchmarkDatabase(&db, config).ok());
+  serve::SessionManager manager(&db);
+  net::Server::Options options;
+  options.workers = 1;
+  net::Server server(&db, &manager, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  ASSERT_TRUE(client.Send("QUERY ANALYZE t3;"));
+  const std::string ok = Terminal(client.ReadResponse());
+  ASSERT_EQ(ok.rfind("OK", 0), 0u) << ok;
+  EXPECT_EQ(net::OkField(ok, "analyzed"), "1");
+  EXPECT_GT(std::atoll(net::OkField(ok, "execute_us").c_str()), 0) << ok;
   ASSERT_TRUE(client.Send("CLOSE"));
   EXPECT_EQ(Terminal(client.ReadResponse()), "OK bye");
   server.Stop();

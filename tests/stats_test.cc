@@ -2,17 +2,22 @@
 // uniform, Zipfian and heavy-duplicate data; HyperLogLog NDV accuracy;
 // sampling reproducibility (fixed seed + PPP_STATS_SEED override); the
 // feedback > stats > declared provenance ladder in PredicateAnalyzer;
-// concurrent ANALYZE against running queries; and result invariance of
-// the benchmark queries with statistics on/off.
+// concurrent ANALYZE against running queries; result invariance of the
+// benchmark queries with statistics on/off; and bit-exactness of both
+// ANALYZE paths against the hash-map reference they replaced.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -28,6 +33,7 @@
 #include "stats/estimator.h"
 #include "stats/histogram.h"
 #include "stats/hyperloglog.h"
+#include "stats/value_runs.h"
 #include "workload/database.h"
 #include "workload/measurement.h"
 #include "workload/queries.h"
@@ -207,6 +213,27 @@ TEST(HyperLogLogTest, NumericHashIsTypeConsistent) {
   EXPECT_NE(stats::StableValueHash(Value(int64_t{3})),
             stats::StableValueHash(Value(int64_t{4})));
   EXPECT_NE(stats::StableValueHash(Value(3.5)),
+            stats::StableValueHash(Value(int64_t{3})));
+}
+
+TEST(HyperLogLogTest, StableHashOfDoublesOutsideInt64Range) {
+  // Doubles no int64 can equal hash by their bits; the edge -2^63 is
+  // INT64_MIN and must still hash like it.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Value> wide = {Value(1e300), Value(-1e300), Value(inf),
+                                   Value(-inf), Value(0x1p63),
+                                   Value(std::nan(""))};
+  for (size_t i = 0; i < wide.size(); ++i) {
+    for (size_t j = i + 1; j < wide.size(); ++j) {
+      EXPECT_NE(stats::StableValueHash(wide[i]),
+                stats::StableValueHash(wide[j]))
+          << wide[i].ToString() << " vs " << wide[j].ToString();
+    }
+  }
+  EXPECT_EQ(stats::StableValueHash(Value(-0x1p63)),
+            stats::StableValueHash(
+                Value(std::numeric_limits<int64_t>::min())));
+  EXPECT_EQ(stats::StableValueHash(Value(3.0)),
             stats::StableValueHash(Value(int64_t{3})));
 }
 
@@ -616,6 +643,448 @@ TEST_F(StatsInvarianceTest, BenchmarkResultsIdenticalWithStatsOnOff) {
               reference)
         << id << " stats off, 4 workers";
   }
+}
+
+// ---- Sorted-run ANALYZE against the hash-map reference -------------------
+
+/// The collector and the catalog's Table::Analyze as they were before both
+/// sorted each column once: hash-map sample counts, a ranked sort for the
+/// MCV list, a second hash map to leave the MCVs out of the histogram, a
+/// sort inside the histogram build, and a std::set per column for distinct
+/// counts. Kept as the reference the sorted-run code must match bit for
+/// bit.
+namespace reference {
+
+struct Histogram {
+  std::vector<stats::HistogramBucket> buckets;
+  uint64_t total_count = 0;
+};
+
+Histogram BuildHistogram(std::vector<Value> values, size_t max_buckets) {
+  Histogram h;
+  if (values.empty() || max_buckets == 0) return h;
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  const size_t depth = std::max<size_t>(1, (n + max_buckets - 1) / max_buckets);
+  stats::HistogramBucket current;
+  size_t i = 0;
+  while (i < n) {
+    size_t j = i + 1;
+    while (j < n && values[j] == values[i]) ++j;
+    if (current.count == 0) current.lo = values[i];
+    current.hi = values[i];
+    current.count += j - i;
+    current.distinct += 1;
+    if (current.count >= depth) {
+      h.buckets.push_back(std::move(current));
+      current = stats::HistogramBucket{};
+    }
+    i = j;
+  }
+  if (current.count > 0) h.buckets.push_back(std::move(current));
+  h.total_count = n;
+  return h;
+}
+
+struct Accumulator {
+  uint64_t null_count = 0;
+  uint64_t non_null_count = 0;
+  bool has_range = false;
+  Value min_value;
+  Value max_value;
+  stats::HyperLogLog hll;
+  std::vector<Value> reservoir;
+  common::Random rng;
+
+  Accumulator(int hll_bits, uint64_t seed) : hll(hll_bits), rng(seed) {}
+
+  void Observe(const Value& v, size_t reservoir_capacity) {
+    if (v.is_null()) {
+      ++null_count;
+      return;
+    }
+    ++non_null_count;
+    if (!has_range) {
+      min_value = v;
+      max_value = v;
+      has_range = true;
+    } else {
+      if (v < min_value) min_value = v;
+      if (max_value < v) max_value = v;
+    }
+    hll.AddValue(v);
+    if (reservoir.size() < reservoir_capacity) {
+      reservoir.push_back(v);
+    } else {
+      const uint64_t slot = rng.NextUint64(non_null_count);
+      if (slot < reservoir_capacity) reservoir[slot] = v;
+    }
+  }
+};
+
+/// A ColumnDistribution with the histogram held beside it (an
+/// EquiDepthHistogram can only be made by its own builders).
+struct Column {
+  stats::ColumnDistribution d;
+  Histogram histogram;
+};
+
+Column Finalize(Accumulator* acc, const catalog::ColumnDef& def,
+                uint64_t row_count, const stats::AnalyzeOptions& options) {
+  Column c;
+  stats::ColumnDistribution& d = c.d;
+  d.column = def.name;
+  d.type = def.type;
+  d.row_count = row_count;
+  d.null_count = acc->null_count;
+  d.has_range = acc->has_range;
+  d.min_value = acc->min_value;
+  d.max_value = acc->max_value;
+  d.sample_rows = acc->reservoir.size();
+  d.ndv = std::min(acc->hll.Estimate(),
+                   static_cast<double>(acc->non_null_count));
+  const double sample_n = static_cast<double>(acc->reservoir.size());
+  if (sample_n == 0.0) return c;
+  const double non_null_fraction = 1.0 - d.null_fraction();
+
+  std::unordered_map<Value, uint64_t, types::ValueHasher> counts;
+  for (const Value& v : acc->reservoir) ++counts[v];
+  std::vector<std::pair<Value, uint64_t>> ranked(counts.begin(),
+                                                 counts.end());
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
+  std::unordered_map<Value, bool, types::ValueHasher> is_mcv;
+  for (const auto& [value, count] : ranked) {
+    if (d.mcvs.size() >= options.mcv_entries || count < 2) break;
+    stats::MostCommonValue mcv;
+    mcv.value = value;
+    mcv.frequency = static_cast<double>(count) / sample_n * non_null_fraction;
+    d.mcv_total_frequency += mcv.frequency;
+    is_mcv[value] = true;
+    d.mcvs.push_back(std::move(mcv));
+  }
+  std::vector<Value> rest;
+  rest.reserve(acc->reservoir.size());
+  for (Value& v : acc->reservoir) {
+    if (is_mcv.count(v) == 0) rest.push_back(std::move(v));
+  }
+  c.histogram = BuildHistogram(std::move(rest), options.histogram_buckets);
+  return c;
+}
+
+struct TableStatistics {
+  uint64_t row_count = 0;
+  uint64_t sample_rows = 0;
+  std::vector<Column> columns;
+};
+
+/// Rows of `table` in scan order.
+std::vector<types::Tuple> ScanRows(const catalog::Table& table) {
+  std::vector<types::Tuple> rows;
+  storage::HeapFile::Iterator it = table.heap().Scan();
+  storage::RecordId rid;
+  std::string bytes;
+  while (it.Next(&rid, &bytes)) {
+    auto tuple = types::Tuple::Deserialize(bytes);
+    EXPECT_TRUE(tuple.ok());
+    rows.push_back(std::move(*tuple));
+  }
+  return rows;
+}
+
+TableStatistics BuildTableStatistics(const catalog::Table& table,
+                                     const stats::AnalyzeOptions& options) {
+  const std::vector<catalog::ColumnDef>& columns = table.columns();
+  std::vector<Accumulator> accs;
+  for (size_t i = 0; i < columns.size(); ++i) {
+    accs.emplace_back(options.hll_register_bits, options.seed + i * 1000003);
+  }
+  TableStatistics result;
+  for (const types::Tuple& tuple : ScanRows(table)) {
+    ++result.row_count;
+    for (size_t i = 0; i < columns.size(); ++i) {
+      accs[i].Observe(tuple.Get(i), options.reservoir_capacity);
+    }
+  }
+  for (size_t i = 0; i < columns.size(); ++i) {
+    result.columns.push_back(
+        Finalize(&accs[i], columns[i], result.row_count, options));
+    result.sample_rows =
+        std::max(result.sample_rows, result.columns.back().d.sample_rows);
+  }
+  return result;
+}
+
+/// Table::Analyze's ColumnStats: a std::set per column for the distinct
+/// count, int64 bounds.
+std::vector<catalog::ColumnStats> DeclaredStats(const catalog::Table& table) {
+  const size_t width = table.columns().size();
+  std::vector<std::set<Value>> distinct(width);
+  std::vector<catalog::ColumnStats> stats(width);
+  std::vector<bool> bounded(width, false);
+  for (const types::Tuple& tuple : ScanRows(table)) {
+    for (size_t i = 0; i < width; ++i) {
+      const Value& v = tuple.Get(i);
+      if (v.is_null()) continue;
+      distinct[i].insert(v);
+      if (v.type() == TypeId::kInt64) {
+        const int64_t x = v.AsInt64();
+        if (!bounded[i] || x < stats[i].min_value) stats[i].min_value = x;
+        if (!bounded[i] || x > stats[i].max_value) stats[i].max_value = x;
+        bounded[i] = true;
+      }
+    }
+  }
+  for (size_t i = 0; i < width; ++i) {
+    stats[i].num_distinct = static_cast<int64_t>(distinct[i].size());
+  }
+  return stats;
+}
+
+}  // namespace reference
+
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
+
+/// Same type and content; doubles bit for bit.
+void ExpectSameValue(const Value& actual, const Value& expected,
+                     const std::string& what) {
+  ASSERT_EQ(actual.type(), expected.type())
+      << what << ": " << actual.ToString() << " vs " << expected.ToString();
+  if (actual.type() == TypeId::kDouble) {
+    EXPECT_EQ(Bits(actual.AsDouble()), Bits(expected.AsDouble()))
+        << what << ": " << actual.ToString() << " vs " << expected.ToString();
+  } else {
+    EXPECT_EQ(actual.Compare(expected), 0)
+        << what << ": " << actual.ToString() << " vs " << expected.ToString();
+  }
+}
+
+void ExpectSameDistribution(const stats::ColumnDistribution& actual,
+                            const reference::Column& expected) {
+  const stats::ColumnDistribution& e = expected.d;
+  const std::string& col = e.column;
+  EXPECT_EQ(actual.column, e.column);
+  EXPECT_EQ(actual.type, e.type) << col;
+  EXPECT_EQ(actual.row_count, e.row_count) << col;
+  EXPECT_EQ(actual.null_count, e.null_count) << col;
+  EXPECT_EQ(actual.has_range, e.has_range) << col;
+  ExpectSameValue(actual.min_value, e.min_value, col + " min");
+  ExpectSameValue(actual.max_value, e.max_value, col + " max");
+  EXPECT_EQ(Bits(actual.ndv), Bits(e.ndv)) << col;
+  EXPECT_EQ(actual.sample_rows, e.sample_rows) << col;
+  EXPECT_EQ(Bits(actual.mcv_total_frequency), Bits(e.mcv_total_frequency))
+      << col;
+  ASSERT_EQ(actual.mcvs.size(), e.mcvs.size()) << col;
+  for (size_t i = 0; i < e.mcvs.size(); ++i) {
+    const std::string what = col + " mcv " + std::to_string(i);
+    ExpectSameValue(actual.mcvs[i].value, e.mcvs[i].value, what);
+    EXPECT_EQ(Bits(actual.mcvs[i].frequency), Bits(e.mcvs[i].frequency))
+        << what;
+  }
+  const stats::EquiDepthHistogram& h = actual.histogram;
+  EXPECT_EQ(h.total_count(), expected.histogram.total_count) << col;
+  ASSERT_EQ(h.buckets().size(), expected.histogram.buckets.size()) << col;
+  for (size_t i = 0; i < h.buckets().size(); ++i) {
+    const stats::HistogramBucket& a = h.buckets()[i];
+    const stats::HistogramBucket& b = expected.histogram.buckets[i];
+    const std::string what = col + " bucket " + std::to_string(i);
+    ExpectSameValue(a.lo, b.lo, what + " lo");
+    ExpectSameValue(a.hi, b.hi, what + " hi");
+    EXPECT_EQ(a.count, b.count) << what;
+    EXPECT_EQ(a.distinct, b.distinct) << what;
+  }
+}
+
+/// Both ANALYZE paths over `table` — the collector under `options` and the
+/// catalog's Table::Analyze — against the reference.
+void ExpectAnalyzeMatchesReference(catalog::Table* table,
+                                   const stats::AnalyzeOptions& options) {
+  auto actual = stats::BuildTableStatistics(*table, options);
+  ASSERT_TRUE(actual.ok()) << actual.status();
+  const reference::TableStatistics expected =
+      reference::BuildTableStatistics(*table, options);
+  EXPECT_EQ((*actual)->row_count, expected.row_count);
+  EXPECT_EQ((*actual)->sample_rows, expected.sample_rows);
+  EXPECT_EQ((*actual)->seed, options.seed);
+  ASSERT_EQ((*actual)->columns.size(), expected.columns.size());
+  for (size_t i = 0; i < expected.columns.size(); ++i) {
+    ExpectSameDistribution((*actual)->columns[i], expected.columns[i]);
+  }
+
+  ASSERT_TRUE(table->Analyze().ok());
+  const std::vector<catalog::ColumnStats> declared =
+      reference::DeclaredStats(*table);
+  for (size_t i = 0; i < declared.size(); ++i) {
+    const catalog::ColumnStats& got =
+        table->GetColumnStats(table->columns()[i].name);
+    EXPECT_EQ(got.num_distinct, declared[i].num_distinct)
+        << table->columns()[i].name;
+    EXPECT_EQ(got.min_value, declared[i].min_value);
+    EXPECT_EQ(got.max_value, declared[i].max_value);
+  }
+}
+
+class AnalyzeExactnessTest : public ::testing::Test {
+ protected:
+  catalog::Table* MakeTable(const std::vector<catalog::ColumnDef>& columns,
+                            const std::vector<types::Tuple>& rows) {
+    auto table = db_.catalog().CreateTable("x", columns);
+    EXPECT_TRUE(table.ok()) << table.status();
+    for (const types::Tuple& row : rows) {
+      EXPECT_TRUE((*table)->Insert(row).ok());
+    }
+    return *table;
+  }
+
+  /// Int64 columns with NULLs and duplicates: `k` is a tenth NULL over 40
+  /// values, `skew` 30% one value over a wide tail, `u` unique, `none`
+  /// all NULL.
+  catalog::Table* MakeInt64Table(int64_t rows) {
+    common::Random rng(7);
+    std::vector<types::Tuple> tuples;
+    for (int64_t i = 0; i < rows; ++i) {
+      const Value k = rng.NextUint64(10) == 0
+                          ? Value()
+                          : Value(static_cast<int64_t>(rng.NextUint64(40)));
+      const Value skew =
+          i % 10 < 3 ? Value(int64_t{7})
+                     : Value(static_cast<int64_t>(rng.NextUint64(2000)));
+      tuples.push_back(types::Tuple({k, skew, Value(rows - i), Value()}));
+    }
+    return MakeTable({{"k", TypeId::kInt64},
+                      {"skew", TypeId::kInt64},
+                      {"u", TypeId::kInt64},
+                      {"none", TypeId::kInt64}},
+                     tuples);
+  }
+
+  workload::Database db_;
+};
+
+TEST_F(AnalyzeExactnessTest, Int64WithNullsAndDuplicates) {
+  ExpectAnalyzeMatchesReference(MakeInt64Table(3000),
+                                stats::AnalyzeOptions::Default());
+}
+
+TEST_F(AnalyzeExactnessTest, ReservoirSmallerThanTable) {
+  // Slots get replaced: the sample is a strict subset of the table.
+  stats::AnalyzeOptions options = stats::AnalyzeOptions::Default();
+  options.reservoir_capacity = 300;
+  options.histogram_buckets = 7;
+  ExpectAnalyzeMatchesReference(MakeInt64Table(3000), options);
+}
+
+TEST_F(AnalyzeExactnessTest, Strings) {
+  common::Random rng(11);
+  std::vector<types::Tuple> rows;
+  for (int64_t i = 0; i < 2500; ++i) {
+    // Some values are longer than the small-string buffer.
+    const uint64_t pick = rng.NextUint64(60);
+    const Value s = pick == 0 ? Value()
+                    : pick % 3 == 0
+                        ? Value("a longer string value number " +
+                                std::to_string(pick))
+                        : Value("v" + std::to_string(pick));
+    rows.push_back(types::Tuple({s, Value("row" + std::to_string(i))}));
+  }
+  ExpectAnalyzeMatchesReference(
+      MakeTable({{"s", TypeId::kString}, {"u", TypeId::kString}}, rows),
+      stats::AnalyzeOptions::Default());
+}
+
+TEST_F(AnalyzeExactnessTest, Doubles) {
+  // Includes values outside int64's range, which the NDV sketch hashes
+  // by their bits.
+  common::Random rng(13);
+  std::vector<types::Tuple> rows;
+  for (int64_t i = 0; i < 2500; ++i) {
+    Value x(static_cast<double>(rng.NextUint64(300)) * 0.25 - 20.0);
+    if (i % 97 == 0) x = Value(1e300);
+    if (i % 101 == 0) x = Value(-std::numeric_limits<double>::infinity());
+    if (i % 103 == 0) x = Value(std::numeric_limits<double>::infinity());
+    if (i % 50 == 0) x = Value();
+    rows.push_back(types::Tuple(
+        {x, Value(static_cast<double>(i) / 7.0 + 1e-3)}));
+  }
+  ExpectAnalyzeMatchesReference(
+      MakeTable({{"x", TypeId::kDouble}, {"u", TypeId::kDouble}}, rows),
+      stats::AnalyzeOptions::Default());
+}
+
+TEST_F(AnalyzeExactnessTest, MixedInt64AndDoubleKeepsFirstSampledCopy) {
+  // 5 and 5.0 compare equal, so they count as one value; the MCV entry
+  // carries whichever copy was sampled first: the int64 5, and for 9 the
+  // double 9.0.
+  common::Random rng(17);
+  std::vector<types::Tuple> rows;
+  for (int64_t i = 0; i < 2000; ++i) {
+    Value m;
+    if (i == 0) {
+      m = Value(int64_t{5});
+    } else if (i == 1) {
+      m = Value(9.0);
+    } else if (i % 4 == 0) {
+      m = Value(5.0);
+    } else if (i % 4 == 1) {
+      m = Value(int64_t{9});
+    } else if (i % 4 == 2) {
+      m = Value(static_cast<double>(rng.NextUint64(8)) + 0.5);
+    } else {
+      m = Value(1000 + i);
+    }
+    rows.push_back(types::Tuple({m}));
+  }
+  catalog::Table* table = MakeTable({{"m", TypeId::kInt64}}, rows);
+  ExpectAnalyzeMatchesReference(table, stats::AnalyzeOptions::Default());
+
+  auto built =
+      stats::BuildTableStatistics(*table, stats::AnalyzeOptions::Default());
+  ASSERT_TRUE(built.ok());
+  const std::vector<stats::MostCommonValue>& mcvs = (*built)->columns[0].mcvs;
+  ASSERT_GE(mcvs.size(), 2u);
+  ExpectSameValue(mcvs[0].value, Value(int64_t{5}), "first mcv");
+  ExpectSameValue(mcvs[1].value, Value(9.0), "second mcv");
+}
+
+TEST_F(AnalyzeExactnessTest, CountTiesAtTheLastMcvSlot) {
+  // Ten values sampled 5 times, thirty sampled 3 times, the rest once, in
+  // shuffled order: the 16-entry MCV list takes the ten, then the six
+  // smallest of the thirty tied values.
+  std::vector<int64_t> data;
+  for (int64_t v = 0; v < 10; ++v) data.insert(data.end(), 5, 500 + v);
+  for (int64_t v = 0; v < 30; ++v) data.insert(data.end(), 3, 100 + v);
+  for (int64_t v = 0; v < 200; ++v) data.push_back(1000 + v);
+  common::Random rng(19);
+  for (size_t i = data.size(); i > 1; --i) {
+    std::swap(data[i - 1], data[rng.NextUint64(i)]);
+  }
+  std::vector<types::Tuple> rows;
+  for (int64_t x : data) rows.push_back(types::Tuple({Value(x)}));
+  catalog::Table* table = MakeTable({{"t", TypeId::kInt64}}, rows);
+  ExpectAnalyzeMatchesReference(table, stats::AnalyzeOptions::Default());
+
+  auto built =
+      stats::BuildTableStatistics(*table, stats::AnalyzeOptions::Default());
+  ASSERT_TRUE(built.ok());
+  const std::vector<stats::MostCommonValue>& mcvs = (*built)->columns[0].mcvs;
+  ASSERT_EQ(mcvs.size(), 16u);
+  for (size_t i = 0; i < 16; ++i) {
+    const int64_t want = i < 10 ? 500 + static_cast<int64_t>(i)
+                                : 100 + static_cast<int64_t>(i - 10);
+    EXPECT_EQ(mcvs[i].value.AsInt64(), want) << "slot " << i;
+  }
+}
+
+TEST(SortedRunsTest, RunsAreHeadedByTheirFirstCopy) {
+  const std::vector<stats::ValueRun> runs = stats::SortedRuns(
+      {Value(5.0), Value(int64_t{5}), Value(int64_t{3}), Value(int64_t{5})});
+  ASSERT_EQ(runs.size(), 2u);
+  ExpectSameValue(runs[0].value, Value(int64_t{3}), "run 0");
+  EXPECT_EQ(runs[0].count, 1u);
+  ExpectSameValue(runs[1].value, Value(5.0), "run 1");
+  EXPECT_EQ(runs[1].count, 3u);
 }
 
 }  // namespace

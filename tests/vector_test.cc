@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -666,6 +667,37 @@ TEST(VectorTransferTest, ColumnarProbeHashMatchesValueHash) {
   const auto off = run(false);
   EXPECT_EQ(on.size(), 16u);  // No false negatives: all 16 matches found.
   EXPECT_EQ(on, off);
+}
+
+/// Keys at and beyond int64's edges: INT64_MAX rounds up to 2^63 as a
+/// double, outside int64, so the exactness round trip in the hash must not
+/// cast it back; the double column holds values no int64 can equal.
+TEST(VectorTransferTest, HashCellMatchesValueHashAtInt64Edges) {
+  RowSchema schema({ColumnInfo{"t", "i", TypeId::kInt64},
+                    ColumnInfo{"t", "d", TypeId::kDouble}});
+  const double inf = std::numeric_limits<double>::infinity();
+  ColumnBatch cells(schema);
+  cells.AppendTuple(
+      Tuple({Value(std::numeric_limits<int64_t>::max()), Value(inf)}));
+  cells.AppendTuple(
+      Tuple({Value(std::numeric_limits<int64_t>::min()), Value(-inf)}));
+  cells.AppendTuple(Tuple({Value(std::numeric_limits<int64_t>::max() - 1),
+                           Value(std::nan(""))}));
+  cells.AppendTuple(Tuple({Value(int64_t{-3}), Value(1e300)}));
+  cells.AppendTuple(Tuple({Value(int64_t{0}), Value(-0x1p63)}));
+  ASSERT_FALSE(cells.column(0).boxed);
+  ASSERT_FALSE(cells.column(1).boxed);
+  for (size_t row = 0; row < cells.num_rows(); ++row) {
+    for (size_t col = 0; col < cells.num_columns(); ++col) {
+      EXPECT_EQ(cells.HashCell(col, row),
+                static_cast<uint64_t>(cells.GetValue(col, row).Hash()))
+          << "col " << col << " row " << row;
+    }
+  }
+  // INT64_MIN is exactly -2^63, so it still hashes like that double.
+  EXPECT_EQ(Value(std::numeric_limits<int64_t>::min()).Hash(),
+            Value(-0x1p63).Hash());
+  EXPECT_EQ(Value(int64_t{3}).Hash(), Value(3.0).Hash());
 }
 
 // ---------------------------------------------------------------------------
