@@ -52,8 +52,8 @@
 # as well so parallel UDF evaluation over columnar survivors is too. A third
 # pass builds under AddressSanitizer + UndefinedBehaviorSanitizer
 # (-DPPP_SANITIZE=address,undefined,float-cast-overflow, UB fatal) and runs
-# the exec, vector, orderby, transfer, subquery, serve, fuzz and stats
-# suites. Skip the sanitizer
+# the exec, vector, orderby, transfer, subquery, serve, fuzz, stats,
+# cache, types and parallel_exec suites. Skip the sanitizer
 # passes with SKIP_TSAN=1 when iterating.
 set -euo pipefail
 
@@ -488,12 +488,15 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   # capacity would hide a stale row index from ASan). GCC's "undefined"
   # group leaves out float-cast-overflow (a double outside the target
   # integer's range), which the value hashes must guard against; it is
-  # named explicitly. stats_test runs ANALYZE over such doubles.
+  # named explicitly. stats_test runs ANALYZE over such doubles. The §5.1
+  # cache key is written from raw column storage (types_test, exec_test)
+  # and the memo is probed concurrently (cache_test, parallel_exec_test).
   cmake -B "$ASAN_BUILD_DIR" -S . \
     -DPPP_SANITIZE=address,undefined,float-cast-overflow \
     -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined,float-cast-overflow -D_GLIBCXX_ASSERTIONS"
   ASAN_TESTS=(exec_test vector_test orderby_test transfer_test subquery_test
-              serve_test fuzz_test stats_test)
+              serve_test fuzz_test stats_test cache_test types_test
+              parallel_exec_test)
   cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" --target "${ASAN_TESTS[@]}"
   for t in "${ASAN_TESTS[@]}"; do
     "$ASAN_BUILD_DIR/tests/$t" --gtest_brief=1

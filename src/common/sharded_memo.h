@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -49,6 +50,9 @@ namespace ppp::common {
 /// probe already holds, so concurrent probers share no counter cache line;
 /// probes()/hits() sum over the shards. Only an adaptive memo also keeps
 /// the memo-wide atomics its self-disable check reads.
+///
+/// A probe hashes its key once: the hash picks the shard and is handed to
+/// the shard's map through a heterogeneous lookup.
 template <typename V>
 class ShardedMemo {
  public:
@@ -68,11 +72,11 @@ class ShardedMemo {
   /// the hash-map node, and the eviction-list node.
   static constexpr size_t kEntryOverhead = 64;
 
-  /// Event callbacks, fired outside any per-key wait but possibly under a
-  /// shard lock; must be cheap and non-blocking (atomic metric bumps).
+  /// Callbacks for the rarer events, fired outside any per-key wait but
+  /// possibly under a shard lock; must be cheap and non-blocking (atomic
+  /// metric bumps). Hits and misses have none: callers count them from
+  /// each probe's Outcome.
   struct Listener {
-    std::function<void()> on_hit;
-    std::function<void()> on_miss;
     std::function<void()> on_eviction;
     std::function<void()> on_disable;
     /// A probe found its shard mutex already held by another worker.
@@ -125,19 +129,20 @@ class ShardedMemo {
   /// executes without any shard lock held. `outcome`, when non-null,
   /// receives whether this probe hit and how many entries it evicted.
   template <typename Compute>
-  V GetOrCompute(const std::string& key, const Compute& compute,
+  V GetOrCompute(std::string_view key, const Compute& compute,
                  Outcome* outcome = nullptr) {
     const uint64_t probe =
         options_.adaptive ? probes_.fetch_add(1, std::memory_order_relaxed) + 1
                           : 0;
-    Shard& shard = shards_[ShardOf(key)];
+    const HashedKey hashed{key, KeyHash{}(key)};
+    Shard& shard =
+        shards_[shards_.size() == 1 ? 0 : hashed.hash % shards_.size()];
     std::unique_lock<std::mutex> lock = LockShard(&shard);
     ++shard.probes;
-    auto it = shard.map.find(key);
+    auto it = shard.map.find(hashed);
     if (it != shard.map.end()) {
       ++shard.hits;
       if (options_.adaptive) hits_.fetch_add(1, std::memory_order_relaxed);
-      if (listener_.on_hit) listener_.on_hit();
       if (outcome != nullptr) outcome->hit = true;
       Entry& entry = *it->second;
       if (entry.ready) return entry.value;
@@ -150,7 +155,6 @@ class ShardedMemo {
       return pending->value;
     }
 
-    if (listener_.on_miss) listener_.on_miss();
     if (options_.adaptive && probe >= options_.probe_window &&
         hits_.load(std::memory_order_relaxed) == 0) {
       // Every binding so far was distinct: memoization cannot pay here.
@@ -184,8 +188,8 @@ class ShardedMemo {
       if (listener_.on_eviction) listener_.on_eviction();
     }
     auto entry = std::make_shared<Entry>();
-    shard.map.emplace(key, entry);
-    shard.order.push_back(key);
+    shard.map.emplace(std::string(key), entry);
+    shard.order.emplace_back(key);
     shard.bytes += new_bytes;
     lock.unlock();
 
@@ -243,12 +247,41 @@ class ShardedMemo {
     bool ready = false;  // Guarded by the owning shard's mutex.
   };
 
+  /// A probe's key with its hash, computed once per probe.
+  struct HashedKey {
+    std::string_view key;
+    size_t hash;
+  };
+
+  /// Transparent hash and equality, so a probe finds its key by the hash
+  /// it already computed, with no std::string built.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
+    size_t operator()(const HashedKey& key) const { return key.hash; }
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    bool operator()(std::string_view a, std::string_view b) const {
+      return a == b;
+    }
+    bool operator()(const HashedKey& a, std::string_view b) const {
+      return a.key == b;
+    }
+    bool operator()(std::string_view a, const HashedKey& b) const {
+      return a == b.key;
+    }
+  };
+
   /// Cache-line aligned so neighbouring shards' mutexes and counters
   /// don't share a line.
   struct alignas(64) Shard {
     mutable std::mutex mu;
     std::condition_variable cv;
-    std::unordered_map<std::string, std::shared_ptr<Entry>> map;
+    std::unordered_map<std::string, std::shared_ptr<Entry>, KeyHash, KeyEq>
+        map;
     /// Eviction queue, front = next victim (insertion order).
     std::list<std::string> order;
     /// Approximate bytes charged for the current entries.
@@ -266,12 +299,6 @@ class ShardedMemo {
       total += shard.*field;
     }
     return total;
-  }
-
-  size_t ShardOf(const std::string& key) const {
-    return shards_.size() == 1
-               ? 0
-               : std::hash<std::string>{}(key) % shards_.size();
   }
 
   std::unique_lock<std::mutex> LockShard(Shard* shard) {

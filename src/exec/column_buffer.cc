@@ -5,6 +5,17 @@
 
 namespace ppp::exec {
 
+common::Status PullColumnBatch(Operator* op, size_t batch_size, bool columns,
+                               TupleBatch* rows, types::ColumnBatch* batch,
+                               bool* eof) {
+  if (columns) return op->NextColumnBatch(batch_size, batch, eof);
+  rows->clear();
+  PPP_RETURN_IF_ERROR(op->NextBatch(batch_size, rows, eof));
+  batch->Reset(op->schema());
+  for (const types::Tuple& tuple : rows->tuples) batch->AppendTuple(tuple);
+  return common::Status::OK();
+}
+
 common::Status ColumnBuffer::Fill(Operator* op, size_t batch_size,
                                   bool columns) {
   num_batches_ = 0;
@@ -14,16 +25,8 @@ common::Status ColumnBuffer::Fill(Operator* op, size_t batch_size,
   while (!eof) {
     if (num_batches_ == batches_.size()) batches_.emplace_back();
     types::ColumnBatch& batch = batches_[num_batches_];
-    if (columns) {
-      PPP_RETURN_IF_ERROR(op->NextColumnBatch(batch_size, &batch, &eof));
-    } else {
-      row_batch_.clear();
-      PPP_RETURN_IF_ERROR(op->NextBatch(batch_size, &row_batch_, &eof));
-      batch.Reset(op->schema());
-      for (const types::Tuple& tuple : row_batch_.tuples) {
-        batch.AppendTuple(tuple);
-      }
-    }
+    PPP_RETURN_IF_ERROR(
+        PullColumnBatch(op, batch_size, columns, &row_batch_, &batch, &eof));
     if (batch.selected() == 0) continue;
     const uint32_t index = static_cast<uint32_t>(num_batches_++);
     for (const uint32_t row : batch.selection()) rows_.push_back({index, row});
@@ -47,6 +50,30 @@ bool ColumnBuffer::CellEquals(Pos p, size_t col,
     return column.i64[p.row] == v.AsInt64();
   }
   return GetValue(p, col).Compare(v) == 0;
+}
+
+common::Status ColumnCursor::Open() {
+  batch_.Clear();
+  pos_ = 0;
+  eof_ = false;
+  return child_->Open();
+}
+
+common::Status ColumnCursor::Advance(size_t batch_size,
+                                     const types::ColumnBatch** batch,
+                                     uint32_t* row) {
+  while (pos_ >= batch_.selected()) {
+    if (eof_) {
+      *batch = nullptr;
+      return common::Status::OK();
+    }
+    pos_ = 0;
+    PPP_RETURN_IF_ERROR(PullColumnBatch(child_, batch_size, columns_, &rows_,
+                                        &batch_, &eof_));
+  }
+  *batch = &batch_;
+  *row = batch_.selection()[pos_++];
+  return common::Status::OK();
 }
 
 void SortedRun::Build(const ColumnBuffer& in, size_t col, bool drop_nulls) {

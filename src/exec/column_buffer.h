@@ -12,6 +12,16 @@
 
 namespace ppp::exec {
 
+/// Pulls one batch of up to `batch_size` rows from `op` into `batch`: with
+/// `columns`, NextColumnBatch (native for scans and vectorized filters, the
+/// row adapter otherwise); without it NextBatch into the scratch `rows`,
+/// transposed with AppendTuple. The one pull behind ColumnBuffer and
+/// ColumnCursor, so the operators above them have one implementation and
+/// pin the same pages either way (ExecParams::vectorized picks `columns`).
+common::Status PullColumnBatch(Operator* op, size_t batch_size, bool columns,
+                               TupleBatch* rows, types::ColumnBatch* batch,
+                               bool* eof);
+
 /// A pipeline breaker's drained input, kept as the child's column batches.
 /// HashJoin's build side, both MergeJoin inputs and Sort drain through it
 /// and then bucket or order row positions; a Tuple is built only for a row
@@ -24,12 +34,8 @@ class ColumnBuffer {
     uint32_t row;
   };
 
-  /// Opens `op` and drains it, replacing any earlier contents. `columns`
-  /// pulls NextColumnBatch (native for scans and vectorized filters, the
-  /// row adapter otherwise); without it the buffer pulls NextBatch and
-  /// transposes each row batch with AppendTuple, so the operators above
-  /// have one implementation either way. Batch objects are reused across
-  /// refills (a nested-loop inner re-opens per outer row).
+  /// Opens `op` and drains it through PullColumnBatch, replacing any
+  /// earlier contents. Batch objects are reused across refills.
   common::Status Fill(Operator* op, size_t batch_size, bool columns);
 
   /// The selected rows, in stream order.
@@ -63,6 +69,33 @@ class ColumnBuffer {
   size_t num_batches_ = 0;  // Batches in use; the rest are kept for reuse.
   std::vector<Pos> rows_;
   TupleBatch row_batch_;  // Scratch for the row pull.
+};
+
+/// Row-at-a-time view of a child's column batches: NestedLoopJoin's inner,
+/// probed in place, so a candidate pair whose predicate hits the §5.1
+/// cache builds no row. Like RowCursor, the next batch is pulled (through
+/// PullColumnBatch) only once the current one's selected rows are used up.
+class ColumnCursor {
+ public:
+  ColumnCursor(Operator* child, bool columns)
+      : child_(child), columns_(columns) {}
+
+  /// (Re-)opens the child and drops any buffered rows.
+  common::Status Open();
+
+  /// Points *batch at the batch holding the next selected row and sets
+  /// *row to its index there, or sets *batch to nullptr once the stream is
+  /// exhausted. Both stay valid until the next Advance() or Open().
+  common::Status Advance(size_t batch_size, const types::ColumnBatch** batch,
+                         uint32_t* row);
+
+ private:
+  Operator* child_;
+  bool columns_;
+  types::ColumnBatch batch_;
+  TupleBatch rows_;  // Scratch for the row pull.
+  size_t pos_ = 0;   // Next index into batch_.selection().
+  bool eof_ = false;
 };
 
 /// Rows of a ColumnBuffer stably ordered on one key column under

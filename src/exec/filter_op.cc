@@ -89,11 +89,13 @@ void FilterOp::EvalScalarOnSelection(
       }
     }
   } else {
+    static const types::Tuple kNoOuter;
     for (const uint32_t row : sel) {
-      const types::Tuple tuple = batch->RowAsTuple(row);
       // Eval unconditionally: a maybe_null row must still invoke the
       // expensive remainder (the scalar engine would), it just can't pass.
-      const bool pass = pred->Eval(tuple, &ctx_->eval);
+      // The key comes from the batch's columns; a hit builds no row.
+      const bool pass =
+          pred->Eval(kNoOuter, *batch, row, &ctx_->eval, nullptr);
       if (pass && (maybe_null == nullptr || (*maybe_null)[row] == 0)) {
         sel[out++] = row;
       }

@@ -74,6 +74,8 @@ class FilterOp : public Operator {
   /// Evaluates `pred` over the selected rows (parallel when configured),
   /// leaving only passing rows selected; rows flagged in `maybe_null`
   /// (when non-null) are evaluated but always dropped from the output.
+  /// The serial pass probes the cache from the batch's columns, so a hit
+  /// builds no row; the parallel pass hands its workers row tuples.
   void EvalScalarOnSelection(CachedPredicate* pred, types::ColumnBatch* batch,
                              const std::vector<uint8_t>* maybe_null);
 

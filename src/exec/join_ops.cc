@@ -15,7 +15,7 @@ NestedLoopJoinOp::NestedLoopJoinOp(std::unique_ptr<Operator> outer,
     : outer_(std::move(outer)),
       inner_(std::move(inner)),
       outer_rows_(outer_.get()),
-      inner_rows_(inner_.get()),
+      inner_rows_(inner_.get(), ctx->params.vectorized),
       primary_(std::move(primary)),
       ctx_(ctx) {
   schema_ = types::RowSchema::Concat(outer_->schema(), inner_->schema());
@@ -40,22 +40,22 @@ common::Status NestedLoopJoinOp::NextBatchImpl(size_t max_rows,
       // Rescan: the inner pipeline restarts and re-reads its pages.
       PPP_RETURN_IF_ERROR(inner_rows_.Open());
     }
-    types::Tuple* inner_row = nullptr;
-    PPP_RETURN_IF_ERROR(inner_rows_.Advance(batch_size_, &inner_row));
-    if (inner_row == nullptr) {
+    const types::ColumnBatch* inner = nullptr;
+    uint32_t row = 0;
+    PPP_RETURN_IF_ERROR(inner_rows_.Advance(batch_size_, &inner, &row));
+    if (inner == nullptr) {
       outer_row_ = nullptr;
       continue;
     }
-    // The pair is concatenated only for a predicate miss or an emitted row.
+    // The pair is built only for a predicate miss or an emitted row.
     std::optional<types::Tuple> joined;
     if (primary_.has_value() &&
-        !primary_->Eval(*outer_row_, *inner_row, &ctx_->eval, &joined)) {
+        !primary_->Eval(*outer_row_, *inner, row, &ctx_->eval, &joined)) {
       continue;
     }
     batch->tuples.push_back(joined.has_value()
                                 ? std::move(*joined)
-                                : types::Tuple::Concat(*outer_row_,
-                                                       *inner_row));
+                                : inner->JoinRow(*outer_row_, row));
   }
   return common::Status::OK();
 }

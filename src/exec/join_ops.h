@@ -19,6 +19,12 @@ namespace ppp::exec {
 /// predicate (possibly expensive, possibly absent for a cross product) is
 /// evaluated on each candidate pair through a CachedPredicate, in
 /// outer-major, inner-minor order at any batch size.
+///
+/// The outer streams rows; the inner streams column batches (ColumnCursor:
+/// NextColumnBatch under ExecParams::vectorized, row batches transposed
+/// otherwise, with the same pins either way). A candidate pair's cache key
+/// is written from the outer row and the inner batch's columns, so the
+/// pair is built only for a predicate miss or an emitted row.
 class NestedLoopJoinOp : public Operator {
  public:
   NestedLoopJoinOp(std::unique_ptr<Operator> outer,
@@ -40,7 +46,7 @@ class NestedLoopJoinOp : public Operator {
   std::unique_ptr<Operator> outer_;
   std::unique_ptr<Operator> inner_;
   RowCursor outer_rows_;
-  RowCursor inner_rows_;
+  ColumnCursor inner_rows_;
   std::optional<CachedPredicate> primary_;
   ExecContext* ctx_;
   types::Tuple* outer_row_ = nullptr;  // Current outer row, in outer_rows_.

@@ -225,9 +225,8 @@ common::Result<CachedPredicate> CachedPredicate::Bind(
   return out;
 }
 
-template <typename Compute>
-bool CachedPredicate::Lookup(const types::Tuple& left,
-                             const types::Tuple& right,
+template <typename WriteKey, typename Compute>
+bool CachedPredicate::Lookup(const WriteKey& write_key,
                              const Compute& compute) {
   // Key = the values of the predicate's input columns, serialized. This is
   // the paper's "hash table keyed on the bindings of the input variables".
@@ -235,8 +234,7 @@ bool CachedPredicate::Lookup(const types::Tuple& left,
   // entry before `compute` runs and never reads it afterwards, so a
   // nested Eval on this thread may overwrite it.
   thread_local std::string key;
-  types::Tuple::SerializeProjection(left, right, bound_->column_indexes(),
-                                    &key);
+  write_key(bound_->column_indexes(), &key);
   ShardedPredicateCache::Outcome outcome;
   const bool pass = cache_->GetOrCompute(key, compute, &outcome);
   if (outcome.hit) counts_->hits.fetch_add(1, std::memory_order_relaxed);
@@ -251,18 +249,29 @@ bool CachedPredicate::Eval(const types::Tuple& tuple,
                            expr::EvalContext* ctx) {
   const auto evaluate = [&] { return bound_->EvalBool(tuple, ctx); };
   if (!cache_enabled_ || cache_->disabled()) return evaluate();
-  return Lookup(tuple, types::Tuple(), evaluate);
+  return Lookup(
+      [&](const std::vector<size_t>& indexes, std::string* key) {
+        tuple.SerializeProjection(indexes, key);
+      },
+      evaluate);
 }
 
 bool CachedPredicate::Eval(const types::Tuple& left,
-                           const types::Tuple& right, expr::EvalContext* ctx,
-                           std::optional<types::Tuple>* joined) {
+                           const types::ColumnBatch& batch, size_t row,
+                           expr::EvalContext* ctx,
+                           std::optional<types::Tuple>* built) {
   const auto evaluate = [&] {
-    joined->emplace(types::Tuple::Concat(left, right));
-    return bound_->EvalBool(**joined, ctx);
+    types::Tuple tuple = batch.JoinRow(left, row);
+    const bool pass = bound_->EvalBool(tuple, ctx);
+    if (built != nullptr) built->emplace(std::move(tuple));
+    return pass;
   };
   if (!cache_enabled_ || cache_->disabled()) return evaluate();
-  return Lookup(left, right, evaluate);
+  return Lookup(
+      [&](const std::vector<size_t>& indexes, std::string* key) {
+        batch.SerializeProjection(left, row, indexes, key);
+      },
+      evaluate);
 }
 
 }  // namespace ppp::exec

@@ -307,6 +307,13 @@ class RowCursor {
 /// predicates, not functions — §5.1). The memo is a ShardedPredicateCache,
 /// so Eval is safe to call concurrently from the parallel predicate
 /// evaluator's workers (each with its own EvalContext).
+///
+/// Two probe forms write the same key bytes: one from a row Tuple, and one
+/// from (outer Tuple, column batch, row) that reads each input cell
+/// straight from column storage. The columnar form serves the nested-loop
+/// join's candidate pairs and the filter's scalar pass over a selection;
+/// it builds a row only when the predicate must run, so a cache hit costs
+/// one key write and one hash probe.
 class CachedPredicate {
  public:
   /// Binds and configures memoization from `ctx`: the predicate-level
@@ -326,14 +333,16 @@ class CachedPredicate {
   /// not invoke any function.
   bool Eval(const types::Tuple& tuple, expr::EvalContext* ctx);
 
-  /// Evaluates on the join candidate `left ++ right` (the predicate was
-  /// bound to the concatenated schema). The cache key is written straight
-  /// from the two halves — the same bytes the single-tuple form keys on —
-  /// and the pair is concatenated only when the predicate must run (a
-  /// cache miss, or no cache); *joined then holds it, so a join emitting
-  /// the pair need not concatenate again.
-  bool Eval(const types::Tuple& left, const types::Tuple& right,
-            expr::EvalContext* ctx, std::optional<types::Tuple>* joined);
+  /// Evaluates on the row `left ++ batch[row]` (the predicate was bound to
+  /// that concatenated schema; `left` is empty for a filter over the
+  /// batch). The cache key is written from `left`'s values and the batch's
+  /// column storage — the bytes the Tuple form keys on — and the row is
+  /// built only when the predicate must run (a cache miss, or no cache).
+  /// *built, when non-null, then holds it, so a join emitting the row need
+  /// not build it again.
+  bool Eval(const types::Tuple& left, const types::ColumnBatch& batch,
+            size_t row, expr::EvalContext* ctx,
+            std::optional<types::Tuple>* built);
 
   bool cache_enabled() const {
     return cache_enabled_ && !cache_->disabled();
@@ -359,12 +368,12 @@ class CachedPredicate {
  private:
   CachedPredicate() = default;
 
-  /// Probes the memo with the key of `left ++ right`'s input columns,
-  /// running `compute` on a miss, and counts the outcome for this bind.
-  /// Defined (and only instantiated) in operator.cc.
-  template <typename Compute>
-  bool Lookup(const types::Tuple& left, const types::Tuple& right,
-              const Compute& compute);
+  /// Probes the memo with the key `write_key(indexes, &key)` writes for
+  /// the predicate's input columns, running `compute` on a miss, and
+  /// counts the outcome for this bind. Defined (and only instantiated) in
+  /// operator.cc.
+  template <typename WriteKey, typename Compute>
+  bool Lookup(const WriteKey& write_key, const Compute& compute);
 
   /// Per-bind probe outcomes; atomic because the parallel evaluator's
   /// workers call Eval concurrently.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
-
 namespace ppp::exec {
 
 namespace {
@@ -22,17 +20,13 @@ common::ShardedMemo<bool>::Options MemoOptions(
 }  // namespace
 
 ShardedPredicateCache::ShardedPredicateCache(const Options& options)
-    : memo_(MemoOptions(options)) {
+    : memo_(MemoOptions(options)),
+      hits_counter_(obs::MetricsRegistry::Global().GetCounter(
+          "exec.predicate_cache.hits")),
+      misses_counter_(obs::MetricsRegistry::Global().GetCounter(
+          "exec.predicate_cache.misses")) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   common::ShardedMemo<bool>::Listener listener;
-  listener.on_hit = [counter = registry.GetCounter(
-                         "exec.predicate_cache.hits")] {
-    counter->Increment();
-  };
-  listener.on_miss = [counter = registry.GetCounter(
-                          "exec.predicate_cache.misses")] {
-    counter->Increment();
-  };
   listener.on_eviction = [counter = registry.GetCounter(
                               "exec.predicate_cache.evictions"),
                           bounded = registry.GetCounter(

@@ -2,18 +2,20 @@
 #define PPP_EXEC_PRED_CACHE_H_
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 #include "common/sharded_memo.h"
+#include "obs/metrics.h"
 
 namespace ppp::exec {
 
 /// The §5.1 predicate cache ("a hash table keyed on the bindings of the
 /// input variables"), sharded so the parallel predicate evaluator's
 /// concurrent probes don't serialize on one mutex. Wraps
-/// common::ShardedMemo<bool> and wires its events into the global metrics
-/// registry (exec.predicate_cache.*), keeping hit/miss/eviction counts
-/// exact under concurrency.
+/// common::ShardedMemo<bool> and counts its events into the global metrics
+/// registry (exec.predicate_cache.*): hits and misses from each probe's
+/// outcome, the rarer events through the memo's listener, so every count
+/// stays exact under concurrency.
 class ShardedPredicateCache {
  public:
   struct Options {
@@ -47,11 +49,13 @@ class ShardedPredicateCache {
 
   /// Returns the cached verdict for `key`, evaluating `compute` at most
   /// once per distinct key (concurrent probers of an in-flight key wait).
-  /// `outcome`, when non-null, receives this probe's hit and evictions.
+  /// `outcome` receives this probe's hit and evictions.
   template <typename Compute>
-  bool GetOrCompute(const std::string& key, const Compute& compute,
-                    Outcome* outcome = nullptr) {
-    return memo_.GetOrCompute(key, compute, outcome);
+  bool GetOrCompute(std::string_view key, const Compute& compute,
+                    Outcome* outcome) {
+    const bool value = memo_.GetOrCompute(key, compute, outcome);
+    (outcome->hit ? hits_counter_ : misses_counter_)->Increment();
+    return value;
   }
 
   bool disabled() const { return memo_.disabled(); }
@@ -64,6 +68,8 @@ class ShardedPredicateCache {
 
  private:
   common::ShardedMemo<bool> memo_;
+  obs::Counter* hits_counter_;
+  obs::Counter* misses_counter_;
 };
 
 }  // namespace ppp::exec

@@ -1,5 +1,6 @@
 #include "exec/vector_filter.h"
 
+#include <cmath>
 #include <string_view>
 #include <utility>
 
@@ -83,10 +84,19 @@ void Kernel(std::vector<uint32_t>* selection, L lhs, R rhs,
   sel.resize(out);
 }
 
-/// Comparators written against the three-way ordering (a<b / a>b only), so
-/// double NaN behaves exactly like Value::Compare: NaN neither < nor >
-/// anything, hence Compare() == 0, hence Eq/Le/Ge hold. For int64 and
-/// string_view these forms are equivalent to the plain operators.
+/// Value::Compare's strict order on one operand type: plain `<` for int64
+/// and strings; for doubles, NaN equals NaN and sorts above every other
+/// number.
+template <typename T>
+bool Less(T a, T b) {
+  return a < b;
+}
+bool Less(double a, double b) {
+  return std::isnan(b) ? !std::isnan(a) : a < b;
+}
+
+/// Comparators written against that order only, so every operator agrees
+/// with Value::Compare's three-way result, NaN included.
 template <typename L, typename R>
 void DispatchOp(expr::CompareOp op, std::vector<uint32_t>* selection, L lhs,
                 R rhs, const uint8_t* lhs_nulls, const uint8_t* rhs_nulls,
@@ -94,27 +104,27 @@ void DispatchOp(expr::CompareOp op, std::vector<uint32_t>* selection, L lhs,
   switch (op) {
     case expr::CompareOp::kEq:
       Kernel(selection, lhs, rhs, lhs_nulls, rhs_nulls, maybe_null,
-             [](auto a, auto b) { return !(a < b) && !(a > b); });
+             [](auto a, auto b) { return !Less(a, b) && !Less(b, a); });
       break;
     case expr::CompareOp::kNe:
       Kernel(selection, lhs, rhs, lhs_nulls, rhs_nulls, maybe_null,
-             [](auto a, auto b) { return (a < b) || (a > b); });
+             [](auto a, auto b) { return Less(a, b) || Less(b, a); });
       break;
     case expr::CompareOp::kLt:
       Kernel(selection, lhs, rhs, lhs_nulls, rhs_nulls, maybe_null,
-             [](auto a, auto b) { return a < b; });
+             [](auto a, auto b) { return Less(a, b); });
       break;
     case expr::CompareOp::kLe:
       Kernel(selection, lhs, rhs, lhs_nulls, rhs_nulls, maybe_null,
-             [](auto a, auto b) { return !(a > b); });
+             [](auto a, auto b) { return !Less(b, a); });
       break;
     case expr::CompareOp::kGt:
       Kernel(selection, lhs, rhs, lhs_nulls, rhs_nulls, maybe_null,
-             [](auto a, auto b) { return a > b; });
+             [](auto a, auto b) { return Less(b, a); });
       break;
     case expr::CompareOp::kGe:
       Kernel(selection, lhs, rhs, lhs_nulls, rhs_nulls, maybe_null,
-             [](auto a, auto b) { return !(a < b); });
+             [](auto a, auto b) { return !Less(a, b); });
       break;
   }
 }

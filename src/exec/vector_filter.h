@@ -21,7 +21,8 @@ namespace ppp::exec {
 ///
 /// Semantics mirror BoundExpr::Eval exactly: comparisons go through the
 /// same three-way ordering as Value::Compare (int64/int64 exact, mixed
-/// numeric via double — including its NaN behaviour), and a NULL operand
+/// numeric via double, NaN equal to NaN and above every other number), and
+/// a NULL operand
 /// yields NULL. What NULL means to the selection depends on the caller:
 ///  - standalone cheap predicate: NULL rows drop (EvalBool semantics);
 ///  - cheap prefix of a mixed conjunction: NULL rows *survive* with their

@@ -10,17 +10,13 @@
 
 namespace ppp::expr {
 
-FunctionCache::FunctionCache() {
+FunctionCache::FunctionCache()
+    : hits_counter_(obs::MetricsRegistry::Global().GetCounter(
+          "expr.function_cache.hits")),
+      misses_counter_(obs::MetricsRegistry::Global().GetCounter(
+          "expr.function_cache.misses")) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   common::ShardedMemo<types::Value>::Listener listener;
-  listener.on_hit = [counter = registry.GetCounter(
-                         "expr.function_cache.hits")] {
-    counter->Increment();
-  };
-  listener.on_miss = [counter = registry.GetCounter(
-                          "expr.function_cache.misses")] {
-    counter->Increment();
-  };
   listener.on_eviction = [counter = registry.GetCounter(
                               "expr.function_cache.evictions")] {
     counter->Increment();
@@ -34,6 +30,14 @@ FunctionCache::FunctionCache() {
     counter->Increment();
   };
   memo_.set_listener(std::move(listener));
+}
+
+types::Value FunctionCache::GetOrCompute(
+    const std::string& key, const std::function<types::Value()>& compute) {
+  common::ShardedMemo<types::Value>::Outcome outcome;
+  types::Value value = memo_.GetOrCompute(key, compute, &outcome);
+  (outcome.hit ? hits_counter_ : misses_counter_)->Increment();
+  return value;
 }
 
 void FunctionCache::Configure(const Options& options) {

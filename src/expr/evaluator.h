@@ -15,6 +15,10 @@
 #include "types/row_schema.h"
 #include "types/tuple.h"
 
+namespace ppp::obs {
+class Counter;
+}  // namespace ppp::obs
+
 namespace ppp::expr {
 
 /// Per-function memo table: the [Jhi88] alternative to whole-predicate
@@ -40,11 +44,10 @@ class FunctionCache {
   void Configure(const Options& options);
 
   /// Returns the memoized result, running `compute` at most once per
-  /// distinct key (concurrent probers of an in-flight key wait).
+  /// distinct key (concurrent probers of an in-flight key wait), and
+  /// counts the probe's hit or miss (expr.function_cache.*).
   types::Value GetOrCompute(const std::string& key,
-                            const std::function<types::Value()>& compute) {
-    return memo_.GetOrCompute(key, compute);
-  }
+                            const std::function<types::Value()>& compute);
 
   /// True once the adaptive policy disabled this cache (zero hits in the
   /// first probe_window probes); callers then invoke functions directly.
@@ -57,6 +60,8 @@ class FunctionCache {
  private:
   Options options_;
   common::ShardedMemo<types::Value> memo_;
+  obs::Counter* hits_counter_;
+  obs::Counter* misses_counter_;
 };
 
 /// Mutable per-query evaluation state: the UDF invocation counters that the

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -58,9 +59,12 @@ uint64_t StableValueHash(const types::Value& v) {
           return Mix64(static_cast<uint64_t>(as_int) ^ 0x1ULL << 62);
         }
       }
+      // Every NaN payload hashes alike (Value::Compare makes NaNs equal).
+      const double canonical =
+          std::isnan(d) ? std::numeric_limits<double>::quiet_NaN() : d;
       uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(d));
-      std::memcpy(&bits, &d, sizeof(bits));
+      static_assert(sizeof(bits) == sizeof(canonical));
+      std::memcpy(&bits, &canonical, sizeof(bits));
       return Mix64(bits ^ 0x2ULL << 62);
     }
     case types::TypeId::kString: {

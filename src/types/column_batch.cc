@@ -10,6 +10,11 @@ namespace ppp::types {
 namespace {
 
 template <typename T>
+void AppendPod(std::string* out, T v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+template <typename T>
 bool ReadPod(const char* data, size_t size, size_t* pos, T* out) {
   if (*pos + sizeof(T) > size) return false;
   std::memcpy(out, data + *pos, sizeof(T));
@@ -279,12 +284,60 @@ Value ColumnBatch::GetValue(size_t col_index, size_t row) const {
 }
 
 Tuple ColumnBatch::RowAsTuple(size_t row) const {
+  return JoinRow(Tuple(), row);
+}
+
+Tuple ColumnBatch::JoinRow(const Tuple& left, size_t row) const {
   std::vector<Value> values;
-  values.reserve(columns_.size());
+  values.reserve(left.NumValues() + columns_.size());
+  values.insert(values.end(), left.values().begin(), left.values().end());
   for (size_t c = 0; c < columns_.size(); ++c) {
     values.push_back(GetValue(c, row));
   }
   return Tuple(std::move(values));
+}
+
+void ColumnBatch::SerializeProjection(const Tuple& left, size_t row,
+                                      const std::vector<size_t>& indexes,
+                                      std::string* out) const {
+  out->clear();
+  AppendPod<uint32_t>(out, static_cast<uint32_t>(indexes.size()));
+  const size_t split = left.NumValues();
+  for (const size_t index : indexes) {
+    if (index < split) {
+      Tuple::SerializeValue(left.Get(index), out);
+      continue;
+    }
+    const Column& col = columns_[index - split];
+    if (col.boxed) {
+      Tuple::SerializeValue(col.values[row], out);
+      continue;
+    }
+    // The tag and payload Tuple::SerializeValue writes for GetValue(...).
+    if (col.nulls[row] != 0) {
+      AppendPod<uint8_t>(out, static_cast<uint8_t>(TypeId::kNull));
+      continue;
+    }
+    AppendPod<uint8_t>(out, static_cast<uint8_t>(col.type));
+    switch (col.type) {
+      case TypeId::kInt64:
+        AppendPod<int64_t>(out, col.i64[row]);
+        break;
+      case TypeId::kBool:
+        AppendPod<uint8_t>(out, col.i64[row] != 0 ? 1 : 0);
+        break;
+      case TypeId::kDouble:
+        AppendPod<double>(out, col.f64[row]);
+        break;
+      case TypeId::kString: {
+        AppendPod<uint32_t>(out, col.str_len[row]);
+        out->append(col.arena, col.str_offset[row], col.str_len[row]);
+        break;
+      }
+      case TypeId::kNull:
+        break;  // unreachable: declared-NULL columns are always boxed.
+    }
+  }
 }
 
 uint64_t ColumnBatch::HashCell(size_t col_index, size_t row) const {
@@ -298,15 +351,14 @@ uint64_t ColumnBatch::HashCell(size_t col_index, size_t row) const {
       const int64_t v = col.i64[row];
       const double d = static_cast<double>(v);
       if (FitsInt64(d) && static_cast<int64_t>(d) == v) {
-        return static_cast<uint64_t>(std::hash<double>()(d));
+        return static_cast<uint64_t>(HashDouble(d));
       }
       return static_cast<uint64_t>(std::hash<int64_t>()(v));
     }
     case TypeId::kBool:
-      return static_cast<uint64_t>(
-          std::hash<double>()(col.i64[row] != 0 ? 1.0 : 0.0));
+      return static_cast<uint64_t>(HashDouble(col.i64[row] != 0 ? 1.0 : 0.0));
     case TypeId::kDouble:
-      return static_cast<uint64_t>(std::hash<double>()(col.f64[row]));
+      return static_cast<uint64_t>(HashDouble(col.f64[row]));
     case TypeId::kString:
       return static_cast<uint64_t>(
           std::hash<std::string_view>()(col.StringAt(row)));

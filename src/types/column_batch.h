@@ -91,6 +91,19 @@ class ColumnBatch {
   Value GetValue(size_t col, size_t row) const;
   Tuple RowAsTuple(size_t row) const;
 
+  /// `left ++ RowAsTuple(row)`, built in one pass: a nested-loop join's
+  /// candidate pair (RowAsTuple when `left` is empty).
+  Tuple JoinRow(const Tuple& left, size_t row) const;
+
+  /// Overwrites *out with the bytes Tuple::SerializeProjection gives for
+  /// `JoinRow(left, row)`, writing each cell straight from column storage
+  /// with no Tuple built: the §5.1 cache key of a predicate's input
+  /// columns, for a row of this batch (`left` empty) or a nested-loop
+  /// candidate pair. `indexes` below left.NumValues() read `left`.
+  void SerializeProjection(const Tuple& left, size_t row,
+                           const std::vector<size_t>& indexes,
+                           std::string* out) const;
+
   /// Value::Hash of the cell, computed from native storage without
   /// building the Value: the one cell hash the Bloom-transfer probe and the
   /// hash-join build share, so both agree with Value::Hash on the row path.

@@ -40,7 +40,9 @@ bool ReadPod(std::string_view bytes, size_t* pos, T* out) {
   return true;
 }
 
-void AppendValue(std::string* out, const Value& v) {
+}  // namespace
+
+void Tuple::SerializeValue(const Value& v, std::string* out) {
   AppendPod<uint8_t>(out, static_cast<uint8_t>(v.type()));
   switch (v.type()) {
     case TypeId::kNull:
@@ -63,25 +65,18 @@ void AppendValue(std::string* out, const Value& v) {
   }
 }
 
-}  // namespace
-
 std::string Tuple::Serialize() const {
   std::string out;
   AppendPod<uint32_t>(&out, static_cast<uint32_t>(values_.size()));
-  for (const Value& v : values_) AppendValue(&out, v);
+  for (const Value& v : values_) SerializeValue(v, &out);
   return out;
 }
 
-void Tuple::SerializeProjection(const Tuple& left, const Tuple& right,
-                                const std::vector<size_t>& indexes,
-                                std::string* out) {
+void Tuple::SerializeProjection(const std::vector<size_t>& indexes,
+                                std::string* out) const {
   out->clear();
   AppendPod<uint32_t>(out, static_cast<uint32_t>(indexes.size()));
-  const size_t split = left.values_.size();
-  for (const size_t index : indexes) {
-    AppendValue(out, index < split ? left.values_[index]
-                                   : right.values_[index - split]);
-  }
+  for (const size_t index : indexes) SerializeValue(values_[index], out);
 }
 
 common::Result<Tuple> Tuple::Deserialize(std::string_view bytes) {

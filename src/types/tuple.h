@@ -37,12 +37,14 @@ class Tuple {
   std::string Serialize() const;
 
   /// Overwrites *out with the bytes Serialize() gives for the tuple of the
-  /// values at `indexes` of the concatenation `left ++ right`, without
-  /// building either tuple: the §5.1 cache key of a predicate's input
-  /// columns, for a single row (empty `right`) or a join candidate pair.
-  static void SerializeProjection(const Tuple& left, const Tuple& right,
-                                  const std::vector<size_t>& indexes,
-                                  std::string* out);
+  /// values at `indexes`, without building it: the §5.1 cache key of a
+  /// predicate's input columns. ColumnBatch::SerializeProjection writes the
+  /// same bytes from column storage.
+  void SerializeProjection(const std::vector<size_t>& indexes,
+                           std::string* out) const;
+
+  /// Appends one value's Serialize() encoding (type tag, then payload).
+  static void SerializeValue(const Value& v, std::string* out);
 
   /// Parses a byte string produced by Serialize().
   static common::Result<Tuple> Deserialize(std::string_view bytes);

@@ -59,6 +59,9 @@ int Value::Compare(const Value& other) const {
     }
     const double x = AsNumeric();
     const double y = other.AsNumeric();
+    const bool x_nan = std::isnan(x);
+    const bool y_nan = std::isnan(y);
+    if (x_nan || y_nan) return x_nan == y_nan ? 0 : (x_nan ? 1 : -1);
     return x < y ? -1 : (x > y ? 1 : 0);
   }
   if (a == TypeId::kString && b == TypeId::kString) {
@@ -80,14 +83,14 @@ size_t Value::Hash() const {
       const int64_t v = AsInt64();
       const double d = static_cast<double>(v);
       if (FitsInt64(d) && static_cast<int64_t>(d) == v) {
-        return std::hash<double>()(d);
+        return HashDouble(d);
       }
       return std::hash<int64_t>()(v);
     }
     case TypeId::kDouble:
-      return std::hash<double>()(AsDouble());
+      return HashDouble(AsDouble());
     case TypeId::kBool:
-      return std::hash<double>()(AsBool() ? 1.0 : 0.0);
+      return HashDouble(AsBool() ? 1.0 : 0.0);
     case TypeId::kString:
       return std::hash<std::string>()(AsString());
   }

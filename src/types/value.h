@@ -1,8 +1,10 @@
 #ifndef PPP_TYPES_VALUE_H_
 #define PPP_TYPES_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <variant>
 
@@ -64,8 +66,9 @@ class Value {
   double AsNumeric() const;
 
   /// Three-way comparison usable as a sort key. NULL sorts first; values of
-  /// different numeric types compare numerically; comparing a string with a
-  /// number orders by type id (deterministic, never aborts).
+  /// different numeric types compare numerically, with NaN equal to NaN and
+  /// above every other number (PostgreSQL's order); comparing a string with
+  /// a number orders by type id (deterministic, never aborts).
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }
@@ -85,6 +88,13 @@ class Value {
 /// True when `d` lies in int64's range, [-2^63, 2^63), so that
 /// static_cast<int64_t>(d) is defined. False for NaN and the infinities.
 inline bool FitsInt64(double d) { return d >= -0x1p63 && d < 0x1p63; }
+
+/// The hash of a double under Value::Hash: -0.0 and 0.0 hash alike, and so
+/// does every NaN payload (Compare makes all NaNs equal).
+inline size_t HashDouble(double d) {
+  if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
+  return std::hash<double>()(d);
+}
 
 struct ValueHasher {
   size_t operator()(const Value& v) const { return v.Hash(); }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "exec/executor.h"
@@ -325,6 +328,259 @@ TEST_F(ExecTest, BuildExecutorFailsOnBadPlans) {
   // Scan of an unbound alias.
   plan::PlanPtr bad_scan = plan::MakeSeqScan("zz", "zz");
   EXPECT_FALSE(BuildExecutor(*bad_scan, &ctx_).ok());
+}
+
+/// NestedLoopJoin probes its inner from column batches. Its output must
+/// match a row-at-a-time reference — both inputs streamed as rows through
+/// RowCursor, the inner re-opened per outer row, the predicate run on the
+/// concatenated pair — in rows and their order, UDF invocations, cache
+/// hits, entries and evictions, inner opens, and page reads and pins.
+///
+/// o: 9 rows (id, grp = id % 3). i: 80 rows (id, grp = id % 5,
+/// d = grp / 2.0, tag = a long string per grp, pad), over several pages,
+/// with an index on id. The pool holds 4 pages, so rescans evict.
+class NestLoopParityTest : public ::testing::Test {
+ protected:
+  NestLoopParityTest() : pool_(&disk_, 4), catalog_(&pool_) {
+    auto outer = catalog_.CreateTable(
+        "o", {{"id", TypeId::kInt64}, {"grp", TypeId::kInt64}});
+    EXPECT_TRUE(outer.ok());
+    for (int64_t id = 0; id < 9; ++id) {
+      EXPECT_TRUE((*outer)->Insert(Tuple({Value(id), Value(id % 3)})).ok());
+    }
+    EXPECT_TRUE((*outer)->Analyze().ok());
+    auto inner = catalog_.CreateTable("i", {{"id", TypeId::kInt64},
+                                            {"grp", TypeId::kInt64},
+                                            {"d", TypeId::kDouble},
+                                            {"tag", TypeId::kString},
+                                            {"pad", TypeId::kString}});
+    EXPECT_TRUE(inner.ok());
+    for (int64_t id = 0; id < 80; ++id) {
+      const int64_t grp = id % 5;
+      EXPECT_TRUE(
+          (*inner)
+              ->Insert(Tuple({Value(id), Value(grp),
+                              Value(static_cast<double>(grp) / 2.0),
+                              Value("tag-" + std::to_string(grp) +
+                                    std::string(30, 't')),
+                              Value(std::string(100, 'p'))}))
+              .ok());
+    }
+    EXPECT_TRUE((*inner)->CreateIndex("id").ok());
+    EXPECT_TRUE((*inner)->Analyze().ok());
+    EXPECT_GT((*inner)->heap().NumPages(), 2u);
+    EXPECT_TRUE(
+        catalog_.functions().RegisterCostlyPredicate("pair", 100, 0.5).ok());
+    EXPECT_TRUE(
+        catalog_.functions().RegisterCostlyPredicate("inner", 100, 0.7).ok());
+    binding_ = {{"o", *catalog_.GetTable("o")},
+                {"i", *catalog_.GetTable("i")}};
+    analyzer_ = std::make_unique<expr::PredicateAnalyzer>(&catalog_, binding_);
+  }
+
+  expr::PredicateInfo Analyze(const expr::ExprPtr& e) {
+    auto info = analyzer_->Analyze(e);
+    EXPECT_TRUE(info.ok()) << info.status();
+    return *info;
+  }
+
+  enum class Caching { kOff, kUnbounded, kBoundedFifo, kAdaptive };
+
+  void Configure(Caching caching, size_t batch_size, bool vectorized,
+                 ExecContext* ctx) {
+    ctx->catalog = &catalog_;
+    ctx->binding = binding_;
+    ctx->params.batch_size = batch_size;
+    ctx->params.vectorized = vectorized;
+    ctx->cost_params.predicate_caching = caching != Caching::kOff;
+    if (caching == Caching::kBoundedFifo) ctx->params.cache_max_entries = 6;
+    if (caching == Caching::kAdaptive) {
+      ctx->params.adaptive_caching = true;
+      ctx->params.adaptive_probe_window = 16;
+    }
+  }
+
+  /// The inner subtree of each case.
+  plan::PlanPtr Inner(int kind) {
+    switch (kind) {
+      case 0:
+        return plan::MakeSeqScan("i", "i");
+      case 1:
+        // A cheap conjunct, then an expensive one with its own cache.
+        return plan::MakeFilter(
+            plan::MakeSeqScan("i", "i"),
+            Analyze(expr::And(
+                expr::Cmp(expr::CompareOp::kLt, Col("i", "grp"), Int(4)),
+                Call("inner", {Col("i", "id")}))));
+      default:
+        return plan::MakeIndexRangeScan(
+            "i", "i", "id", 5, 64,
+            Analyze(expr::And(
+                expr::Cmp(expr::CompareOp::kGe, Col("i", "id"), Int(5)),
+                expr::Cmp(expr::CompareOp::kLe, Col("i", "id"), Int(64)))));
+    }
+  }
+
+  /// The join predicate: keyed on inputs from both sides (an int, a
+  /// double and a long string) with 15 distinct bindings, or, for the
+  /// adaptive cache, on the pair's unique ids so the cache disables.
+  expr::PredicateInfo Primary(Caching caching) {
+    if (caching == Caching::kAdaptive) {
+      return Analyze(Call("pair", {Col("o", "id"), Col("i", "id")}));
+    }
+    return Analyze(
+        Call("pair", {Col("i", "tag"), Col("o", "grp"), Col("i", "d")}));
+  }
+
+  struct Outcome {
+    std::vector<std::string> rows;  // Serialized, in output order.
+    std::map<std::string, uint64_t> invocations;
+    bool cache_enabled = false;
+    uint64_t hits = 0;
+    uint64_t entries = 0;
+    uint64_t evictions = 0;
+    uint64_t inner_opens = 0;
+    storage::IoStats io;
+  };
+
+  void ColdPool() {
+    pool_.FlushAll();
+    pool_.EvictAll();
+  }
+
+  Outcome RunJoin(Caching caching, size_t batch_size, bool vectorized,
+                  int inner_kind) {
+    ExecContext ctx;
+    Configure(caching, batch_size, vectorized, &ctx);
+    const plan::PlanPtr plan =
+        plan::MakeJoin(plan::JoinMethod::kNestLoop,
+                       plan::MakeSeqScan("o", "o"), Inner(inner_kind),
+                       Primary(caching));
+    ColdPool();
+    ExecStats stats;
+    std::unique_ptr<Operator> root;
+    auto rows = ExecutePlan(*plan, &ctx, &stats, nullptr, &root);
+    EXPECT_TRUE(rows.ok()) << rows.status();
+    Outcome out;
+    if (!rows.ok()) return out;
+    for (const Tuple& t : *rows) out.rows.push_back(t.Serialize());
+    out.invocations.insert(stats.invocations.begin(), stats.invocations.end());
+    const OperatorStats& join = root->stats();
+    EXPECT_TRUE(join.has_cache);
+    out.cache_enabled = join.cache_enabled;
+    out.hits = join.cache_hits;
+    out.entries = join.cache_entries;
+    out.evictions = join.cache_evictions;
+    out.inner_opens = root->Children()[1]->stats().opens;
+    out.io = stats.io;
+    return out;
+  }
+
+  Outcome RunReference(Caching caching, size_t batch_size, int inner_kind) {
+    ExecContext ctx;
+    Configure(caching, batch_size, /*vectorized=*/false, &ctx);
+    const plan::PlanPtr outer_plan = plan::MakeSeqScan("o", "o");
+    const plan::PlanPtr inner_plan = Inner(inner_kind);
+    auto outer = BuildExecutor(*outer_plan, &ctx);
+    auto inner = BuildExecutor(*inner_plan, &ctx);
+    EXPECT_TRUE(outer.ok() && inner.ok());
+    Outcome out;
+    if (!outer.ok() || !inner.ok()) return out;
+    (*outer)->SetBatchSize(batch_size);
+    (*inner)->SetBatchSize(batch_size);
+    auto primary = CachedPredicate::Bind(
+        Primary(caching),
+        types::RowSchema::Concat((*outer)->schema(), (*inner)->schema()), ctx);
+    EXPECT_TRUE(primary.ok()) << primary.status();
+    if (!primary.ok()) return out;
+    ColdPool();
+    const storage::IoStats before = storage::ThreadIo();
+    RowCursor outer_rows(outer->get());
+    EXPECT_TRUE(outer_rows.Open().ok());
+    for (;;) {
+      Tuple* o = nullptr;
+      EXPECT_TRUE(outer_rows.Advance(batch_size, &o).ok());
+      if (o == nullptr) break;
+      RowCursor inner_rows(inner->get());
+      EXPECT_TRUE(inner_rows.Open().ok());
+      for (;;) {
+        Tuple* i = nullptr;
+        EXPECT_TRUE(inner_rows.Advance(batch_size, &i).ok());
+        if (i == nullptr) break;
+        const Tuple pair = Tuple::Concat(*o, *i);
+        if (primary->Eval(pair, &ctx.eval)) {
+          out.rows.push_back(pair.Serialize());
+        }
+      }
+    }
+    out.io = storage::ThreadIo() - before;
+    out.invocations.insert(ctx.eval.invocation_counts.begin(),
+                           ctx.eval.invocation_counts.end());
+    out.cache_enabled = primary->cache_enabled();
+    out.hits = primary->cache_hits();
+    out.entries = primary->cache_entries();
+    out.evictions = primary->cache_evictions();
+    out.inner_opens = (*inner)->stats().opens;
+    return out;
+  }
+
+  storage::DiskManager disk_;
+  storage::BufferPool pool_;
+  catalog::Catalog catalog_;
+  expr::TableBinding binding_;
+  std::unique_ptr<expr::PredicateAnalyzer> analyzer_;
+};
+
+TEST_F(NestLoopParityTest, MatchesRowReference) {
+  const char* const kCaching[] = {"off", "unbounded", "bounded-fifo",
+                                  "adaptive"};
+  const char* const kInner[] = {"SeqScan", "Filter", "IndexScan"};
+  for (int caching = 0; caching < 4; ++caching) {
+    for (int inner = 0; inner < 3; ++inner) {
+      for (const size_t batch : {size_t{1}, size_t{7}, size_t{1024}}) {
+        const Caching mode = static_cast<Caching>(caching);
+        const Outcome want = RunReference(mode, batch, inner);
+        ASSERT_FALSE(want.rows.empty());
+        EXPECT_EQ(want.inner_opens, 9u);
+        for (const bool vectorized : {true, false}) {
+          SCOPED_TRACE(testing::Message()
+                       << "caching=" << kCaching[caching]
+                       << " inner=" << kInner[inner] << " batch=" << batch
+                       << " vectorized=" << vectorized);
+          const Outcome got = RunJoin(mode, batch, vectorized, inner);
+          EXPECT_EQ(got.rows, want.rows);
+          EXPECT_EQ(got.invocations, want.invocations);
+          EXPECT_EQ(got.cache_enabled, want.cache_enabled);
+          EXPECT_EQ(got.hits, want.hits);
+          EXPECT_EQ(got.entries, want.entries);
+          EXPECT_EQ(got.evictions, want.evictions);
+          EXPECT_EQ(got.inner_opens, want.inner_opens);
+          EXPECT_EQ(got.io.sequential_reads, want.io.sequential_reads);
+          EXPECT_EQ(got.io.random_reads, want.io.random_reads);
+          EXPECT_EQ(got.io.buffer_hits, want.io.buffer_hits);
+          // Each mode exercises what it names.
+          switch (mode) {
+            case Caching::kOff:
+              EXPECT_FALSE(got.cache_enabled);
+              EXPECT_EQ(got.hits, 0u);
+              break;
+            case Caching::kUnbounded:
+              EXPECT_GT(got.hits, 0u);
+              EXPECT_EQ(got.evictions, 0u);
+              break;
+            case Caching::kBoundedFifo:
+              EXPECT_GT(got.hits, 0u);
+              EXPECT_GT(got.evictions, 0u);
+              break;
+            case Caching::kAdaptive:
+              EXPECT_FALSE(got.cache_enabled);  // Disabled itself.
+              EXPECT_EQ(got.hits, 0u);
+              break;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(TupleConcatTest, MoveConcatStealsPayloadStorage) {

@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <numeric>
+
 #include "common/random.h"
 #include "exec/executor.h"
+#include "expr/predicate.h"
 #include "optimizer/optimizer.h"
 #include "parser/binder.h"
 #include "storage/buffer_pool.h"
@@ -158,6 +164,139 @@ TEST_F(OrderByTest, JoinQueryHonoursOrderBy) {
 TEST_F(OrderByTest, OrderByUnknownColumnFails) {
   EXPECT_FALSE(
       parser::ParseAndBind("SELECT * FROM t ORDER BY nope", catalog_).ok());
+}
+
+/// f and g hold a double key with NaNs (two payloads), ±0.0, ±inf,
+/// duplicates and NULLs, in no particular order; id is the insertion
+/// position. Value::Compare places NaN once: equal to NaN, above every
+/// other number.
+class NaNOrderTest : public ::testing::Test {
+ protected:
+  NaNOrderTest() : pool_(&disk_, 64), catalog_(&pool_) {
+    const double nan = std::nan("");
+    const double inf = std::numeric_limits<double>::infinity();
+    f_ = {Value(3.0), Value(nan), Value(-0.0), Value(),     Value(inf),
+          Value(0.0), Value(-nan), Value(-inf), Value(3.0), Value(2.5),
+          Value(nan), Value(0.0),  Value(),     Value(-1.0), Value(nan)};
+    g_ = {Value(nan), Value(0.0), Value(3.0), Value(-0.0), Value(-nan),
+          Value(inf), Value(7.0), Value(),    Value(-inf), Value(2.5)};
+    Make("f", f_);
+    Make("g", g_);
+    binding_ = {{"f", *catalog_.GetTable("f")},
+                {"g", *catalog_.GetTable("g")}};
+  }
+
+  void Make(const std::string& name, const std::vector<Value>& keys) {
+    auto table = catalog_.CreateTable(
+        name, {{"id", TypeId::kInt64}, {"x", TypeId::kDouble}});
+    ASSERT_TRUE(table.ok());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const Tuple row({Value(static_cast<int64_t>(i)), keys[i]});
+      ASSERT_TRUE((*table)->Insert(row).ok());
+    }
+    ASSERT_TRUE((*table)->Analyze().ok());
+  }
+
+  /// The order written out independently of Value::Compare: NULL first,
+  /// then numbers ascending (-0.0 ties 0.0), then NaN.
+  static int ModelCompare(const Value& a, const Value& b) {
+    if (a.is_null() || b.is_null()) {
+      return a.is_null() == b.is_null() ? 0 : (a.is_null() ? -1 : 1);
+    }
+    const double x = a.AsDouble();
+    const double y = b.AsDouble();
+    if (std::isnan(x) || std::isnan(y)) {
+      return std::isnan(x) == std::isnan(y) ? 0 : (std::isnan(x) ? 1 : -1);
+    }
+    return x < y ? -1 : (x > y ? 1 : 0);
+  }
+
+  /// Insertion positions of `keys`, stably sorted under the model.
+  static std::vector<int64_t> ModelSort(const std::vector<Value>& keys) {
+    std::vector<int64_t> ids(keys.size());
+    std::iota(ids.begin(), ids.end(), 0);
+    std::stable_sort(ids.begin(), ids.end(), [&](int64_t a, int64_t b) {
+      return ModelCompare(keys[a], keys[b]) < 0;
+    });
+    return ids;
+  }
+
+  std::vector<Tuple> Run(const plan::PlanNode& plan, bool vectorized) {
+    exec::ExecContext ctx;
+    ctx.catalog = &catalog_;
+    ctx.binding = binding_;
+    ctx.params.vectorized = vectorized;
+    auto rows = exec::ExecutePlan(plan, &ctx, nullptr);
+    EXPECT_TRUE(rows.ok()) << rows.status();
+    return std::move(rows).value();
+  }
+
+  storage::DiskManager disk_;
+  storage::BufferPool pool_;
+  catalog::Catalog catalog_;
+  expr::TableBinding binding_;
+  std::vector<Value> f_;
+  std::vector<Value> g_;
+};
+
+TEST_F(NaNOrderTest, StableOrderByPutsNaNLast) {
+  const std::vector<int64_t> expected = ModelSort(f_);
+  for (const bool vectorized : {true, false}) {
+    SCOPED_TRACE(vectorized);
+    const std::vector<Tuple> rows =
+        Run(*plan::MakeSort(plan::MakeSeqScan("f", "f"), "f.x"), vectorized);
+    std::vector<int64_t> ids;
+    for (const Tuple& t : rows) ids.push_back(t.Get(0).AsInt64());
+    EXPECT_EQ(ids, expected);
+  }
+}
+
+TEST_F(NaNOrderTest, MergeJoinMatchesNaNOnlyWithNaN) {
+  // The merge join emits outer rows in key order, each with its equal
+  // inner rows in key order; NULL keys never join.
+  std::vector<std::pair<int64_t, int64_t>> expected;
+  for (const int64_t o : ModelSort(f_)) {
+    for (const int64_t i : ModelSort(g_)) {
+      if (!f_[o].is_null() && !g_[i].is_null() &&
+          ModelCompare(f_[o], g_[i]) == 0) {
+        expected.emplace_back(o, i);
+      }
+    }
+  }
+  // 4 NaN x 2 NaN, 3 zeros x 2 zeros, and one match each for 3.0 (twice),
+  // 2.5, inf and -inf.
+  ASSERT_EQ(expected.size(), 8u + 6u + 2u + 1u + 1u + 1u);
+  expr::PredicateAnalyzer analyzer(&catalog_, binding_);
+  auto pred =
+      analyzer.Analyze(expr::Eq(expr::Col("f", "x"), expr::Col("g", "x")));
+  ASSERT_TRUE(pred.ok()) << pred.status();
+  auto pairs = [](const std::vector<Tuple>& rows) {
+    std::vector<std::pair<int64_t, int64_t>> out;
+    for (const Tuple& t : rows) {
+      out.emplace_back(t.Get(0).AsInt64(), t.Get(2).AsInt64());
+    }
+    return out;
+  };
+  for (const bool vectorized : {true, false}) {
+    SCOPED_TRACE(vectorized);
+    const auto merge = pairs(Run(
+        *plan::MakeJoin(plan::JoinMethod::kMerge, plan::MakeSeqScan("f", "f"),
+                        plan::MakeSeqScan("g", "g"), *pred),
+        vectorized));
+    EXPECT_EQ(merge, expected);
+    // Hash and nested-loop joins find the same pairs.
+    for (const plan::JoinMethod method :
+         {plan::JoinMethod::kHash, plan::JoinMethod::kNestLoop}) {
+      auto other = pairs(
+          Run(*plan::MakeJoin(method, plan::MakeSeqScan("f", "f"),
+                              plan::MakeSeqScan("g", "g"), *pred),
+              vectorized));
+      std::sort(other.begin(), other.end());
+      auto sorted = expected;
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(other, sorted) << plan::JoinMethodName(method);
+    }
+  }
 }
 
 }  // namespace

@@ -289,6 +289,99 @@ TEST_F(VectorKernelTest, AllOpsMatchScalarEvaluator) {
   }
 }
 
+/// Value::Compare's numeric order written out independently: NaN equals
+/// NaN and sorts above every other number, -0.0 equals 0.0.
+int ModelCompare(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) {
+    return std::isnan(a) == std::isnan(b) ? 0 : (std::isnan(a) ? 1 : -1);
+  }
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+bool ModelHolds(CompareOp op, int c) {
+  switch (op) {
+    case CompareOp::kEq:
+      return c == 0;
+    case CompareOp::kNe:
+      return c != 0;
+    case CompareOp::kLt:
+      return c < 0;
+    case CompareOp::kLe:
+      return c <= 0;
+    case CompareOp::kGt:
+      return c > 0;
+    case CompareOp::kGe:
+      return c >= 0;
+  }
+  return false;
+}
+
+TEST(VectorNaNTest, AllOpsPlaceNaNAboveEveryNumber) {
+  // x holds NaN (two payloads), ±0.0, ±inf, integral and fractional
+  // doubles; a holds ints. Kernel, scalar evaluator and the model order
+  // must agree on every operator.
+  const RowSchema schema({ColumnInfo{"t", "x", TypeId::kDouble},
+                          ColumnInfo{"t", "a", TypeId::kInt64}});
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<double, int64_t>> cells = {
+      {nan, 3},   {-nan, 0},    {0.0, 0},  {-0.0, -1}, {inf, 5},
+      {-inf, -5}, {3.0, 3},     {-2.0, 7}, {2.5, 2},   {nan, -9},
+      {1e300, 4}, {-1e300, -4},
+  };
+  std::vector<Tuple> rows;
+  for (const auto& [x, a] : cells) rows.push_back(Tuple({Value(x), Value(a)}));
+  rows.push_back(Tuple({Value(), Value(int64_t{1})}));  // NULL never passes.
+
+  struct Case {
+    ExprPtr rhs;
+    double rhs_value;  // NaN/inf/number the model compares against.
+    bool column;       // rhs is column a.
+  };
+  const std::vector<Case> cases = {
+      {Const(Value(nan)), nan, false},   {Const(Value(0.0)), 0.0, false},
+      {Const(Value(-0.0)), -0.0, false}, {Const(Value(inf)), inf, false},
+      {Const(Value(-inf)), -inf, false}, {Int(3), 3.0, false},
+      {Col("t", "a"), 0.0, true},
+  };
+  // Runs `e` as a kernel and through the scalar evaluator, and requires
+  // the kernel's survivors to be the rows `model` accepts.
+  const auto check = [&](const ExprPtr& e, const auto& model) {
+    CheckKernelAgainstScalar(e, schema, rows);
+    auto kernel = VectorizedPredicate::Compile(e, schema);
+    ASSERT_TRUE(kernel.has_value());
+    ColumnBatch batch(schema);
+    for (const Tuple& t : rows) batch.AppendTuple(t);
+    kernel->Filter(&batch, nullptr);
+    std::vector<uint32_t> expected;
+    for (uint32_t i = 0; i < rows.size(); ++i) {
+      if (model(i)) expected.push_back(i);
+    }
+    EXPECT_EQ(batch.selection(), expected);
+  };
+  const CompareOp kOps[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                            CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
+  for (CompareOp op : kOps) {
+    for (size_t c = 0; c < cases.size(); ++c) {
+      SCOPED_TRACE(testing::Message()
+                   << "x " << expr::CompareOpSymbol(op) << " case " << c);
+      check(Cmp(op, Col("t", "x"), cases[c].rhs), [&](uint32_t i) {
+        if (i >= cells.size()) return false;  // The NULL row.
+        const double rhs = cases[c].column
+                               ? static_cast<double>(cells[i].second)
+                               : cases[c].rhs_value;
+        return ModelHolds(op, ModelCompare(cells[i].first, rhs));
+      });
+    }
+    // The int column against a NaN constant: no int equals NaN, every int
+    // sorts below it.
+    SCOPED_TRACE(testing::Message() << "a " << expr::CompareOpSymbol(op)
+                                    << " NaN");
+    check(Cmp(op, Col("t", "a"), Const(Value(nan))),
+          [&](uint32_t) { return ModelHolds(op, -1); });
+  }
+}
+
 TEST_F(VectorKernelTest, DeclinesNonVectorizableShapes) {
   // Function calls, boolean connectives, arithmetic, string-vs-number
   // operands, NULL literals and const-const comparisons all stay scalar.
