@@ -177,19 +177,32 @@ grep -q " logged," "$INTRO_OUT" || {
 echo "introspection smoke ok: ppp_query_log SELECTable, \\log reports"
 
 # One statement, one record: the shell's correlated-IN example runs its
-# subquery once per distinct binding, yet a fresh shell must log exactly
-# one query for it.
+# subquery once per §5.1 cache miss, yet a fresh shell must log exactly
+# one query for it. The plan owns the synthesized predicate: after the
+# example twice more, once with another inner literal, \functions must
+# list the registered UDFs and no __subq name.
 SUBQ_OUT="$BUILD_DIR/check_subquery_log.out"
 "$BUILD_DIR/examples/sql_shell" >"$SUBQ_OUT" <<EOF
 SELECT t3.a FROM t3 WHERE t3.u10 IN (SELECT u10 FROM t6 WHERE t6.a10 = t3.a10);
 \\log
+SELECT t3.a FROM t3 WHERE t3.u10 IN (SELECT u10 FROM t6 WHERE t6.a10 = t3.a10);
+SELECT t3.a FROM t3 WHERE t3.u10 IN (SELECT u10 FROM t6 WHERE t6.a10 = t3.a10 AND t6.a < 600);
+\\functions
 \\quit
 EOF
 grep -q "^ *1 logged," "$SUBQ_OUT" || {
   echo "subquery statement did not log exactly one query" >&2
   cat "$SUBQ_OUT" >&2; exit 1;
 }
-echo "subquery log smoke ok: one statement, one ppp_query_log record"
+grep -qE "costly100 +cost=" "$SUBQ_OUT" || {
+  echo "\\functions listed no functions" >&2; cat "$SUBQ_OUT" >&2; exit 1;
+}
+if grep -qE "__subq[^ ]* +cost=" "$SUBQ_OUT"; then
+  echo "a subquery statement registered a catalog function" >&2
+  cat "$SUBQ_OUT" >&2; exit 1;
+fi
+echo "subquery log smoke ok: one statement, one ppp_query_log record," \
+  "no __subq function registered"
 
 # Introspection bench: asserts <2% query-log overhead on the Q1-Q5 mix,
 # runs the analytical ppp_query_log x ppp_plan_history join grouped by

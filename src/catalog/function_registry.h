@@ -43,7 +43,10 @@ struct FunctionDef {
 };
 
 /// Name → FunctionDef map. The optimizer reads cost/selectivity; the
-/// executor calls impl.
+/// executor calls impl. Filled while the database loads and only read
+/// afterwards, so it has no lock: statements never register (a rewritten
+/// subquery's definition belongs to its call expression, see
+/// expr::ResolveFunction).
 class FunctionRegistry {
  public:
   FunctionRegistry() = default;

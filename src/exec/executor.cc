@@ -99,7 +99,7 @@ types::TypeId InferType(const expr::Expr& e,
     case expr::ExprKind::kArithmetic:
       return types::TypeId::kInt64;
     case expr::ExprKind::kFunctionCall: {
-      auto def = catalog.functions().Lookup(e.function_name);
+      auto def = expr::ResolveFunction(e, catalog.functions());
       return def.ok() ? (*def)->return_type : types::TypeId::kNull;
     }
   }

@@ -131,7 +131,7 @@ std::optional<RankDriftInfo> ComputeRankDrift(
   double obs_cost = 0.0;
   double sel_ratio = 1.0;
   for (const expr::Expr* call : calls) {
-    const auto def = functions.Lookup(call->function_name);
+    const auto def = expr::ResolveFunction(*call, functions);
     const double def_cost = def.ok() ? (*def)->cost_per_call : 0.0;
     const std::optional<obs::PredicateProfile> profile =
         profiler.Get(call->function_name);

@@ -180,7 +180,7 @@ common::Result<CachedPredicate> CachedPredicate::Bind(
   std::vector<const expr::Expr*> calls;
   pred.expr->CollectFunctionCalls(&calls);
   for (const expr::Expr* call : calls) {
-    auto def = catalog.functions().Lookup(call->function_name);
+    auto def = expr::ResolveFunction(*call, catalog.functions());
     if (!def.ok() || !(*def)->cacheable) cacheable = false;
     if (!def.ok() || !(*def)->parallel_safe) out.parallel_safe_ = false;
   }

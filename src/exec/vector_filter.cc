@@ -15,22 +15,12 @@ using types::TypeId;
 /// loop-invariant; the hot benchmark shapes (int64 column vs int64
 /// constant, double column vs double constant) reduce to a single indexed
 /// load per row.
-struct I64Acc {
-  const int64_t* data = nullptr;  // null = constant operand
-  int64_t constant = 0;
-  int64_t operator()(uint32_t row) const {
+template <typename T>
+struct NumAcc {
+  const T* data = nullptr;  // null = constant operand
+  T constant = 0;
+  T operator()(uint32_t row) const {
     return data != nullptr ? data[row] : constant;
-  }
-};
-
-struct F64Acc {
-  const int64_t* i64_data = nullptr;  // int64/bool column widened per row
-  const double* f64_data = nullptr;
-  double constant = 0.0;
-  double operator()(uint32_t row) const {
-    if (f64_data != nullptr) return f64_data[row];
-    if (i64_data != nullptr) return static_cast<double>(i64_data[row]);
-    return constant;
   }
 };
 
@@ -84,15 +74,21 @@ void Kernel(std::vector<uint32_t>* selection, L lhs, R rhs,
   sel.resize(out);
 }
 
-/// Value::Compare's strict order on one operand type: plain `<` for int64
-/// and strings; for doubles, NaN equals NaN and sorts above every other
-/// number.
+/// Value::Compare's strict order: plain `<` for int64 and strings; for
+/// doubles, NaN equals NaN and sorts above every other number; an int64
+/// against a double compares exactly.
 template <typename T>
 bool Less(T a, T b) {
   return a < b;
 }
 bool Less(double a, double b) {
   return std::isnan(b) ? !std::isnan(a) : a < b;
+}
+bool Less(int64_t a, double b) {
+  return types::CompareInt64Double(a, b) < 0;
+}
+bool Less(double a, int64_t b) {
+  return types::CompareInt64Double(b, a) > 0;
 }
 
 /// Comparators written against that order only, so every operator agrees
@@ -157,13 +153,12 @@ std::optional<VectorizedPredicate> VectorizedPredicate::Compile(
       switch (side.type) {
         case TypeId::kInt64:
           side.operand.i64 = e.constant.AsInt64();
-          side.operand.f64 = static_cast<double>(side.operand.i64);
           break;
         case TypeId::kDouble:
           side.operand.f64 = e.constant.AsDouble();
           break;
         case TypeId::kBool:
-          side.operand.f64 = e.constant.AsBool() ? 1.0 : 0.0;
+          side.operand.i64 = e.constant.AsBool() ? 1 : 0;
           break;
         case TypeId::kString:
           side.operand.str = e.constant.AsString();
@@ -197,12 +192,14 @@ std::optional<VectorizedPredicate> VectorizedPredicate::Compile(
   if (lhs->type == TypeId::kString && rhs->type == TypeId::kString) {
     out.type_class_ = TypeClass::kString;
   } else if (IsNumericType(lhs->type) && IsNumericType(rhs->type)) {
-    // Value::Compare compares exactly only when both sides are kInt64;
-    // any bool/double involvement goes through double.
-    out.type_class_ = (lhs->type == TypeId::kInt64 &&
-                       rhs->type == TypeId::kInt64)
-                          ? TypeClass::kInt64
-                          : TypeClass::kDouble;
+    // Bool columns and constants are stored as int64 0/1.
+    const bool lhs_double = lhs->type == TypeId::kDouble;
+    const bool rhs_double = rhs->type == TypeId::kDouble;
+    out.type_class_ =
+        lhs_double ? (rhs_double ? TypeClass::kDouble
+                                 : TypeClass::kDoubleInt64)
+                   : (rhs_double ? TypeClass::kInt64Double
+                                 : TypeClass::kInt64);
   } else {
     // Heterogeneous string-vs-number ordering (by type id) stays scalar.
     return std::nullopt;
@@ -224,40 +221,41 @@ void VectorizedPredicate::Filter(types::ColumnBatch* batch,
   const uint8_t* rhs_nulls =
       rhs_.is_const ? nullptr : batch->column(rhs_.column).nulls.data();
 
+  const auto i64 = [&](const Operand& o) {
+    NumAcc<int64_t> a;
+    if (o.is_const) {
+      a.constant = o.i64;
+    } else {
+      a.data = batch->column(o.column).i64.data();
+    }
+    return a;
+  };
+  const auto f64 = [&](const Operand& o) {
+    NumAcc<double> a;
+    if (o.is_const) {
+      a.constant = o.f64;
+    } else {
+      a.data = batch->column(o.column).f64.data();
+    }
+    return a;
+  };
   switch (type_class_) {
-    case TypeClass::kInt64: {
-      const auto acc = [&](const Operand& o) {
-        I64Acc a;
-        if (o.is_const) {
-          a.constant = o.i64;
-        } else {
-          a.data = batch->column(o.column).i64.data();
-        }
-        return a;
-      };
-      DispatchOp(op_, sel, acc(lhs_), acc(rhs_), lhs_nulls, rhs_nulls,
+    case TypeClass::kInt64:
+      DispatchOp(op_, sel, i64(lhs_), i64(rhs_), lhs_nulls, rhs_nulls,
                  maybe_null);
       break;
-    }
-    case TypeClass::kDouble: {
-      const auto acc = [&](const Operand& o) {
-        F64Acc a;
-        if (o.is_const) {
-          a.constant = o.f64;
-        } else {
-          const ColumnBatch::Column& col = batch->column(o.column);
-          if (col.type == TypeId::kDouble) {
-            a.f64_data = col.f64.data();
-          } else {
-            a.i64_data = col.i64.data();  // int64/bool widen per row.
-          }
-        }
-        return a;
-      };
-      DispatchOp(op_, sel, acc(lhs_), acc(rhs_), lhs_nulls, rhs_nulls,
+    case TypeClass::kDouble:
+      DispatchOp(op_, sel, f64(lhs_), f64(rhs_), lhs_nulls, rhs_nulls,
                  maybe_null);
       break;
-    }
+    case TypeClass::kInt64Double:
+      DispatchOp(op_, sel, i64(lhs_), f64(rhs_), lhs_nulls, rhs_nulls,
+                 maybe_null);
+      break;
+    case TypeClass::kDoubleInt64:
+      DispatchOp(op_, sel, f64(lhs_), i64(rhs_), lhs_nulls, rhs_nulls,
+                 maybe_null);
+      break;
     case TypeClass::kString: {
       const auto acc = [&](const Operand& o) {
         StrAcc a;

@@ -20,10 +20,9 @@ namespace ppp::exec {
 /// are constructed.
 ///
 /// Semantics mirror BoundExpr::Eval exactly: comparisons go through the
-/// same three-way ordering as Value::Compare (int64/int64 exact, mixed
-/// numeric via double, NaN equal to NaN and above every other number), and
-/// a NULL operand
-/// yields NULL. What NULL means to the selection depends on the caller:
+/// same three-way ordering as Value::Compare (exact across int64, bool and
+/// double, NaN equal to NaN and above every other number), and a NULL
+/// operand yields NULL. What NULL means to the selection depends on the caller:
 ///  - standalone cheap predicate: NULL rows drop (EvalBool semantics);
 ///  - cheap prefix of a mixed conjunction: NULL rows *survive* with their
 ///    `maybe_null` flag set, because SQL AND only short-circuits on FALSE —
@@ -49,7 +48,14 @@ class VectorizedPredicate {
               std::vector<uint8_t>* maybe_null) const;
 
  private:
-  enum class TypeClass { kInt64, kDouble, kString };
+  /// Operand storage, left then right: int64 covers int64 and bool.
+  enum class TypeClass {
+    kInt64,
+    kDouble,
+    kInt64Double,
+    kDoubleInt64,
+    kString
+  };
 
   struct Operand {
     bool is_const = false;

@@ -79,8 +79,7 @@ common::Result<std::unique_ptr<BoundExpr>> BoundExpr::Bind(
         "execution (see subquery::RewriteSubqueries): " + expr->ToString());
   }
   if (expr->kind == ExprKind::kFunctionCall) {
-    PPP_ASSIGN_OR_RETURN(bound->function_,
-                         functions.Lookup(expr->function_name));
+    PPP_ASSIGN_OR_RETURN(bound->function_, ResolveFunction(*expr, functions));
   }
 
   for (const ExprPtr& child : expr->children) {

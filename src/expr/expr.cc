@@ -1,5 +1,6 @@
 #include "expr/expr.h"
 
+#include "catalog/function_registry.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 
@@ -224,6 +225,12 @@ ExprPtr Call(std::string function, std::vector<ExprPtr> args) {
   e->function_name = std::move(function);
   e->children = std::move(args);
   return e;
+}
+
+common::Result<const catalog::FunctionDef*> ResolveFunction(
+    const Expr& call, const catalog::FunctionRegistry& functions) {
+  if (call.function != nullptr) return call.function.get();
+  return functions.Lookup(call.function_name);
 }
 
 ExprPtr And(ExprPtr left, ExprPtr right) {

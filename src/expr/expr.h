@@ -6,7 +6,13 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "types/value.h"
+
+namespace ppp::catalog {
+struct FunctionDef;
+class FunctionRegistry;
+}  // namespace ppp::catalog
 
 namespace ppp::expr {
 
@@ -74,8 +80,11 @@ class Expr {
   CompareOp compare_op = CompareOp::kEq;
   ArithOp arith_op = ArithOp::kAdd;
 
-  // kFunctionCall.
+  // kFunctionCall. `function` is set only on calls that own their
+  // definition (a rewritten subquery's); others resolve `function_name`
+  // in the catalog's registry (see ResolveFunction).
   std::string function_name;
+  std::shared_ptr<const catalog::FunctionDef> function;
 
   // kInSubquery: children[0] is the needle expression.
   std::shared_ptr<const SubquerySpec> subquery;
@@ -118,6 +127,12 @@ ExprPtr Or(ExprPtr left, ExprPtr right);
 ExprPtr Not(ExprPtr child);
 ExprPtr InSubquery(ExprPtr needle,
                    std::shared_ptr<const SubquerySpec> subquery);
+
+/// The definition a kFunctionCall node invokes: the one it owns, else the
+/// registry's entry for its name (NotFound if neither). Every by-name
+/// function lookup on the statement path goes through here.
+common::Result<const catalog::FunctionDef*> ResolveFunction(
+    const Expr& call, const catalog::FunctionRegistry& functions);
 
 /// Splits nested ANDs into a flat conjunct list (the WHERE-clause form the
 /// optimizer works with).

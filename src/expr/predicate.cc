@@ -112,7 +112,7 @@ PredicateAnalyzer::EstimateSelectivity(const Expr& expr) const {
       return Estimate{0.5, StatSource::kDeclared};
     case ExprKind::kFunctionCall: {
       PPP_ASSIGN_OR_RETURN(const catalog::FunctionDef* def,
-                           catalog_->functions().Lookup(expr.function_name));
+                           ResolveFunction(expr, catalog_->functions()));
       if (def->return_type != types::TypeId::kBool) {
         return Estimate{1.0, StatSource::kDeclared};
       }
@@ -263,7 +263,7 @@ common::Result<PredicateAnalyzer::Estimate> PredicateAnalyzer::EstimateCost(
   Estimate cost{0.0, StatSource::kDeclared};
   for (const Expr* call : calls) {
     PPP_ASSIGN_OR_RETURN(const catalog::FunctionDef* def,
-                         catalog_->functions().Lookup(call->function_name));
+                         ResolveFunction(*call, catalog_->functions()));
     if (feedback_ != nullptr) {
       const std::optional<obs::FeedbackEntry> fb =
           feedback_->Lookup(call->function_name);

@@ -1,7 +1,9 @@
 #ifndef PPP_PLAN_QUERY_SPEC_H_
 #define PPP_PLAN_QUERY_SPEC_H_
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "expr/expr.h"
@@ -40,6 +42,11 @@ struct QuerySpec {
   /// empty. The optimizer prefers interestingly-ordered plans (index
   /// scans, merge joins) that satisfy it for free.
   std::string order_by;
+  /// (table name, stats epoch) of every table a rewritten IN-subquery
+  /// reads, filled by subquery::RewriteSubqueries before it estimates the
+  /// subquery's cost. A cached plan validates against these epochs as
+  /// well as those of `tables`.
+  std::vector<std::pair<std::string, uint64_t>> subquery_tables;
 
   std::string ToString() const;
 };

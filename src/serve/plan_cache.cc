@@ -63,9 +63,10 @@ std::shared_ptr<const CachedPlan> PlanCache::Probe(
   // (we miss, correct) or its listener already erased the entry.
   CachedPlan& cached = it->second.plan;
   bool valid = true;
-  for (size_t i = 0; i < cached.bindings.size() && valid; ++i) {
-    auto table = catalog.GetTable(cached.bindings[i].second);
-    valid = table.ok() && (*table)->stats_epoch() == cached.stats_epochs[i];
+  for (const auto& [name, epoch] : cached.stats_epochs) {
+    auto table = catalog.GetTable(name);
+    valid = table.ok() && (*table)->stats_epoch() == epoch;
+    if (!valid) break;
   }
   if (valid && obs::PlanHistory::Global().enabled() &&
       obs::PlanHistory::Global().Regressed(cached.text_hash,
@@ -107,14 +108,14 @@ void PlanCache::Insert(const PlanCacheKey& key, CachedPlan plan) {
 void PlanCache::InvalidateTable(const std::string& table_name) {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = slots_.begin(); it != slots_.end();) {
-    bool binds = false;
-    for (const auto& [alias, table] : it->second.plan.bindings) {
+    bool reads = false;
+    for (const auto& [table, epoch] : it->second.plan.stats_epochs) {
       if (table == table_name) {
-        binds = true;
+        reads = true;
         break;
       }
     }
-    if (binds) {
+    if (reads) {
       auto victim = it++;
       EraseLocked(victim);
       invalidations_.fetch_add(1, std::memory_order_relaxed);

@@ -47,9 +47,10 @@ struct CachedPlan {
   /// (alias, table name) in spec order: sessions rebuild ExecContext
   /// bindings from this on a hit, skipping parse/bind entirely.
   std::vector<std::pair<std::string, std::string>> bindings;
-  /// stats_epoch() of each bound table at optimize time, same order as
-  /// `bindings`. Probe re-reads the live epochs; any drift is a miss.
-  std::vector<uint64_t> stats_epochs;
+  /// (table name, stats_epoch()) of every table the plan reads at
+  /// optimize time: the bound tables, then those its rewritten subqueries
+  /// read. Probe re-reads the live epochs; any drift is a miss.
+  std::vector<std::pair<std::string, uint64_t>> stats_epochs;
   uint64_t text_hash = 0;
   uint64_t family_hash = 0;   ///< Literal-sloted family (observability).
   uint64_t plan_fingerprint = 0;
@@ -114,8 +115,8 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Returns the cached plan for `key` when present AND still valid:
-  /// every bound table's live stats epoch matches the entry's, and the
+  /// Returns the cached plan for `key` when present AND still valid: the
+  /// live stats epoch of every table it reads matches the entry's, and the
   /// plan history holds no regression verdict against it. An invalid entry
   /// is dropped (counted as an invalidation) and nullptr returned. The
   /// returned shared_ptr keeps the plan alive even if the entry is evicted
@@ -127,7 +128,7 @@ class PlanCache {
   /// the byte/entry bounds.
   void Insert(const PlanCacheKey& key, CachedPlan plan);
 
-  /// Drops every entry that binds `table_name` (the ANALYZE hook).
+  /// Drops every entry that reads `table_name` (the ANALYZE hook).
   void InvalidateTable(const std::string& table_name);
 
   /// Drops everything.

@@ -592,8 +592,11 @@ common::Result<obs::StatsTier> Session::CompileAndFill(
                          catalog.GetTable(ref.table_name));
     ctx->binding[ref.alias] = table;
     entry.bindings.emplace_back(ref.alias, ref.table_name);
-    entry.stats_epochs.push_back(table->stats_epoch());
+    entry.stats_epochs.emplace_back(ref.table_name, table->stats_epoch());
   }
+  entry.stats_epochs.insert(entry.stats_epochs.end(),
+                            spec.subquery_tables.begin(),
+                            spec.subquery_tables.end());
   optimizer::Optimizer opt(&catalog, options_.cost_params);
   PPP_ASSIGN_OR_RETURN(optimizer::OptimizeResult optimized,
                        opt.Optimize(spec, options_.algorithm, trace));

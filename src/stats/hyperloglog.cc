@@ -48,6 +48,9 @@ uint64_t StableValueHash(const types::Value& v) {
       return Mix64(0);
     case types::TypeId::kInt64:
       return Mix64(static_cast<uint64_t>(v.AsInt64()) ^ 0x1ULL << 62);
+    case types::TypeId::kBool:
+      // The int 0 or 1: Value::Compare makes true == 1 == 1.0.
+      return Mix64(uint64_t{v.AsBool()} ^ 0x1ULL << 62);
     case types::TypeId::kDouble: {
       // Hash numerically equal doubles and ints alike (3.0 == 3), matching
       // Value::operator==. Doubles outside int64's range (and NaN) can't
@@ -71,8 +74,6 @@ uint64_t StableValueHash(const types::Value& v) {
       const std::string& s = v.AsString();
       return HashBytes(s.data(), s.size());
     }
-    case types::TypeId::kBool:
-      return Mix64(v.AsBool() ? 0x3ULL : 0x4ULL);
   }
   return 0;
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "obs/span.h"
 #include "exec/executor.h"
 #include "optimizer/optimizer.h"
@@ -61,9 +62,16 @@ expr::ExprPtr Substitute(const expr::ExprPtr& e,
   return copy;
 }
 
-/// Builds the executable QuerySpec of one subquery instantiation.
-plan::QuerySpec InstantiateSpec(const expr::SubquerySpec& spec,
-                                const std::map<ColumnKey, types::Value>& params) {
+/// Plans `spec` with its correlation columns bound to args[1..], in
+/// `correlated` order (args[0] is the needle). The cost estimate and every
+/// invocation plan through here.
+common::Result<optimizer::OptimizeResult> PlanInstance(
+    const expr::SubquerySpec& spec, const std::vector<ColumnKey>& correlated,
+    const std::vector<types::Value>& args, catalog::Catalog* catalog) {
+  std::map<ColumnKey, types::Value> params;
+  for (size_t i = 0; i < correlated.size(); ++i) {
+    params[correlated[i]] = args[i + 1];
+  }
   plan::QuerySpec inner;
   for (const auto& [alias, table] : spec.tables) {
     inner.tables.push_back({alias, table});
@@ -73,81 +81,67 @@ plan::QuerySpec InstantiateSpec(const expr::SubquerySpec& spec,
   }
   inner.select_list.push_back(Substitute(spec.output, params));
   inner.select_names.push_back("v");
-  return inner;
-}
-
-/// Shared state of one synthesized subquery predicate: executes the
-/// subquery per distinct correlated binding and memoizes the value sets.
-struct SubqueryRuntime {
-  catalog::Catalog* catalog = nullptr;
-  std::shared_ptr<const expr::SubquerySpec> spec;
-  std::vector<ColumnKey> correlated;
-  std::map<std::string, std::set<types::Value>> memo;
-
-  common::Result<const std::set<types::Value>*> ValueSet(
-      const std::vector<types::Value>& args) {
-    std::vector<types::Value> binding(args.begin() + 1, args.end());
-    const std::string key = types::Tuple(binding).Serialize();
-    auto it = memo.find(key);
-    if (it != memo.end()) return &it->second;
-
-    std::map<ColumnKey, types::Value> params;
-    for (size_t i = 0; i < correlated.size(); ++i) {
-      params[correlated[i]] = args[i + 1];
-    }
-    plan::QuerySpec inner = InstantiateSpec(*spec, params);
-    optimizer::Optimizer opt(catalog, {});
-    PPP_ASSIGN_OR_RETURN(optimizer::OptimizeResult result,
-                         opt.Optimize(inner, optimizer::Algorithm::kPushDown));
-    exec::ExecContext ctx;
-    ctx.catalog = catalog;
-    for (const plan::TableRef& ref : inner.tables) {
-      PPP_ASSIGN_OR_RETURN(catalog::Table * table,
-                           catalog->GetTable(ref.table_name));
-      ctx.binding[ref.alias] = table;
-    }
-    PPP_ASSIGN_OR_RETURN(std::vector<types::Tuple> rows,
-                         exec::ExecutePlan(*result.plan, &ctx, nullptr));
-    std::set<types::Value> values;
-    for (const types::Tuple& row : rows) {
-      if (!row.Get(0).is_null()) values.insert(row.Get(0));
-    }
-    auto [inserted, ok] = memo.emplace(key, std::move(values));
-    return &inserted->second;
-  }
-};
-
-/// Optimizer-facing cost of one subquery evaluation: the estimated cost of
-/// the subquery plan with correlation parameters bound to a placeholder.
-double EstimateSubqueryCost(const expr::SubquerySpec& spec,
-                            const std::vector<ColumnKey>& correlated,
-                            catalog::Catalog* catalog) {
-  std::map<ColumnKey, types::Value> params;
-  for (const ColumnKey& key : correlated) {
-    params[key] = types::Value(int64_t{0});
-  }
-  plan::QuerySpec inner = InstantiateSpec(spec, params);
   optimizer::Optimizer opt(catalog, {});
-  auto result = opt.Optimize(inner, optimizer::Algorithm::kPushDown);
-  if (!result.ok()) return 25.0;  // Conservative default.
-  return std::max(1.0, result->est_cost);
+  return opt.Optimize(inner, optimizer::Algorithm::kPushDown);
 }
 
-std::string FreshFunctionName(const catalog::Catalog& catalog) {
-  for (int i = 1;; ++i) {
-    const std::string name = "__subq" + std::to_string(i);
-    if (!catalog.functions().Contains(name)) return name;
+/// One invocation: whether the instantiated subquery's output holds the
+/// needle args[0]. The buffer pool meters its pages like any other read.
+common::Result<bool> RunInstance(const expr::SubquerySpec& spec,
+                                 const std::vector<ColumnKey>& correlated,
+                                 const std::vector<types::Value>& args,
+                                 catalog::Catalog* catalog) {
+  PPP_ASSIGN_OR_RETURN(optimizer::OptimizeResult planned,
+                       PlanInstance(spec, correlated, args, catalog));
+  exec::ExecContext ctx;
+  ctx.catalog = catalog;
+  for (const auto& [alias, table] : spec.tables) {
+    PPP_ASSIGN_OR_RETURN(ctx.binding[alias], catalog->GetTable(table));
   }
+  PPP_ASSIGN_OR_RETURN(std::vector<types::Tuple> rows,
+                       exec::ExecutePlan(*planned.plan, &ctx, nullptr));
+  for (const types::Tuple& row : rows) {
+    if (!row.Get(0).is_null() && row.Get(0) == args[0]) return true;
+  }
+  return false;
+}
+
+/// Appends every constant under `e` in its exact serialized form.
+void AppendLiterals(const expr::ExprPtr& e, std::string* out) {
+  if (e->kind == expr::ExprKind::kConstant) {
+    types::Tuple::SerializeValue(e->constant, out);
+  }
+  for (const expr::ExprPtr& child : e->children) AppendLiterals(child, out);
+}
+
+/// `__subq_<hex>`: FNV-1a of the subquery's text (a nested subquery shows
+/// as its own call), its literals exactly (ToString prints doubles with
+/// %g) and its correlation columns. One subquery has one name on every
+/// compile; two that differ anywhere have two.
+std::string SubqueryName(
+    const std::shared_ptr<const expr::SubquerySpec>& spec,
+    const std::vector<ColumnKey>& correlated) {
+  std::string text =
+      expr::InSubquery(expr::Const(types::Value()), spec)->ToString();
+  AppendLiterals(spec->output, &text);
+  for (const expr::ExprPtr& c : spec->conjuncts) AppendLiterals(c, &text);
+  for (const auto& [table, column] : correlated) {
+    text += "|" + table + "." + column;
+  }
+  return common::StringPrintf(
+      "__subq_%016llx",
+      static_cast<unsigned long long>(common::Fnv1aHash(text)));
 }
 
 common::Result<expr::ExprPtr> RewriteExpr(const expr::ExprPtr& e,
-                                          catalog::Catalog* catalog) {
+                                          catalog::Catalog* catalog,
+                                          plan::QuerySpec* outer) {
   if (e == nullptr) return e;
   if (e->kind != expr::ExprKind::kInSubquery) {
     if (e->children.empty()) return e;
     auto copy = std::make_shared<expr::Expr>(*e);
     for (expr::ExprPtr& child : copy->children) {
-      PPP_ASSIGN_OR_RETURN(child, RewriteExpr(child, catalog));
+      PPP_ASSIGN_OR_RETURN(child, RewriteExpr(child, catalog, outer));
     }
     return expr::ExprPtr(std::move(copy));
   }
@@ -157,63 +151,73 @@ common::Result<expr::ExprPtr> RewriteExpr(const expr::ExprPtr& e,
   auto spec = std::make_shared<expr::SubquerySpec>();
   spec->tables = e->subquery->tables;
   PPP_ASSIGN_OR_RETURN(spec->output,
-                       RewriteExpr(e->subquery->output, catalog));
+                       RewriteExpr(e->subquery->output, catalog, outer));
   for (const expr::ExprPtr& conjunct : e->subquery->conjuncts) {
     PPP_ASSIGN_OR_RETURN(expr::ExprPtr rewritten,
-                         RewriteExpr(conjunct, catalog));
+                         RewriteExpr(conjunct, catalog, outer));
     spec->conjuncts.push_back(std::move(rewritten));
   }
   PPP_ASSIGN_OR_RETURN(expr::ExprPtr needle,
-                       RewriteExpr(e->children[0], catalog));
+                       RewriteExpr(e->children[0], catalog, outer));
+  // Read before the estimate below reads the statistics, so an ANALYZE in
+  // between leaves a stale epoch (the safe direction).
+  for (const auto& [alias, table_name] : spec->tables) {
+    PPP_ASSIGN_OR_RETURN(catalog::Table * table,
+                         catalog->GetTable(table_name));
+    outer->subquery_tables.emplace_back(table_name, table->stats_epoch());
+  }
 
-  auto runtime = std::make_shared<SubqueryRuntime>();
-  runtime->catalog = catalog;
-  runtime->correlated = CollectCorrelated(*spec);
-  runtime->spec = spec;
-
-  catalog::FunctionDef def;
-  const std::string fn_name = FreshFunctionName(*catalog);
-  def.name = fn_name;
-  def.cost_per_call =
-      EstimateSubqueryCost(*spec, runtime->correlated, catalog);
-  def.selectivity = 0.5;  // System R's IN-membership default.
-  def.return_type = types::TypeId::kBool;
-  def.cacheable = true;
+  const std::vector<ColumnKey> correlated = CollectCorrelated(*spec);
+  auto def = std::make_shared<catalog::FunctionDef>();
+  def->name = SubqueryName(spec, correlated);
+  // Optimizer-facing cost of one evaluation: the subquery plan's estimate
+  // with its correlation columns bound to a placeholder.
+  auto estimate = PlanInstance(
+      *spec, correlated,
+      std::vector<types::Value>(correlated.size() + 1, types::Value(int64_t{0})),
+      catalog);
+  def->cost_per_call = estimate.ok() ? std::max(1.0, estimate->est_cost)
+                                     : 25.0;  // Conservative default.
+  def->selectivity = 0.5;  // System R's IN-membership default.
+  def->return_type = types::TypeId::kBool;
+  def->cacheable = true;
   // The subquery does real, metered I/O when invoked; cost_per_call is an
   // optimizer estimate, not a bill.
-  def.charge_invocations = false;
-  // The impl executes nested plans through the shared buffer pool and
-  // memoizes in SubqueryRuntime — coordinator-thread only.
-  def.parallel_safe = false;
-  def.impl = [runtime](const std::vector<types::Value>& args) {
+  def->charge_invocations = false;
+  // The impl executes nested plans through the shared buffer pool —
+  // coordinator-thread only.
+  def->parallel_safe = false;
+  def->impl = [spec, correlated,
+               catalog](const std::vector<types::Value>& args) {
     if (args.empty() || args[0].is_null()) return types::Value(false);
-    auto values = runtime->ValueSet(args);
-    if (!values.ok()) {
+    auto member = RunInstance(*spec, correlated, args, catalog);
+    if (!member.ok()) {
       PPP_LOG(Error) << "subquery execution failed: "
-                     << values.status().ToString();
+                     << member.status().ToString();
       return types::Value();
     }
-    return types::Value((*values)->count(args[0]) > 0);
+    return types::Value(*member);
   };
-  PPP_RETURN_IF_ERROR(catalog->functions().Register(std::move(def)));
 
   std::vector<expr::ExprPtr> call_args;
   call_args.push_back(std::move(needle));
-  for (const ColumnKey& key : runtime->correlated) {
+  for (const ColumnKey& key : correlated) {
     call_args.push_back(expr::Col(key.first, key.second));
   }
-  return expr::Call(fn_name, std::move(call_args));
+  auto call = std::make_shared<expr::Expr>(
+      *expr::Call(def->name, std::move(call_args)));
+  call->function = std::move(def);
+  return expr::ExprPtr(std::move(call));
 }
-
 }  // namespace
 
 common::Status RewriteSubqueries(plan::QuerySpec* spec,
                                  catalog::Catalog* catalog) {
   for (expr::ExprPtr& conjunct : spec->conjuncts) {
-    PPP_ASSIGN_OR_RETURN(conjunct, RewriteExpr(conjunct, catalog));
+    PPP_ASSIGN_OR_RETURN(conjunct, RewriteExpr(conjunct, catalog, spec));
   }
   for (expr::ExprPtr& item : spec->select_list) {
-    PPP_ASSIGN_OR_RETURN(item, RewriteExpr(item, catalog));
+    PPP_ASSIGN_OR_RETURN(item, RewriteExpr(item, catalog, spec));
   }
   return common::Status::OK();
 }

@@ -51,14 +51,24 @@ int Value::Compare(const Value& other) const {
     return a == TypeId::kNull ? -1 : 1;
   }
   if (IsNumeric(a) && IsNumeric(b)) {
-    // Compare int64/int64 exactly; mixed numeric via double.
-    if (a == TypeId::kInt64 && b == TypeId::kInt64) {
-      const int64_t x = AsInt64();
-      const int64_t y = other.AsInt64();
+    // Exact: integers (bools as 0/1) against integers, doubles against
+    // doubles, and an integer against a double without a rounding cast.
+    const auto integer = [](const Value& v) {
+      return v.type() == TypeId::kBool ? int64_t{v.AsBool()} : v.AsInt64();
+    };
+    if (a != TypeId::kDouble && b != TypeId::kDouble) {
+      const int64_t x = integer(*this);
+      const int64_t y = integer(other);
       return x < y ? -1 : (x > y ? 1 : 0);
     }
-    const double x = AsNumeric();
-    const double y = other.AsNumeric();
+    if (a != TypeId::kDouble) {
+      return CompareInt64Double(integer(*this), other.AsDouble());
+    }
+    if (b != TypeId::kDouble) {
+      return -CompareInt64Double(integer(other), AsDouble());
+    }
+    const double x = AsDouble();
+    const double y = other.AsDouble();
     const bool x_nan = std::isnan(x);
     const bool y_nan = std::isnan(y);
     if (x_nan || y_nan) return x_nan == y_nan ? 0 : (x_nan ? 1 : -1);

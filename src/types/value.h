@@ -65,10 +65,11 @@ class Value {
   /// Numeric view: int64 and double both convert; asserts otherwise.
   double AsNumeric() const;
 
-  /// Three-way comparison usable as a sort key. NULL sorts first; values of
-  /// different numeric types compare numerically, with NaN equal to NaN and
-  /// above every other number (PostgreSQL's order); comparing a string with
-  /// a number orders by type id (deterministic, never aborts).
+  /// Three-way comparison usable as a sort key. NULL sorts first; numbers
+  /// of any type compare exactly by value (a bool is the int 0 or 1), with
+  /// NaN equal to NaN and above every other number (PostgreSQL's order);
+  /// comparing a string with a number orders by type id (deterministic,
+  /// never aborts).
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }
@@ -88,6 +89,19 @@ class Value {
 /// True when `d` lies in int64's range, [-2^63, 2^63), so that
 /// static_cast<int64_t>(d) is defined. False for NaN and the infinities.
 inline bool FitsInt64(double d) { return d >= -0x1p63 && d < 0x1p63; }
+
+/// Exact three-way comparison of an int64 with a double, in Value::Compare's
+/// order: NaN sorts above every number, and no rounding cast stands in
+/// between (2^53 + 1 is above the double 2^53, not equal to it).
+inline int CompareInt64Double(int64_t x, double y) {
+  if (std::isnan(y) || y >= 0x1p63) return -1;
+  if (y < -0x1p63) return 1;
+  // y lies in int64's range, so its integral part converts exactly.
+  const double whole = std::trunc(y);
+  const int64_t yi = static_cast<int64_t>(whole);
+  if (x != yi) return x < yi ? -1 : 1;
+  return y > whole ? -1 : (y < whole ? 1 : 0);
+}
 
 /// The hash of a double under Value::Hash: -0.0 and 0.0 hash alike, and so
 /// does every NaN payload (Compare makes all NaNs equal).

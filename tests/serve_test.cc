@@ -21,6 +21,7 @@
 #include "expr/evaluator.h"
 #include "obs/metrics.h"
 #include "obs/plan_audit.h"
+#include "obs/plan_history.h"
 #include "obs/profiler.h"
 #include "obs/query_log.h"
 #include "obs/span.h"
@@ -379,7 +380,7 @@ TEST_F(ServeTest, SnapshotIdentityCatchesStatsSwapWithoutListener) {
   for (const plan::TableRef& ref : spec->tables) {
     catalog::Table* table = *db_.catalog().GetTable(ref.table_name);
     entry.bindings.emplace_back(ref.alias, ref.table_name);
-    entry.stats_epochs.push_back(table->stats_epoch());
+    entry.stats_epochs.emplace_back(ref.table_name, table->stats_epoch());
   }
   serve::PlanCacheKey key{1, 2};
   cache.Insert(key, std::move(entry));
@@ -848,9 +849,10 @@ TEST_F(ServeTest, SecondManagerLeavesTheFirstManagersTablesServed) {
 }
 
 TEST_F(ServeTest, SubqueryStatementIsOneRecord) {
-  // The correlated IN runs its subquery once per distinct t3.a10, each a
-  // nested plan execution. It is still one statement: one ppp_query_log
-  // row, and every audit row and span carries that row's query id.
+  // The correlated IN runs its subquery once per distinct (t3.u10,
+  // t3.a10) its §5.1 cache misses, each a nested plan execution. It is
+  // still one statement: one ppp_query_log row, and every audit row and
+  // span carries that row's query id.
   serve::SessionManager manager(&db_);
   auto session = manager.CreateSession();
   obs::QueryLog::Global().Clear();
@@ -892,6 +894,161 @@ TEST_F(ServeTest, SubqueryStatementIsOneRecord) {
   // The outer plan plus at least one nested subquery execution.
   EXPECT_GT(executions, 1u);
   tracer.Clear();
+}
+
+/// The correlated IN over t3 and t6, restricted to t3.a < 60 and to inner
+/// rows t6.a < `inner_bound`, so one statement runs few nested plans.
+std::string BoundedSubquery(int64_t inner_bound) {
+  return "SELECT t3.a FROM t3 WHERE t3.a < 60 AND t3.u10 IN "
+         "(SELECT u10 FROM t6 WHERE t6.a10 = t3.a10 AND t6.a < " +
+         std::to_string(inner_bound) + ")";
+}
+
+/// BoundedSubquery's answer straight from the data: (a, u10, a10) of t3
+/// and (u10, a10, a) of t6, as read by `session`.
+class SubqueryReference {
+ public:
+  explicit SubqueryReference(serve::Session* session) {
+    auto t3 = session->Execute("SELECT t3.a, t3.u10, t3.a10 FROM t3");
+    auto t6 = session->Execute("SELECT t6.u10, t6.a10, t6.a FROM t6");
+    EXPECT_TRUE(t3.ok() && t6.ok());
+    if (!t3.ok() || !t6.ok()) return;
+    t3_ = std::move(t3->rows);
+    t6_ = std::move(t6->rows);
+  }
+
+  std::vector<int64_t> Rows(int64_t inner_bound) const {
+    std::vector<int64_t> out;
+    for (const types::Tuple& outer : t3_) {
+      if (outer.Get(0).AsInt64() >= 60) continue;
+      for (const types::Tuple& inner : t6_) {
+        if (inner.Get(2).AsInt64() < inner_bound &&
+            inner.Get(1) == outer.Get(2) && inner.Get(0) == outer.Get(1)) {
+          out.push_back(outer.Get(0).AsInt64());
+          break;
+        }
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+ private:
+  std::vector<types::Tuple> t3_;
+  std::vector<types::Tuple> t6_;
+};
+
+std::vector<int64_t> SortedFirstColumn(const serve::QueryResult& r) {
+  std::vector<int64_t> out;
+  for (const types::Tuple& row : r.rows) out.push_back(row.Get(0).AsInt64());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST_F(ServeTest, ConcurrentSubqueryStatementsAreClean) {
+  // Four sessions compile fifty subqueries each, every one with a fresh
+  // inner literal. Nothing is registered in the catalog, so nothing races
+  // (the TSan run checks) and no two compiles collide on a name.
+  serve::SessionManager manager(&db_);
+  const SubqueryReference reference(manager.CreateSession().get());
+  const size_t functions = db_.catalog().functions().Names().size();
+  constexpr int kSessions = 4;
+  constexpr int kStatements = 50;
+  std::vector<std::unique_ptr<serve::Session>> sessions;
+  for (int i = 0; i < kSessions; ++i) {
+    sessions.push_back(manager.CreateSession());
+  }
+  std::vector<std::string> errors(kSessions);
+  std::vector<std::thread> threads;
+  for (int s = 0; s < kSessions; ++s) {
+    threads.emplace_back([&, s]() {
+      for (int i = 0; i < kStatements; ++i) {
+        const int64_t bound = 600 + s * kStatements + i;
+        auto r = sessions[s]->Execute(BoundedSubquery(bound));
+        if (!r.ok()) {
+          errors[s] = r.status().ToString();
+          return;
+        }
+        if (SortedFirstColumn(*r) != reference.Rows(bound)) {
+          errors[s] = "wrong rows at t6.a < " + std::to_string(bound);
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::string& e : errors) EXPECT_EQ(e, "");
+  EXPECT_EQ(db_.catalog().functions().Names().size(), functions);
+}
+
+TEST_F(ServeTest, SubqueriesApartOnlyInAnInnerLiteralKeepTheirRows) {
+  // Each gets its own name, so neither reads the other's shared §5.1
+  // cache, whichever runs first.
+  serve::SessionManager manager(&db_);
+  auto session = manager.CreateSession();
+  const SubqueryReference reference(session.get());
+  ASSERT_NE(reference.Rows(300), reference.Rows(900));
+  for (const int64_t bound : {300, 900, 300}) {
+    auto r = session->Execute(BoundedSubquery(bound));
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(SortedFirstColumn(*r), reference.Rows(bound)) << bound;
+  }
+}
+
+TEST_F(ServeTest, UncachedSubqueryPinsAlikeOnEveryRun) {
+  // With the §5.1 switch off nothing may remember the subquery's answers:
+  // every run executes the same nested plans and pins the same pages.
+  serve::SessionManager manager(&db_);
+  auto session = manager.CreateSession();
+  session->options().cost_params.predicate_caching = false;
+  const std::string sql =
+      "SELECT t3.a FROM t3 WHERE t3.u10 IN "
+      "(SELECT u10 FROM t6 WHERE t6.a10 = t3.a10)";
+  std::vector<uint64_t> pins;
+  for (int run = 0; run < 3; ++run) {
+    auto r = session->Execute(sql);
+    ASSERT_TRUE(r.ok()) << r.status();
+    pins.push_back(r->stats.io.buffer_hits + r->stats.io.TotalReads());
+  }
+  EXPECT_GT(pins[0], 0u);
+  EXPECT_EQ(pins[1], pins[0]);
+  EXPECT_EQ(pins[2], pins[0]);
+}
+
+TEST_F(ServeTest, SubqueryCompilesToOneFingerprint) {
+  obs::PlanHistory& history = obs::PlanHistory::Global();
+  const bool history_was_on = history.enabled();
+  history.Clear();
+  history.set_enabled(true);
+  serve::SessionManager manager(&db_);
+  auto session = manager.CreateSession();
+  session->options().use_plan_cache = false;
+  const std::string sql = BoundedSubquery(900);
+  auto first = session->Execute(sql);
+  auto second = session->Execute(sql);
+  history.set_enabled(history_was_on);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_FALSE(second->plan_cache_hit);
+  EXPECT_EQ(first->plan_fingerprint, second->plan_fingerprint);
+  EXPECT_EQ(history.PlansFor(first->text_hash), 1u);
+  history.Clear();
+}
+
+TEST_F(ServeTest, AnalyzeOfTheInnerTableInvalidatesTheCachedPlan) {
+  // The plan bakes in the subquery's estimated cost, read from t6's
+  // statistics, so new t6 statistics must retire it.
+  serve::SessionManager manager(&db_);
+  auto session = manager.CreateSession();
+  const std::string sql = BoundedSubquery(900);
+  ASSERT_TRUE(session->Execute(sql).ok());
+  auto warm = session->Execute(sql);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  EXPECT_TRUE(warm->plan_cache_hit);
+  ASSERT_TRUE(session->Execute("ANALYZE t6").ok());
+  auto after = session->Execute(sql);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_FALSE(after->plan_cache_hit);
 }
 
 TEST_F(ServeTest, ServeMetricsAreRegistered) {

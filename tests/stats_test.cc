@@ -216,6 +216,29 @@ TEST(HyperLogLogTest, NumericHashIsTypeConsistent) {
             stats::StableValueHash(Value(int64_t{3})));
 }
 
+TEST(HyperLogLogTest, BoolCountsAsTheEqualInt) {
+  // true == 1 == 1.0 and false == 0 under Value::Compare, so a column
+  // mixing them holds two distinct values, not four.
+  EXPECT_EQ(stats::StableValueHash(Value(true)),
+            stats::StableValueHash(Value(int64_t{1})));
+  EXPECT_EQ(stats::StableValueHash(Value(false)),
+            stats::StableValueHash(Value(0.0)));
+  workload::Database db;
+  auto table = db.catalog().CreateTable("mixed", {{"x", TypeId::kBool}});
+  ASSERT_TRUE(table.ok()) << table.status();
+  const std::vector<Value> cycle = {Value(true),  Value(int64_t{1}),
+                                    Value(1.0),   Value(false),
+                                    Value(int64_t{0}), Value(-0.0)};
+  for (size_t i = 0; i < 120; ++i) {
+    ASSERT_TRUE(
+        (*table)->Insert(types::Tuple({cycle[i % cycle.size()]})).ok());
+  }
+  auto built =
+      stats::BuildTableStatistics(**table, stats::AnalyzeOptions::Default());
+  ASSERT_TRUE(built.ok()) << built.status();
+  EXPECT_NEAR((*built)->columns[0].ndv, 2.0, 0.5);
+}
+
 TEST(HyperLogLogTest, StableHashOfDoublesOutsideInt64Range) {
   // Doubles no int64 can equal hash by their bits; the edge -2^63 is
   // INT64_MIN and must still hash like it.
@@ -948,10 +971,10 @@ class AnalyzeExactnessTest : public ::testing::Test {
       const Value k = rng.NextUint64(10) == 0
                           ? Value()
                           : Value(static_cast<int64_t>(rng.NextUint64(40)));
-      const Value skew =
-          i % 10 < 3 ? Value(int64_t{7})
-                     : Value(static_cast<int64_t>(rng.NextUint64(2000)));
-      tuples.push_back(types::Tuple({k, skew, Value(rows - i), Value()}));
+      const int64_t skew =
+          i % 10 < 3 ? 7 : static_cast<int64_t>(rng.NextUint64(2000));
+      tuples.push_back(
+          types::Tuple({k, Value(skew), Value(rows - i), Value()}));
     }
     return MakeTable({{"k", TypeId::kInt64},
                       {"skew", TypeId::kInt64},

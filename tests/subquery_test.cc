@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/executor.h"
+#include "expr/expr.h"
 #include "optimizer/optimizer.h"
 #include "parser/binder.h"
 #include "parser/parser.h"
@@ -111,11 +112,53 @@ TEST_F(SubqueryTest, RewriteSynthesizesExpensiveFunction) {
   EXPECT_EQ(pred.children[0]->column, "mother");
   EXPECT_EQ(pred.children[1]->column, "dept");
 
-  auto def = catalog_.functions().Lookup(pred.function_name);
+  // The call owns its definition; the catalog's registry never sees it.
+  ASSERT_NE(pred.function, nullptr);
+  EXPECT_EQ(pred.function->name, pred.function_name);
+  EXPECT_EQ(pred.function_name.rfind("__subq_", 0), 0u);
+  EXPECT_FALSE(catalog_.functions().Contains(pred.function_name));
+  auto def = expr::ResolveFunction(pred, catalog_.functions());
   ASSERT_TRUE(def.ok());
+  EXPECT_EQ(*def, pred.function.get());
   EXPECT_GT((*def)->cost_per_call, 0);  // Estimated subquery cost.
   EXPECT_TRUE((*def)->cacheable);
   EXPECT_FALSE((*def)->charge_invocations);
+}
+
+TEST_F(SubqueryTest, RewriteLeavesTheRegistryUntouched) {
+  // A compile registers nothing: the registry stays as it was loaded.
+  const size_t before = catalog_.functions().Names().size();
+  for (int i = 0; i < 200; ++i) {
+    auto spec = ParseBindRewrite(
+        "SELECT student.id FROM student WHERE student.mother IN "
+        "(SELECT name FROM professor WHERE professor.dept = student.dept "
+        "AND professor.name < " +
+            std::to_string(i) + ")",
+        &catalog_);
+    ASSERT_TRUE(spec.ok()) << spec.status();
+  }
+  EXPECT_EQ(catalog_.functions().Names().size(), before);
+}
+
+TEST_F(SubqueryTest, NameIsStableAcrossCompilesAndApartPerLiteral) {
+  const auto name = [&](const std::string& sql) {
+    auto spec = ParseBindRewrite(sql, &catalog_);
+    EXPECT_TRUE(spec.ok()) << spec.status();
+    return spec.ok() ? spec->conjuncts[0]->function_name : std::string();
+  };
+  EXPECT_EQ(name(kPaperQuery), name(kPaperQuery));
+  const std::string prefix =
+      "SELECT student.id FROM student WHERE student.mother IN "
+      "(SELECT name FROM professor WHERE professor.dept = student.dept "
+      "AND professor.name < ";
+  EXPECT_NE(name(prefix + "10)"), name(prefix + "11)"));
+  // Expr::ToString prints both of these as 1; the name must not.
+  EXPECT_NE(name(prefix + "1.0000001)"), name(prefix + "1.0000002)"));
+  // Another correlation column.
+  EXPECT_NE(name(kPaperQuery),
+            name("SELECT student.id FROM student WHERE student.mother IN "
+                 "(SELECT name FROM professor WHERE professor.dept = "
+                 "student.gpa)"));
 }
 
 TEST_F(SubqueryTest, ExecutesCorrectly) {
@@ -179,9 +222,8 @@ TEST_F(SubqueryTest, UncorrelatedSubquery) {
   exec::ExecStats stats;
   auto rows = exec::ExecutePlan(*result->plan, &ctx, &stats);
   ASSERT_TRUE(rows.ok());
-  // Uncorrelated: a single binding, so exactly the distinct needle values
-  // trigger evaluation; the subquery itself runs once per distinct needle
-  // thanks to the value-set memo keyed on the (empty) binding.
+  // Uncorrelated: the call's only argument is the needle, so the §5.1
+  // cache runs the subquery once per distinct needle value.
   EXPECT_GT(rows->size(), 0u);
 }
 

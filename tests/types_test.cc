@@ -136,6 +136,87 @@ TEST(ValueTest, NaNPayloadsHashAlike) {
             stats::StableValueHash(Value(0.0)));
 }
 
+/// Value::Compare's numeric order written out independently, through long
+/// double (exact for every int64 and every double here): NaN equals NaN
+/// and sorts above every other number; a bool is the int 0 or 1.
+int ExactModelCompare(const Value& a, const Value& b) {
+  static_assert(std::numeric_limits<long double>::digits >= 64);
+  const auto num = [](const Value& v) -> long double {
+    switch (v.type()) {
+      case TypeId::kBool:
+        return v.AsBool() ? 1 : 0;
+      case TypeId::kInt64:
+        return static_cast<long double>(v.AsInt64());
+      default:
+        return v.AsDouble();
+    }
+  };
+  const long double x = num(a);
+  const long double y = num(b);
+  if (std::isnan(x) || std::isnan(y)) {
+    return std::isnan(x) == std::isnan(y) ? 0 : (std::isnan(x) ? 1 : -1);
+  }
+  return x < y ? -1 : (x > y ? 1 : 0);
+}
+
+TEST(ValueTest, Int64AgainstDoubleComparesExactly) {
+  const int64_t p53 = int64_t{1} << 53;
+  // 2^53 + 1 has no double: a rounding cast would make it equal to the
+  // double 2^53, which equals the int 2^53, which is less than 2^53 + 1.
+  EXPECT_EQ(Value(p53 + 1).Compare(Value(0x1p53)), 1);
+  EXPECT_EQ(Value(0x1p53).Compare(Value(p53 + 1)), -1);
+  EXPECT_EQ(Value(0x1p53).Compare(Value(p53)), 0);
+  EXPECT_EQ(Value(p53 + 1).Compare(Value(p53)), 1);
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  const std::vector<Value> values = {
+      Value(p53 - 1),      Value(p53),          Value(p53 + 1),
+      Value(p53 + 2),      Value(0x1p53 - 1),   Value(0x1p53),
+      Value(0x1p53 + 2),   Value(0x1p53 + 4),   Value(-(p53 + 1)),
+      Value(-0x1p53),      Value(-p53),         Value(max),
+      Value(max - 1),      Value(min),          Value(min + 1),
+      Value(0x1p63),       Value(-0x1p63),      Value(0x1p63 - 1024),
+      Value(int64_t{1}),   Value(1.0),          Value(true),
+      Value(false),        Value(int64_t{0}),   Value(-0.0),
+      Value(0.5),          Value(-0.5),         Value(inf),
+      Value(-inf),         Value(std::nan("")), Value(int64_t{-1}),
+  };
+  const RowSchema schema({ColumnInfo{"t", "x", TypeId::kInt64}});
+  ColumnBatch batch(schema);
+  for (const Value& v : values) batch.AppendTuple(Tuple({v}));
+  for (size_t i = 0; i < values.size(); ++i) {
+    for (size_t j = 0; j < values.size(); ++j) {
+      const Value& a = values[i];
+      const Value& b = values[j];
+      SCOPED_TRACE(a.ToString() + " vs " + b.ToString());
+      ASSERT_EQ(a.Compare(b), ExactModelCompare(a, b));
+      if (a.Compare(b) != 0) continue;
+      EXPECT_EQ(a.Hash(), b.Hash());
+      EXPECT_EQ(batch.HashCell(0, i), batch.HashCell(0, j));
+      EXPECT_EQ(stats::StableValueHash(a), stats::StableValueHash(b));
+    }
+  }
+  // The model is a total order, so matching it everywhere makes Compare
+  // transitive; check that directly too.
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      for (const Value& c : values) {
+        if (a.Compare(b) <= 0 && b.Compare(c) <= 0) {
+          EXPECT_LE(a.Compare(c), 0) << a.ToString() << " " << b.ToString()
+                                     << " " << c.ToString();
+        }
+      }
+    }
+  }
+  // The boxed cells hash as Value::Hash does.
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(batch.HashCell(0, i), static_cast<uint64_t>(values[i].Hash()))
+        << values[i].ToString();
+  }
+}
+
 TEST(TupleTest, RoundTripAllTypes) {
   Tuple t({Value(int64_t{-5}), Value(3.25), Value("hello"), Value(true),
            Value()});

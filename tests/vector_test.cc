@@ -382,6 +382,66 @@ TEST(VectorNaNTest, AllOpsPlaceNaNAboveEveryNumber) {
   }
 }
 
+TEST(VectorExactTest, IntAgainstDoubleIsExactAroundTwoTo53) {
+  // a is an int column, x a double one; around 2^53 a rounding cast makes
+  // 2^53 + 1 equal to the double 2^53. Kernel, scalar evaluator and an
+  // exact long double model must agree on every operator, both ways round
+  // and against constants.
+  static_assert(std::numeric_limits<long double>::digits >= 64);
+  const RowSchema schema({ColumnInfo{"t", "a", TypeId::kInt64},
+                          ColumnInfo{"t", "x", TypeId::kDouble}});
+  const int64_t p53 = int64_t{1} << 53;
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  const std::vector<std::pair<int64_t, double>> cells = {
+      {p53 - 1, 0x1p53},  {p53, 0x1p53},        {p53 + 1, 0x1p53},
+      {p53 + 2, 0x1p53},  {p53 + 1, 0x1p53 + 2}, {-(p53 + 1), -0x1p53},
+      {max, 0x1p63},      {max, 0x1p63 - 1024}, {0, std::nan("")},
+      {3, 2.5},           {-3, -2.5},           {p53 + 3, 0x1p53 + 4},
+  };
+  std::vector<Tuple> rows;
+  for (const auto& [a, x] : cells) rows.push_back(Tuple({Value(a), Value(x)}));
+  const auto model = [](long double l, long double r) {
+    if (std::isnan(l) || std::isnan(r)) {
+      return std::isnan(l) == std::isnan(r) ? 0 : (std::isnan(l) ? 1 : -1);
+    }
+    return l < r ? -1 : (l > r ? 1 : 0);
+  };
+  const auto check = [&](const ExprPtr& e, const auto& holds) {
+    CheckKernelAgainstScalar(e, schema, rows);
+    auto kernel = VectorizedPredicate::Compile(e, schema);
+    ASSERT_TRUE(kernel.has_value());
+    ColumnBatch batch(schema);
+    for (const Tuple& t : rows) batch.AppendTuple(t);
+    kernel->Filter(&batch, nullptr);
+    std::vector<uint32_t> expected;
+    for (uint32_t i = 0; i < rows.size(); ++i) {
+      if (holds(i)) expected.push_back(i);
+    }
+    EXPECT_EQ(batch.selection(), expected);
+  };
+  const CompareOp kOps[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                            CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
+  for (CompareOp op : kOps) {
+    SCOPED_TRACE(expr::CompareOpSymbol(op));
+    const auto a = [&](uint32_t i) {
+      return static_cast<long double>(cells[i].first);
+    };
+    const auto x = [&](uint32_t i) {
+      return static_cast<long double>(cells[i].second);
+    };
+    check(Cmp(op, Col("t", "a"), Col("t", "x")),
+          [&](uint32_t i) { return ModelHolds(op, model(a(i), x(i))); });
+    check(Cmp(op, Col("t", "x"), Col("t", "a")),
+          [&](uint32_t i) { return ModelHolds(op, model(x(i), a(i))); });
+    check(Cmp(op, Col("t", "a"), Const(Value(0x1p53))), [&](uint32_t i) {
+      return ModelHolds(op, model(a(i), 0x1p53));
+    });
+    check(Cmp(op, Col("t", "x"), Const(Value(p53 + 1))), [&](uint32_t i) {
+      return ModelHolds(op, model(x(i), static_cast<long double>(p53 + 1)));
+    });
+  }
+}
+
 TEST_F(VectorKernelTest, DeclinesNonVectorizableShapes) {
   // Function calls, boolean connectives, arithmetic, string-vs-number
   // operands, NULL literals and const-const comparisons all stay scalar.
